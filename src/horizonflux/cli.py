@@ -19,7 +19,7 @@ from .diagnostics import (
     check_max_principle,
     check_tvd,
 )
-from .harness import refine_fixed_delta, refine_joint_limit
+from .harness import _level_geometry, refine_fixed_delta, refine_joint_limit
 from .kernels import Kernel, compute_weights
 from .outputs import (
     weights_table,
@@ -30,7 +30,7 @@ from .outputs import (
     write_study_json,
     write_weights_csv,
 )
-from .solver import SchemeConfig, run
+from .solver import GridState, SchemeConfig, run
 
 __all__ = ["main"]
 
@@ -97,65 +97,46 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _geometry(cfg: RunConfig) -> tuple[float, int]:
-    span = cfg.x_right - cfg.x_left
-    n = int(round(span / cfg.dx))
-    if n < 1 or abs(span / cfg.dx - n) > 1e-9:
-        raise ValueError(f"dx={cfg.dx} does not tile the domain [{cfg.x_left}, {cfg.x_right}]")
-    return cfg.x_left, n
-
-
-def _scheme(cfg: RunConfig) -> SchemeConfig:
-    return SchemeConfig(
+def _run(cfg: RunConfig, **run_kwargs) -> list[GridState]:
+    """Run the configured problem on its grid; ``run_kwargs`` pick the output."""
+    problem = cfg.resolved_problem()
+    x0, n_cells = _level_geometry(problem, cfg.dx)
+    scheme = SchemeConfig(
         kernel=Kernel(delta=cfg.delta, profile=cfg.profile),
         flux=cfg.build_flux(),
         mesh_ratio=cfg.mesh_ratio,
         final_time=cfg.final_time,
-        cfl_safety=cfg.cfl_safety,
+    )
+    return run(
+        scheme,
+        problem.u0,
+        x0=x0,
+        dx=cfg.dx,
+        n_cells=n_cells,
+        boundary=cfg.boundary,
+        enforce_cfl=cfg.enforce_cfl,
+        breakpoints=problem.u0_breakpoints or None,
+        **run_kwargs,
     )
 
 
 def _config_echo(cfg: RunConfig) -> dict:
     return {"text": config_to_text(cfg)}
 
+
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    problem = cfg.resolved_problem()
-    x0, n_cells = _geometry(cfg)
     targets = np.linspace(0.0, cfg.final_time, cfg.output_times)
-    trajectory = run(
-        _scheme(cfg),
-        problem.u0,
-        x0=x0,
-        dx=cfg.dx,
-        n_cells=n_cells,
-        boundary=cfg.boundary,
-        output_times=targets,
-        store="snapshots",
-        enforce_cfl=cfg.enforce_cfl,
-        breakpoints=problem.u0_breakpoints or None,
-    )
+    trajectory = _run(cfg, output_times=targets)
     out = Path(cfg.out_dir) / "solution.csv"
     write_solution_csv(trajectory, out)
-    print(f"wrote {len(trajectory)} snapshots x {n_cells} cells to {out}")
+    print(f"wrote {len(trajectory)} snapshots x {trajectory[0].n_cells} cells to {out}")
     return 0
 
 
 def _cmd_check(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    problem = cfg.resolved_problem()
-    x0, n_cells = _geometry(cfg)
-    trajectory = run(
-        _scheme(cfg),
-        problem.u0,
-        x0=x0,
-        dx=cfg.dx,
-        n_cells=n_cells,
-        boundary=cfg.boundary,
-        store="all",
-        enforce_cfl=cfg.enforce_cfl,
-        breakpoints=problem.u0_breakpoints or None,
-    )
+    trajectory = _run(cfg, store="all")
     weights = compute_weights(Kernel(delta=cfg.delta, profile=cfg.profile), cfg.dx)
     reports = [check_max_principle(trajectory), check_tvd(trajectory)]
     if cfg.boundary == "periodic":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fluxes import FLUX_FAMILIES, make_flux, make_local_flux
 from .kernels import PROFILE_NAMES
@@ -47,7 +47,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "time": {
         "mesh_ratio": ("float", _REQUIRED),
-        "cfl_safety": ("float", 0.9),
         "enforce_cfl": ("bool", True),
     },
     "study": {
@@ -79,7 +78,6 @@ class RunConfig:
     boundary: str
     dx: float
     mesh_ratio: float
-    cfl_safety: float
     enforce_cfl: bool
     regime: str
     levels: int
@@ -89,19 +87,12 @@ class RunConfig:
 
     def resolved_problem(self) -> Problem:
         """The named problem with the config's geometry overrides applied."""
-        base = get_problem(self.problem)
-        return Problem(
-            name=base.name,
-            local_flux=base.local_flux,
-            speed=base.speed,
-            u0=base.u0,
-            u0_breakpoints=base.u0_breakpoints,
-            exact=base.exact,
+        return replace(
+            get_problem(self.problem),
             domain=(self.x_left, self.x_right),
             window=(self.window_left, self.window_right),
             boundary=self.boundary,
             final_time=self.final_time,
-            data_box=base.data_box,
         )
 
     def build_flux(self):
@@ -221,9 +212,6 @@ def _validate(v: dict[tuple[str, str], object]) -> RunConfig:
     delta = _positive("[kernel] delta", v[("kernel", "delta")])
     dx = _positive("[grid] dx", v[("grid", "dx")])
     mesh_ratio = _positive("[time] mesh_ratio", v[("time", "mesh_ratio")])
-    cfl_safety = v[("time", "cfl_safety")]
-    if not (0.0 < cfl_safety <= 1.0):
-        raise ValueError(f"[time] cfl_safety must lie in (0, 1], got {cfl_safety}")
 
     x_left = v[("problem", "x_left")]
     x_right = v[("problem", "x_right")]
@@ -281,7 +269,6 @@ def _validate(v: dict[tuple[str, str], object]) -> RunConfig:
         boundary=boundary,
         dx=dx,
         mesh_ratio=mesh_ratio,
-        cfl_safety=cfl_safety,
         enforce_cfl=enforce_cfl,
         regime=regime,
         levels=levels,
@@ -320,7 +307,6 @@ def config_to_text(cfg: RunConfig) -> str:
         "grid": {"dx": cfg.dx},
         "time": {
             "mesh_ratio": cfg.mesh_ratio,
-            "cfl_safety": cfg.cfl_safety,
             "enforce_cfl": cfg.enforce_cfl,
         },
         "study": {

@@ -1,9 +1,18 @@
 """Local fluxes, monotone two-point flux families, and the induced entropy flux.
 
 A two-point flux g(a, b) is consistent (g(u, u) = f(u)), nondecreasing in its
-first argument and nonincreasing in its second.  Those three properties are
-what every stability statement in the solver rests on, so each family below is
-written in a closed form whose partial derivatives are known explicitly.
+first argument and nonincreasing in its second.  Every family is a split pair
+g(a, b) = A(a) ⊕ B(b): two pointwise halves and one combining op, tabulated in
+:class:`TwoPointFlux`.  The halves come from the upwind splitting
+f⁺(u) = ∫₀ᵘ max(f', 0) and f⁻(u) = ∫₀ᵘ min(f', 0), so f = f⁺ + f⁻ because
+every built-in flux has f(0) = 0.  Godunov combines them with max when f has
+its single minimum at 0 (burgers: g = max(f(a ∨ 0), f(b ∧ 0)), the closed form
+of the interval extremum; Osher 1984, LeVeque 2002) and with + when f is
+monotone (cubic, linear_advection), where it is the upwind flux.
+
+A is nondecreasing and B nonincreasing (for Lax-Friedrichs when
+λ max|f'| <= 1), and both ops are nondecreasing in each argument, so every
+family is monotone.
 """
 
 from __future__ import annotations
@@ -26,9 +35,6 @@ __all__ = [
 LOCAL_FLUX_NAMES = ("burgers", "cubic", "linear_advection")
 FLUX_FAMILIES = ("engquist_osher", "godunov", "lax_friedrichs", "upwind_linear")
 
-_BOX_SAMPLES = 101  # fallback sampling grid for Lipschitz bounds
-_BOX_SAFETY = 1.05
-
 
 def _ret(x):
     x = np.asarray(x)
@@ -39,21 +45,20 @@ def _ret(x):
 class LocalFlux:
     """A scalar flux u -> f(u) plus the closed forms the flux families need.
 
-    ``interior_extrema`` lists the critical points of f that can host an
-    interval extremum (Godunov needs them).  ``df_bounds`` returns the exact
-    range of f' over a box; ``split_plus``/``split_minus`` are the integrals
-    of max(f', 0) and min(f', 0) from zero (the Engquist-Osher splitting,
-    valid here because every built-in flux has f(0) = 0).
+    ``df_bounds`` returns the exact range of f' over a box;
+    ``split_plus``/``split_minus`` are the upwind halves f⁺ and f⁻, the
+    integrals of max(f', 0) and min(f', 0) from zero.  ``godunov_op`` combines
+    them into the Godunov flux: ``np.maximum`` when f has its single minimum
+    at 0, ``np.add`` when f is monotone.
     """
 
     name: str
     f: Callable
     df: Callable
-    interior_extrema: tuple[float, ...]
-    df_bounds: Callable[[float, float], tuple[float, float]] | None
+    df_bounds: Callable[[float, float], tuple[float, float]]
     split_plus: Callable
     split_minus: Callable
-    speed: float | None = None
+    godunov_op: Callable
 
 
 def make_local_flux(name: str, speed: float = 1.0) -> LocalFlux:
@@ -63,13 +68,13 @@ def make_local_flux(name: str, speed: float = 1.0) -> LocalFlux:
             name="burgers",
             f=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
             df=lambda u: np.asarray(u, dtype=float) + 0.0,
-            interior_extrema=(0.0,),
             df_bounds=lambda lo, hi: (lo, hi),
             split_plus=lambda u: 0.5 * np.maximum(np.asarray(u, dtype=float), 0.0) ** 2,
             split_minus=lambda u: 0.5 * np.minimum(np.asarray(u, dtype=float), 0.0) ** 2,
+            godunov_op=np.maximum,
         )
     if name == "cubic":
-        # f' = u^2 >= 0: no interior extremum, upwind splitting is trivial.
+        # f' = u^2 >= 0: f is monotone, so the upwind splitting is trivial.
         def _df_bounds(lo, hi):
             dmin = 0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi)
             return dmin, max(lo * lo, hi * hi)
@@ -78,10 +83,10 @@ def make_local_flux(name: str, speed: float = 1.0) -> LocalFlux:
             name="cubic",
             f=lambda u: np.asarray(u, dtype=float) ** 3 / 3.0,
             df=lambda u: np.asarray(u, dtype=float) ** 2,
-            interior_extrema=(),
             df_bounds=_df_bounds,
             split_plus=lambda u: np.asarray(u, dtype=float) ** 3 / 3.0,
             split_minus=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
+            godunov_op=np.add,
         )
     if name == "linear_advection":
         a = float(speed)
@@ -93,11 +98,10 @@ def make_local_flux(name: str, speed: float = 1.0) -> LocalFlux:
             name="linear_advection",
             f=ramp,
             df=lambda u: np.full_like(np.asarray(u, dtype=float), a),
-            interior_extrema=(),
             df_bounds=lambda lo, hi: (a, a),
             split_plus=ramp if a >= 0.0 else zero,
             split_minus=zero if a >= 0.0 else ramp,
-            speed=a,
+            godunov_op=np.add,
         )
     raise ValueError(
         f"unknown local flux {name!r}; valid names: " + ", ".join(LOCAL_FLUX_NAMES)
@@ -106,132 +110,59 @@ def make_local_flux(name: str, speed: float = 1.0) -> LocalFlux:
 
 @dataclass(frozen=True)
 class TwoPointFlux:
-    """A monotone two-point flux family over a local flux.
+    """A monotone two-point flux family over a local flux, g(a, b) = A(a) ⊕ B(b).
 
-    Families:
-      godunov          exact interval extremum of f between the two states
-      lax_friedrichs   central flux with dissipation 1/(2*lf_lambda); the
-                       mesh-ratio parameter is frozen at construction so g is
-                       mesh independent, and monotonicity requires
-                       lf_lambda * max|f'| <= 1 on the data box
-      engquist_osher   upwind splitting f_plus(a) + f_minus(b)
-      upwind_linear    a*u from the upwind side; linear advection only
+      family           A(a)               B(b)               ⊕
+      godunov          f⁺(a)              f⁻(b)              local.godunov_op
+      engquist_osher   f⁺(a)              f⁻(b)              +
+      lax_friedrichs   f(a)/2 + a/(2λ)    f(b)/2 − b/(2λ)    +
+      upwind_linear    f⁺(a)              f⁻(b)              +
+
+    For lax_friedrichs, λ = ``lf_lambda`` is frozen at construction so g is
+    mesh independent, and monotonicity requires λ max|f'| <= 1 on the data
+    box.  upwind_linear takes a*u from the upwind side, which is what the
+    splitting of the linear_advection flux gives.
     """
 
     family: str
     local: LocalFlux
     lf_lambda: float | None = None
 
+    def _split(self) -> tuple[Callable, Callable, Callable]:
+        """The pointwise halves A, B and the op ⊕ of g(a, b) = A(a) ⊕ B(b)."""
+        local = self.local
+        if self.family == "lax_friedrichs":
+            half_visc = 1.0 / (2.0 * self.lf_lambda)
+            return (
+                lambda u: 0.5 * local.f(u) + half_visc * np.asarray(u, dtype=float),
+                lambda u: 0.5 * local.f(u) - half_visc * np.asarray(u, dtype=float),
+                np.add,
+            )
+        op = local.godunov_op if self.family == "godunov" else np.add
+        return local.split_plus, local.split_minus, op
+
     # -- evaluation ---------------------------------------------------------
 
     def g(self, a, b):
         """The flux g(a, b) for scalar or array arguments."""
-        return _ret(self._g(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+        left, right, op = self._split()
+        return _ret(op(left(a), right(b)))
 
     def f(self, u):
         return _ret(self.local.f(u))
 
-    def _g(self, a, b):
-        if self.family == "godunov":
-            return self._godunov(a, b)
-        if self.family == "lax_friedrichs":
-            lam = self.lf_lambda
-            return 0.5 * (self.local.f(a) + self.local.f(b)) - (b - a) / (2.0 * lam)
-        if self.family == "engquist_osher":
-            return self.local.split_plus(a) + self.local.split_minus(b)
-        # upwind_linear
-        sp = self.local.speed
-        return sp * a if sp >= 0.0 else sp * b
-
-    def _godunov(self, a, b):
-        f = self.local.f
-        fa, fb = f(a), f(b)
-        gmin = np.minimum(fa, fb)
-        gmax = np.maximum(fa, fb)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        for p in self.local.interior_extrema:
-            fp = float(f(np.asarray(p)))
-            inside = (lo < p) & (p < hi)
-            gmin = np.where(inside, np.minimum(gmin, fp), gmin)
-            gmax = np.where(inside, np.maximum(gmax, fp), gmax)
-        # min of f over [a, b] when a <= b, max over [b, a] otherwise
-        return np.where(a <= b, gmin, gmax)
-
-    # -- partial derivatives ------------------------------------------------
-
-    def partials(self, a, b):
-        """(g1, g2) = (dg/da, dg/db); one-sided values on kink sets."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        df = self.local.df
-        if self.family == "godunov":
-            # one-sided on kink sets (a = b, sonic points); the active side is
-            # where the interval extremum is attained, and clamping by the
-            # monotone signs keeps g1 >= 0 >= g2 even at exact ties.
-            g = self._godunov(a, b)
-            fa, fb = self.local.f(a), self.local.f(b)
-            g1 = np.where(fa == g, np.maximum(df(a), 0.0), 0.0)
-            g2 = np.where(fb == g, np.minimum(df(b), 0.0), 0.0)
-        elif self.family == "lax_friedrichs":
-            half_visc = 1.0 / (2.0 * self.lf_lambda)
-            g1 = 0.5 * df(a) + half_visc
-            g2 = 0.5 * df(b) - half_visc
-        elif self.family == "engquist_osher":
-            g1 = np.maximum(df(a), 0.0)
-            g2 = np.minimum(df(b), 0.0)
-        else:  # upwind_linear
-            sp = self.local.speed
-            one = np.ones(np.broadcast_shapes(a.shape, b.shape))
-            g1 = sp * one if sp >= 0.0 else 0.0 * one
-            g2 = 0.0 * one if sp >= 0.0 else sp * one
-        return _ret(g1), _ret(g2)
-
     def shifted_pair_evaluator(self, values: np.ndarray) -> Callable[[int], np.ndarray]:
         """Evaluator ev(k) = g(values[..., :-k], values[..., k:]) with shared setup.
 
-        Wide-stencil loops call g on every shift of one array; precomputing
-        the pointwise pieces (f, or the upwind splitting) once per array keeps
-        those loops out of redundant flux evaluations.  Results match
-        :meth:`g` exactly.
+        Wide-stencil loops call g on every shift of one array, so both halves
+        are evaluated once per array and each shift costs one elementwise op.
+        Results match :meth:`g` exactly.
         """
-        local = self.local
-        if self.family == "godunov":
-            f_all = local.f(values)
-            extrema = [(p, float(local.f(np.asarray(p)))) for p in local.interior_extrema]
+        left, right, op = self._split()
+        a_all, b_all = left(values), right(values)
 
-            def ev(k: int) -> np.ndarray:
-                a, b = values[..., :-k], values[..., k:]
-                fa, fb = f_all[..., :-k], f_all[..., k:]
-                gmin = np.minimum(fa, fb)
-                gmax = np.maximum(fa, fb)
-                for p, fp in extrema:
-                    inside = (np.minimum(a, b) < p) & (p < np.maximum(a, b))
-                    np.minimum(gmin, fp, out=gmin, where=inside)
-                    np.maximum(gmax, fp, out=gmax, where=inside)
-                return np.where(a <= b, gmin, gmax)
-
-        elif self.family == "lax_friedrichs":
-            f_all = local.f(values)
-            half_visc = 1.0 / (2.0 * self.lf_lambda)
-
-            def ev(k: int) -> np.ndarray:
-                a, b = values[..., :-k], values[..., k:]
-                return 0.5 * (f_all[..., :-k] + f_all[..., k:]) - half_visc * (b - a)
-
-        elif self.family == "engquist_osher":
-            plus_all = local.split_plus(values)
-            minus_all = local.split_minus(values)
-
-            def ev(k: int) -> np.ndarray:
-                return plus_all[..., :-k] + minus_all[..., k:]
-
-        else:  # upwind_linear
-            scaled = self.local.speed * values
-            upwind_left = self.local.speed >= 0.0
-
-            def ev(k: int) -> np.ndarray:
-                return scaled[..., :-k] if upwind_left else scaled[..., k:]
+        def ev(k: int) -> np.ndarray:
+            return op(a_all[..., :-k], b_all[..., k:])
 
         return ev
 
@@ -243,44 +174,27 @@ class TwoPointFlux:
         Consistent with the local entropy flux: q(u, u; c) equals
         sgn(u - c) (f(u) - f(c)) with sgn(0) := 1.
         """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        c = np.asarray(c, dtype=float)
-        hi = self._g(np.maximum(a, c), np.maximum(b, c))
-        lo = self._g(np.minimum(a, c), np.minimum(b, c))
+        hi = self.g(np.maximum(a, c), np.maximum(b, c))
+        lo = self.g(np.minimum(a, c), np.minimum(b, c))
         return _ret(hi - lo)
 
     # -- bounds and validity ------------------------------------------------
 
     def lipschitz_box_bound(self, b1: float, b2: float) -> tuple[float, float]:
-        """Upper bounds (L1, L2) for sup|g1| and sup|g2| over [b1, b2]^2.
+        """Upper bounds (L1, L2) for sup|dg/da| and sup|dg/db| over [b1, b2]^2.
 
-        Closed-form when the local flux exposes its derivative range,
-        otherwise a dense-sample estimate inflated by a 5% safety factor.
+        Closed form from the exact range of f' over the box.
         """
         if b1 > b2:
             raise ValueError(f"need b1 <= b2, got ({b1}, {b2})")
-        if self.family == "upwind_linear":
-            sp = self.local.speed
-            return (sp, 0.0) if sp >= 0.0 else (0.0, -sp)
-        if self.local.df_bounds is None:
-            return self._sampled_box_bound(b1, b2)
         dmin, dmax = self.local.df_bounds(b1, b2)
         if self.family == "lax_friedrichs":
             half_visc = 1.0 / (2.0 * self.lf_lambda)
             l1 = max(abs(0.5 * dmin + half_visc), abs(0.5 * dmax + half_visc))
             l2 = max(abs(0.5 * dmin - half_visc), abs(0.5 * dmax - half_visc))
             return l1, l2
-        # godunov and engquist_osher: g1 in [0, max(f', 0)], g2 in [min(f', 0), 0]
+        # the upwind halves: dg/da in [0, max(f', 0)], dg/db in [min(f', 0), 0]
         return float(max(0.0, dmax)), float(max(0.0, -dmin))
-
-    def _sampled_box_bound(self, b1: float, b2: float) -> tuple[float, float]:
-        u = np.linspace(b1, b2, _BOX_SAMPLES)
-        aa, bb = np.meshgrid(u, u, indexing="ij")
-        g1, g2 = self.partials(aa, bb)
-        return _BOX_SAFETY * float(np.max(np.abs(g1))), _BOX_SAFETY * float(
-            np.max(np.abs(g2))
-        )
 
     def monotone_on(self, b1: float, b2: float) -> bool:
         """Whether g1 >= 0 and g2 <= 0 hold throughout [b1, b2]^2.
@@ -290,17 +204,8 @@ class TwoPointFlux:
         """
         if self.family != "lax_friedrichs":
             return True
-        if self.local.df_bounds is None:
-            g1, g2 = self._sampled_partial_range(b1, b2)
-            return g1 >= -1e-12 and g2 <= 1e-12
         dmin, dmax = self.local.df_bounds(b1, b2)
         return self.lf_lambda * max(abs(dmin), abs(dmax)) <= 1.0 + 1e-12
-
-    def _sampled_partial_range(self, b1: float, b2: float) -> tuple[float, float]:
-        u = np.linspace(b1, b2, _BOX_SAMPLES)
-        aa, bb = np.meshgrid(u, u, indexing="ij")
-        g1, g2 = self.partials(aa, bb)
-        return float(np.min(g1)), float(np.max(g2))
 
 
 def make_flux(

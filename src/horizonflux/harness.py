@@ -159,9 +159,7 @@ def _level_geometry(problem: Problem, dx: float) -> tuple[float, int]:
     cells = (b - a) / dx
     n = int(round(cells))
     if n < 1 or abs(cells - n) > 1e-9:
-        raise ValueError(
-            f"dx={dx} does not tile the domain [{a}, {b}]; levels must nest"
-        )
+        raise ValueError(f"dx={dx} does not tile the domain [{a}, {b}]")
     return a, n
 
 

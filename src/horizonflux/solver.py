@@ -110,7 +110,7 @@ class GridState:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Kernel, flux, fixed mesh ratio dt/dx, final time, and CFL safety factor.
+    """Kernel, flux, fixed mesh ratio dt/dx, and final time.
 
     The mesh ratio is held fixed under grid refinement; ``validate_cfl``
     checks mesh_ratio * (L1 + L2) <= 1 on the initial-data box, which by the
@@ -121,15 +121,12 @@ class SchemeConfig:
     flux: TwoPointFlux
     mesh_ratio: float
     final_time: float
-    cfl_safety: float = 0.9
 
     def __post_init__(self):
         if not (math.isfinite(self.mesh_ratio) and self.mesh_ratio > 0.0):
             raise ValueError(f"mesh_ratio must be positive, got {self.mesh_ratio}")
         if not (math.isfinite(self.final_time) and self.final_time >= 0.0):
             raise ValueError(f"final_time must be nonnegative, got {self.final_time}")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 
 
 def cell_average_init(

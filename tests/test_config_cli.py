@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +35,6 @@ mesh_ratio = 0.9
 
 def test_minimal_config_gets_defaults():
     cfg = parse_config_text(MINIMAL)
-    assert cfg.cfl_safety == 0.9
     assert cfg.profile == "uniform"
     assert cfg.boundary == "constant_extension"
     assert (cfg.x_left, cfg.x_right) == (-2.0, 3.0)
@@ -44,8 +44,9 @@ def test_minimal_config_gets_defaults():
 
 
 def test_unknown_keys_and_sections_rejected():
-    with pytest.raises(ValueError, match="valid keys"):
-        parse_config_text(MINIMAL.replace("dx = 0.03125", "dx = 0.03125\ncells = 4"))
+    for section, key in (("[grid]", "cells"), ("[time]", "cfl_safety")):
+        with pytest.raises(ValueError, match=f"'{key}' in section .* valid keys"):
+            parse_config_text(MINIMAL.replace(section, f"{section}\n{key} = 4"))
     with pytest.raises(ValueError, match="valid sections"):
         parse_config_text(MINIMAL + "\n[mesh]\ndx = 1\n")
 
@@ -173,17 +174,23 @@ def test_cli_study_writes_tables(tmp_path):
 
 
 def test_cli_usage_error_exits_1(tmp_path):
+    # the subprocess runs in tmp_path, so it needs an absolute path to src/
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
         [sys.executable, "-m", "horizonflux", "frobnicate"],
-        capture_output=True, text=True, cwd=tmp_path,
+        capture_output=True, text=True, cwd=tmp_path, env=env,
     )
     assert result.returncode == 1
+    assert result.stderr.startswith("usage: horizonflux")
+    assert "invalid choice: 'frobnicate'" in result.stderr
     missing = subprocess.run(
         [sys.executable, "-m", "horizonflux", "run", "--config", "nope.cfg"],
-        capture_output=True, text=True, cwd=tmp_path,
+        capture_output=True, text=True, cwd=tmp_path, env=env,
     )
     assert missing.returncode == 1
     assert "error" in missing.stderr.lower()
+    assert "nope.cfg" in missing.stderr
 
 
 def test_cli_flag_overrides(tmp_path, capsys):
