@@ -11,6 +11,7 @@ joint local limits.
 
 from .diagnostics import (
     InvariantReport,
+    audit_trajectory,
     cell_entropy_residual,
     check_conservation,
     check_entropy,
@@ -88,6 +89,7 @@ __all__ = [
     "SchemeConfig",
     "StudyReport",
     "TwoPointFlux",
+    "audit_trajectory",
     "burgers_riemann_exact",
     "cell_average_init",
     "cell_entropy_residual",

@@ -13,12 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_to_text, parse_config
-from .diagnostics import (
-    check_conservation,
-    check_entropy,
-    check_max_principle,
-    check_tvd,
-)
+from .diagnostics import audit_trajectory
 from .harness import _level_geometry, refine_fixed_delta, refine_joint_limit
 from .kernels import Kernel, compute_weights
 from .outputs import (
@@ -138,10 +133,7 @@ def _cmd_check(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     trajectory = _run(cfg, store="all")
     weights = compute_weights(Kernel(delta=cfg.delta, profile=cfg.profile), cfg.dx)
-    reports = [check_max_principle(trajectory), check_tvd(trajectory)]
-    if cfg.boundary == "periodic":
-        reports.append(check_conservation(trajectory))
-    reports.append(check_entropy(trajectory, weights, cfg.build_flux()))
+    reports = audit_trajectory(trajectory, weights, cfg.build_flux())
     out = Path(cfg.out_dir) / "invariants.json"
     write_check_json(reports, out, config_echo=_config_echo(cfg))
     for rep in reports:

@@ -15,10 +15,11 @@ import numpy as np
 
 from .fluxes import TwoPointFlux
 from .kernels import QuadratureWeights
-from .solver import GridState
+from .solver import GridState, _check_pair, _stencil_sum
 
 __all__ = [
     "InvariantReport",
+    "audit_trajectory",
     "cell_entropy_residual",
     "check_conservation",
     "check_entropy",
@@ -41,7 +42,8 @@ class InvariantReport:
 
     ``violation`` is the worst observed excess over the invariant (clamped at
     zero), ``location`` identifies where it occurred: (step,), (step, cell),
-    or (step, cell, c) for entropy checks with a Kruzhkov constant.
+    or (step, cell, c) for entropy checks with a Kruzhkov constant.  A
+    non-finite value fails a trajectory check: inf at its first (step, cell).
     """
 
     name: str
@@ -60,11 +62,16 @@ class InvariantReport:
         }
 
 
-def _report(name, violation, tolerance, location) -> InvariantReport:
+def _report(name, violation, tolerance, location, trajectory=()) -> InvariantReport:
+    for n, state in enumerate(trajectory):  # a non-finite value fails outright
+        bad = np.flatnonzero(~np.isfinite(state.values))
+        if bad.size:
+            violation, location = np.inf, (n, int(bad[0]))
+            break
     violation = max(float(violation), 0.0)
     return InvariantReport(
         name=name,
-        passed=violation <= tolerance,
+        passed=violation <= tolerance and violation < np.inf,
         violation=violation,
         tolerance=float(tolerance),
         location=location,
@@ -118,7 +125,7 @@ def check_max_principle(trajectory: Sequence[GridState]) -> InvariantReport:
         j = int(np.argmax(excess))
         if excess[j] > worst:
             worst, where = float(excess[j]), (n, j)
-    return _report("max_principle", worst, tol, where)
+    return _report("max_principle", worst, tol, where, trajectory)
 
 
 def check_tvd(trajectory: Sequence[GridState]) -> InvariantReport:
@@ -130,7 +137,7 @@ def check_tvd(trajectory: Sequence[GridState]) -> InvariantReport:
         growth = tvs[n + 1] - tvs[n]
         if growth > worst:
             worst, where = growth, (n + 1,)
-    return _report("tvd", worst, tol, where)
+    return _report("tvd", worst, tol, where, trajectory)
 
 
 def check_conservation(trajectory: Sequence[GridState]) -> InvariantReport:
@@ -150,7 +157,7 @@ def check_conservation(trajectory: Sequence[GridState]) -> InvariantReport:
         drift = abs(dx * float(np.sum(state.values)) - mass0) / n
         if drift > worst:
             worst, where = drift, (n,)
-    return _report("conservation", worst, tol, where)
+    return _report("conservation", worst, tol, where, trajectory)
 
 
 def check_l1_contraction(
@@ -204,6 +211,16 @@ def kruzhkov_constants(state: GridState, n: int = 17, margin: float = 0.1) -> np
     return np.linspace(lo, hi, n)
 
 
+def _window_extrema(ext: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max over every run of ``size`` consecutive entries, by doubling."""
+    lo, hi, width = ext, ext, 1
+    while 2 * width <= size:
+        lo, hi = np.minimum(lo[:-width], lo[width:]), np.maximum(hi[:-width], hi[width:])
+        width *= 2
+    n, shift = ext.size - size + 1, size - width
+    return np.minimum(lo[:n], lo[shift : shift + n]), np.maximum(hi[:n], hi[shift : shift + n])
+
+
 def _entropy_residual_matrix(
     state_n: GridState,
     state_np1: GridState,
@@ -211,31 +228,41 @@ def _entropy_residual_matrix(
     flux: TwoPointFlux,
     constants,
 ) -> np.ndarray:
-    """Full residual matrix, one row per Kruzhkov constant, one column per cell."""
+    """Full residual matrix, one row per Kruzhkov constant, one column per cell.
+
+    The q-sum is taken on the straddle set only, see :func:`entropy_residuals`.
+    """
+    _check_pair(state_n, weights)
     if state_n.n_cells != state_np1.n_cells or abs(state_n.dx - state_np1.dx) > 1e-12 * state_n.dx:
         raise ValueError("states live on different grids")
     dt = state_np1.time - state_n.time
     if not dt > 0.0:
         raise ValueError("states are not one step apart (need increasing times)")
-    cs = np.atleast_1d(np.asarray(constants, dtype=float))
-    n = state_n.n_cells
+    col = np.atleast_1d(np.asarray(constants, dtype=float))[:, None]
     pad = weights.n_terms
     ext = state_n.extended(pad)
-    col = cs[:, None]
-    w = weights.weights
-    # q(a, b; c) = g(a v c, b v c) - g(a ^ c, b ^ c); the lattice clips are
-    # shared by every shift k, so take them (and the pair evaluators) once.
-    ev_hi = flux.shifted_pair_evaluator(np.maximum(ext[None, :], col))
-    ev_lo = flux.shifted_pair_evaluator(np.minimum(ext[None, :], col))
-    acc = np.zeros((cs.size, n))
-    for k in range(1, pad + 1):
-        qk = ev_hi(k) - ev_lo(k)
-        acc += (qk[:, pad : pad + n] - qk[:, pad - k : pad - k + n]) * w[k - 1]
-    return (
-        np.abs(state_np1.values[None, :] - col)
-        - np.abs(state_n.values[None, :] - col)
-        + dt * acc
-    )
+    lo, hi = _window_extrema(ext, 2 * pad + 1)
+    s = _stencil_sum(flux.shifted_pair_evaluator(ext), weights, np.zeros(state_n.n_cells))
+    base = np.abs(state_np1.values - col) - np.abs(state_n.values - col)
+    residual = base + dt * s  # exact for c <= lo, and on flat stencils, where S_j = 0
+    rough = np.flatnonzero(~(lo == hi))  # non-flat stencils, and non-finite ones
+    above = col >= hi[rough]
+    flux_sum = np.where(above, -s[rough], s[rough])
+    straddle = ~(above | (col <= lo[rough]))
+    cells = rough[straddle.any(axis=0)]
+    if cells.size:
+        # gather the stencils of the straddling cells; runs of them stay contiguous
+        rows = np.flatnonzero(straddle.any(axis=1))
+        starts = np.bincount(cells, minlength=ext.size + 1)
+        idx = np.flatnonzero(np.cumsum(starts - np.roll(starts, 2 * pad + 1)) > 0)
+        # q(a, b; c) = g(a v c, b v c) - g(a ^ c, b ^ c) on the gathered stencils
+        ev_hi = flux.shifted_pair_evaluator(np.maximum(ext[idx], col[rows]))
+        ev_lo = flux.shifted_pair_evaluator(np.minimum(ext[idx], col[rows]))
+        block = np.zeros((rows.size, idx.size - 2 * pad))
+        block = _stencil_sum(lambda k: ev_hi(k) - ev_lo(k), weights, block)
+        flux_sum[np.ix_(rows, np.searchsorted(rough, cells))] = block[:, np.searchsorted(idx, cells)]
+    residual[:, rough] = base[:, rough] + dt * flux_sum
+    return residual
 
 
 def entropy_residuals(
@@ -252,6 +279,12 @@ def entropy_residuals(
 
     and entropy satisfaction means max_j residual_j(c) <= 0 up to round-off.
     Returns max_j residual_j(c) for every c in ``constants``.
+
+    Lattice identity: if c >= max of u^n over cell j's stencil j-R..j+R
+    (R = n_terms), every pair there has q(a, b; c) = g(c, c) - g(a, b), so the
+    q-sum is exactly -S_j, where S_j = sum_k W_k [g(u_j, u_{j+k}) - g(u_{j-k}, u_j)]
+    is the flux sum of ``step``; if c <= the stencil min it is +S_j.  Neither
+    case reads u^{n+1}.  Only the straddle set, min < c < max, takes the q-sum.
     """
     matrix = _entropy_residual_matrix(state_n, state_np1, weights, flux, constants)
     return matrix.max(axis=1)
@@ -274,7 +307,12 @@ def check_entropy(
     flux: TwoPointFlux,
     constants=None,
 ) -> InvariantReport:
-    """Cell entropy inequality over every step and every Kruzhkov constant."""
+    """Cell entropy inequality over every step and every Kruzhkov constant.
+
+    A step costs one flux sum S_j plus the q-sum on the straddle set; every
+    other residual is |u^{n+1}_j - c| - |u^n_j - c| ∓ dt S_j exactly (in
+    real arithmetic), see :func:`entropy_residuals`.
+    """
     if constants is None:
         constants = kruzhkov_constants(trajectory[0])
     constants = np.atleast_1d(np.asarray(constants, dtype=float))
@@ -288,4 +326,15 @@ def check_entropy(
         ic, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
         if matrix[ic, j] > worst:
             worst, where = float(matrix[ic, j]), (n + 1, int(j), float(constants[ic]))
-    return _report("cell_entropy", worst, tol, where)
+    return _report("cell_entropy", worst, tol, where, trajectory)
+
+
+def audit_trajectory(
+    trajectory: Sequence[GridState], weights: QuadratureWeights, flux: TwoPointFlux
+) -> list[InvariantReport]:
+    """Max principle, TVD, conservation (periodic grids only) and cell entropy."""
+    reports = [check_max_principle(trajectory), check_tvd(trajectory)]
+    if trajectory[0].boundary == "periodic":
+        reports.append(check_conservation(trajectory))
+    reports.append(check_entropy(trajectory, weights, flux))
+    return reports

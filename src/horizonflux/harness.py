@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import (
-    InvariantReport,
-    check_conservation,
-    check_entropy,
-    check_max_principle,
-    check_tvd,
-)
+from .diagnostics import InvariantReport, audit_trajectory
 from .fluxes import make_flux, make_local_flux
 from .kernels import Kernel, compute_weights
 from .reference import Problem, l1_error
@@ -192,12 +186,7 @@ def _run_level(
     )
     reports: list[InvariantReport] = []
     if run_checks:
-        reports.append(check_max_principle(trajectory))
-        reports.append(check_tvd(trajectory))
-        if problem.boundary == "periodic":
-            reports.append(check_conservation(trajectory))
-        weights = compute_weights(kernel, dx)
-        reports.append(check_entropy(trajectory, weights, flux))
+        reports = audit_trajectory(trajectory, compute_weights(kernel, dx), flux)
     wall = time.perf_counter() - started
     snapshots = [state_at(trajectory, t) for t in targets]
     return snapshots, wall, reports

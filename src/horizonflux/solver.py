@@ -234,27 +234,33 @@ def _check_pair(state: GridState, weights: QuadratureWeights) -> None:
         )
 
 
+def _stencil_sum(pair, weights: QuadratureWeights, acc: np.ndarray) -> np.ndarray:
+    """Add sum_k W_k [p(u_j, u_{j+k}) - p(u_{j-k}, u_j)] into ``acc`` (cells last).
+
+    ``pair(k)[..., i]`` is p(ext[i], ext[i+k]) over n_terms ghost cells per
+    side.  k runs upward with elementwise ops, so cell partitioning is moot.
+    """
+    pad = weights.n_terms
+    n = acc.shape[-1]
+    w = weights.weights
+    for k in range(1, pad + 1):
+        pk = pair(k)
+        acc += (pk[..., pad : pad + n] - pk[..., pad - k : pad - k + n]) * w[k - 1]
+    return acc
+
+
 def step(
     state: GridState, weights: QuadratureWeights, flux: TwoPointFlux, dt: float
 ) -> GridState:
     """One forward-in-time update of the wide-stencil scheme.
 
     Cost is O(n_cells * max(r, 1)); reads max(r, 1) ghost cells per side.
-    The accumulation runs over k in increasing order with elementwise array
-    ops, so the result is independent of cell partitioning.
     """
     _check_pair(state, weights)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n = state.n_cells
-    pad = weights.n_terms
-    ext = state.extended(pad)
-    w = weights.weights
-    pair = flux.shifted_pair_evaluator(ext)
-    acc = np.zeros(n)
-    for k in range(1, pad + 1):
-        gk = pair(k)  # gk[i] = g(ext[i], ext[i+k])
-        acc += (gk[pad : pad + n] - gk[pad - k : pad - k + n]) * w[k - 1]
+    pair = flux.shifted_pair_evaluator(state.extended(weights.n_terms))
+    acc = _stencil_sum(pair, weights, np.zeros(state.n_cells))
     return GridState(
         dx=state.dx,
         x0=state.x0,

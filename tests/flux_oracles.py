@@ -4,7 +4,8 @@ Each family is evaluated here from its textbook definition rather than from
 the split pair the package uses: Godunov by an explicit search for the
 interval extremum of f over the critical points of f, the other families by
 their direct formulas.  ``partials`` gives the one-sided partial derivatives
-of each family in closed form.
+of each family in closed form.  ``reference_entropy_matrix`` takes the full
+q-sum of the cell entropy residual at every (c, j), with no lattice identity.
 """
 
 import numpy as np
@@ -80,3 +81,30 @@ def partials(flux, a, b):
         g1 = sp * one if sp >= 0.0 else 0.0 * one
         g2 = 0.0 * one if sp >= 0.0 else sp * one
     return g1, g2
+
+
+def reference_entropy_matrix(state_n, state_np1, weights, flux, constants):
+    """Cell entropy residuals, one row per constant c, from the full q-sum.
+
+    residual_j(c) = |u^{n+1}_j - c| - |u^n_j - c|
+                    + dt * sum_k [q(u_j, u_{j+k}; c) - q(u_{j-k}, u_j; c)] W_k
+    """
+    dt = state_np1.time - state_n.time
+    cs = np.atleast_1d(np.asarray(constants, dtype=float))
+    n = state_n.n_cells
+    pad = weights.n_terms
+    ext = state_n.extended(pad)
+    col = cs[:, None]
+    w = weights.weights
+    # q(a, b; c) = g(a v c, b v c) - g(a ^ c, b ^ c) on every shifted pair
+    ev_hi = flux.shifted_pair_evaluator(np.maximum(ext[None, :], col))
+    ev_lo = flux.shifted_pair_evaluator(np.minimum(ext[None, :], col))
+    acc = np.zeros((cs.size, n))
+    for k in range(1, pad + 1):
+        qk = ev_hi(k) - ev_lo(k)
+        acc += (qk[:, pad : pad + n] - qk[:, pad - k : pad - k + n]) * w[k - 1]
+    return (
+        np.abs(state_np1.values[None, :] - col)
+        - np.abs(state_n.values[None, :] - col)
+        + dt * acc
+    )

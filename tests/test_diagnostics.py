@@ -6,6 +6,7 @@ from horizonflux import (
     Kernel,
     RiemannData,
     SchemeConfig,
+    audit_trajectory,
     cell_entropy_residual,
     check_conservation,
     check_entropy,
@@ -205,3 +206,38 @@ def test_entropy_residual_rejects_bad_pairs():
     other = GridState(dx=0.2, x0=0.0, values=np.zeros(5), time=0.2)
     with pytest.raises(ValueError, match="grids"):
         cell_entropy_residual(earlier, other, weights, GODUNOV, 0.0)
+
+
+# -- non-finite states and the audit bundle ------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the audit
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 3), (2, 7)])
+def test_nonfinite_state_fails_every_audit(bad, at):
+    rng = np.random.default_rng(21)
+    dx = 1 / 32
+    weights = weights_for_r(2, dx)
+    traj = [random_state(rng, n=32, dx=dx)]
+    for _ in range(4):
+        traj.append(step(traj[-1], weights, GODUNOV, 0.3 * dx))
+    traj[at[0]].values[at[1]] = bad
+    traj[at[0]].values[at[1] + 5] = bad
+    for report in (check_max_principle(traj), check_tvd(traj), check_conservation(traj),
+                   check_entropy(traj, weights, GODUNOV)):
+        assert not report.passed, report.name
+        assert report.violation == np.inf
+        assert report.location == at
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
+def test_audit_trajectory_bundles_the_four_checks(boundary):
+    traj = shock_trajectory(n=64, T=0.1)
+    if boundary == "periodic":
+        traj = [GridState(dx=s.dx, x0=s.x0, values=s.values, time=s.time) for s in traj]
+    weights = compute_weights(Kernel(2 * (2.0 / 64), "uniform"), 2.0 / 64)
+    want = [check_max_principle(traj), check_tvd(traj)]
+    if boundary == "periodic":
+        want.append(check_conservation(traj))
+    want.append(check_entropy(traj, weights, GODUNOV))
+    assert audit_trajectory(traj, weights, GODUNOV) == want

@@ -13,34 +13,16 @@ from horizonflux import (
     BOUNDARY_MODES,
     PROFILE_NAMES,
     TwoPointFlux,
-    make_flux,
-    make_local_flux,
     step,
     wide_numerical_flux,
 )
 from horizonflux.diagnostics import _entropy_residual_matrix, kruzhkov_constants
 from flux_oracles import reference_g, reference_pair_evaluator
-from testutil import random_state, random_step_profile, weights_for_r
+from testutil import every_flux, random_state, random_step_profile, weights_for_r
 
 # |split pair - reference| for Lax-Friedrichs on data in [-1, 1]; the worst
 # case measured over this module's inputs is 2 eps (wide flux, entropy).
 LF_ATOL = 8 * np.finfo(float).eps
-
-
-def every_flux():
-    """Each family over each local flux it admits, both advection directions."""
-    out = []
-    for name, speed in (("burgers", 1.0), ("cubic", 1.0),
-                        ("linear_advection", 0.7), ("linear_advection", -0.7)):
-        local = make_local_flux(name, speed=speed)
-        out += [
-            make_flux("godunov", local),
-            make_flux("engquist_osher", local),
-            make_flux("lax_friedrichs", local, lf_lambda=0.8),
-        ]
-        if name == "linear_advection":
-            out.append(make_flux("upwind_linear", local))
-    return out
 
 
 def assert_agrees(flux, got, want, what="g"):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from horizonflux import GridState, Kernel, compute_weights
+from horizonflux import GridState, Kernel, compute_weights, make_flux, make_local_flux
 
 
 def random_state(rng, n=256, dx=1 / 256, boundary="periodic", box=(-1.0, 1.0)):
@@ -31,3 +31,19 @@ def weights_for_r(r, dx, profile="uniform"):
     w = compute_weights(Kernel(delta=delta, profile=profile), dx)
     assert w.n_terms == max(r, 1)
     return w
+
+
+def every_flux():
+    """Each family over each local flux it admits, both advection directions."""
+    out = []
+    for name, speed in (("burgers", 1.0), ("cubic", 1.0),
+                        ("linear_advection", 0.7), ("linear_advection", -0.7)):
+        local = make_local_flux(name, speed=speed)
+        out += [
+            make_flux("godunov", local),
+            make_flux("engquist_osher", local),
+            make_flux("lax_friedrichs", local, lf_lambda=0.8),
+        ]
+        if name == "linear_advection":
+            out.append(make_flux("upwind_linear", local))
+    return out
