@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_to_text, parse_config
-from .diagnostics import audit_trajectory
-from .harness import _level_geometry, refine_fixed_delta, refine_joint_limit
+from .harness import _run_level, refine_fixed_delta, refine_joint_limit
 from .kernels import Kernel, compute_weights
 from .outputs import (
     weights_table,
@@ -25,7 +24,6 @@ from .outputs import (
     write_study_json,
     write_weights_csv,
 )
-from .solver import GridState, SchemeConfig, run
 
 __all__ = ["main"]
 
@@ -92,29 +90,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run(cfg: RunConfig, **run_kwargs) -> list[GridState]:
-    """Run the configured problem on its grid; ``run_kwargs`` pick the output."""
-    problem = cfg.resolved_problem()
-    x0, n_cells = _level_geometry(problem, cfg.dx)
-    scheme = SchemeConfig(
-        kernel=Kernel(delta=cfg.delta, profile=cfg.profile),
-        flux=cfg.build_flux(),
-        mesh_ratio=cfg.mesh_ratio,
-        final_time=cfg.final_time,
-    )
-    return run(
-        scheme,
-        problem.u0,
-        x0=x0,
-        dx=cfg.dx,
-        n_cells=n_cells,
-        boundary=cfg.boundary,
-        enforce_cfl=cfg.enforce_cfl,
-        breakpoints=problem.u0_breakpoints or None,
-        **run_kwargs,
-    )
-
-
 def _config_echo(cfg: RunConfig) -> dict:
     return {"text": config_to_text(cfg)}
 
@@ -122,7 +97,10 @@ def _config_echo(cfg: RunConfig) -> dict:
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     targets = np.linspace(0.0, cfg.final_time, cfg.output_times)
-    trajectory = _run(cfg, output_times=targets)
+    trajectory, *_ = _run_level(
+        cfg.resolved_problem(), cfg.build_flux(), cfg.profile, cfg.delta, cfg.dx,
+        cfg.mesh_ratio, cfg.final_time, targets, False, cfg.enforce_cfl,
+    )
     out = Path(cfg.out_dir) / "solution.csv"
     write_solution_csv(trajectory, out)
     print(f"wrote {len(trajectory)} snapshots x {trajectory[0].n_cells} cells to {out}")
@@ -131,9 +109,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    trajectory = _run(cfg, store="all")
-    weights = compute_weights(Kernel(delta=cfg.delta, profile=cfg.profile), cfg.dx)
-    reports = audit_trajectory(trajectory, weights, cfg.build_flux())
+    _, _, reports, _ = _run_level(
+        cfg.resolved_problem(), cfg.build_flux(), cfg.profile, cfg.delta, cfg.dx,
+        cfg.mesh_ratio, cfg.final_time, (), True, cfg.enforce_cfl,
+    )
     out = Path(cfg.out_dir) / "invariants.json"
     write_check_json(reports, out, config_echo=_config_echo(cfg))
     for rep in reports:
@@ -144,24 +123,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     cfg = parse_config(args.config, _overrides(args))
-    problem = cfg.resolved_problem()
-    common = dict(
-        profile=cfg.profile,
-        lf_lambda=cfg.lf_lambda,
-        final_time=cfg.final_time,
-        window=(cfg.window_left, cfg.window_right),
-        n_output_times=cfg.output_times,
-        workers=max(1, args.workers),
+    fixed = cfg.regime == "fixed_delta"
+    horizon = cfg.delta if fixed else cfg.coupling
+    report = (refine_fixed_delta if fixed else refine_joint_limit)(
+        cfg.resolved_problem(), cfg.flux_family, horizon, cfg.dx, cfg.levels, cfg.mesh_ratio,
+        profile=cfg.profile, lf_lambda=cfg.lf_lambda, final_time=cfg.final_time,
+        window=(cfg.window_left, cfg.window_right), n_output_times=cfg.output_times,
+        workers=args.workers,
     )
-    if cfg.regime == "fixed_delta":
-        report = refine_fixed_delta(
-            problem, cfg.flux_family, cfg.delta, cfg.dx, cfg.levels, cfg.mesh_ratio, **common
-        )
-    else:
-        report = refine_joint_limit(
-            problem, cfg.flux_family, cfg.coupling, cfg.dx, cfg.levels, cfg.mesh_ratio, **common
-        )
     out_dir = Path(cfg.out_dir)
     write_study_json(report, out_dir / "study.json", config_echo=_config_echo(cfg))
     write_study_csv(report, out_dir / "study.csv")

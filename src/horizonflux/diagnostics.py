@@ -43,7 +43,8 @@ class InvariantReport:
     ``violation`` is the worst observed excess over the invariant (clamped at
     zero), ``location`` identifies where it occurred: (step,), (step, cell),
     or (step, cell, c) for entropy checks with a Kruzhkov constant.  A
-    non-finite value fails a trajectory check: inf at its first (step, cell).
+    non-finite value fails a trajectory check: inf at its first (step, cell),
+    in either run for the two-run checks.
     """
 
     name: str
@@ -62,11 +63,11 @@ class InvariantReport:
         }
 
 
-def _report(name, violation, tolerance, location, trajectory=()) -> InvariantReport:
-    for n, state in enumerate(trajectory):  # a non-finite value fails outright
-        bad = np.flatnonzero(~np.isfinite(state.values))
-        if bad.size:
-            violation, location = np.inf, (n, int(bad[0]))
+def _report(name, violation, tolerance, location, *trajectories) -> InvariantReport:
+    for n, states in enumerate(zip(*trajectories)):  # a non-finite value fails outright
+        bad = [np.flatnonzero(~np.isfinite(s.values)) for s in states]
+        if any(b.size for b in bad):
+            violation, location = np.inf, (n, min(int(b[0]) for b in bad if b.size))
             break
     violation = max(float(violation), 0.0)
     return InvariantReport(
@@ -173,7 +174,7 @@ def check_l1_contraction(
         growth = dists[n + 1] - dists[n]
         if growth > worst:
             worst, where = growth, (n + 1,)
-    return _report("l1_contraction", worst, tol, where)
+    return _report("l1_contraction", worst, tol, where, traj_a, traj_b)
 
 
 def check_ordering(
@@ -194,7 +195,7 @@ def check_ordering(
         j = int(np.argmax(excess))
         if excess[j] > worst:
             worst, where = float(excess[j]), (n, j)
-    return _report("monotone_ordering", worst, tol, where)
+    return _report("monotone_ordering", worst, tol, where, traj_a, traj_b)
 
 
 # -- cell entropy inequality ---------------------------------------------------

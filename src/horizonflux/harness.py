@@ -1,10 +1,13 @@
 """Grid-refinement studies for the two limit regimes, with invariant audits.
 
-Regime ``fixed_delta`` keeps the horizon fixed while the grid refines and
-measures Cauchy distances between consecutive levels (there is no closed-form
-nonlocal solution to compare against).  Regime ``joint_limit`` shrinks the
-horizon proportionally to the grid, delta = coupling * dx, and measures the
-windowed L1 error against the exact local entropy solution.
+One driver runs both regimes; they differ only in the horizon rule, the
+measure and their labels.  Regime ``fixed_delta`` keeps the horizon fixed
+while the grid refines and measures Cauchy distances between consecutive
+levels (there is no closed-form nonlocal solution to compare against).
+Regime ``joint_limit`` shrinks the horizon proportionally to the grid,
+delta = coupling * dx, and measures the windowed L1 error against the exact
+local entropy solution.  Every level, and the CLI's ``run`` and ``check``,
+goes through one level runner that sets up the grid and calls ``solver.run``.
 
 Levels refine by halving dx with a shared left edge, so consecutive grids
 nest and the coarse field maps onto the fine grid exactly; the Cauchy
@@ -13,7 +16,6 @@ distances carry no interpolation error.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -165,39 +167,89 @@ def _run_level(
     dx: float,
     mesh_ratio: float,
     final_time: float,
-    targets: np.ndarray,
+    targets,
     run_checks: bool,
-) -> tuple[list[GridState], float, list[InvariantReport]]:
+    enforce_cfl: bool = True,
+) -> tuple[list[GridState], float, list[InvariantReport], int]:
+    """Run one grid; return its snapshots at ``targets``, wall time, audits and n_cells.
+
+    Every study level and the CLI's run and check reach ``run`` through here.
+    Only an audited run keeps its whole trajectory.
+    """
     x0, n_cells = _level_geometry(problem, dx)
     kernel = Kernel(delta=delta, profile=profile)
     config = SchemeConfig(
         kernel=kernel, flux=flux, mesh_ratio=mesh_ratio, final_time=final_time
     )
     started = time.perf_counter()
-    trajectory = run(
-        config,
-        problem.u0,
-        x0=x0,
-        dx=dx,
-        n_cells=n_cells,
-        boundary=problem.boundary,
-        store="all",
-        breakpoints=problem.u0_breakpoints or None,
+    states = run(
+        config, problem.u0, x0=x0, dx=dx, n_cells=n_cells, boundary=problem.boundary,
+        output_times=targets, store="all" if run_checks else "snapshots",
+        enforce_cfl=enforce_cfl, breakpoints=problem.u0_breakpoints or None,
     )
     reports: list[InvariantReport] = []
     if run_checks:
-        reports = audit_trajectory(trajectory, compute_weights(kernel, dx), flux)
-    wall = time.perf_counter() - started
-    snapshots = [state_at(trajectory, t) for t in targets]
-    return snapshots, wall, reports
+        reports = audit_trajectory(states, compute_weights(kernel, dx), flux)
+        states = [state_at(states, t) for t in targets]
+    return states, time.perf_counter() - started, reports, n_cells
 
 
-def _run_levels(level_args, workers: int):
+def _cauchy_distances(snapshots, problem: Problem, window) -> list[float | None]:
+    """Level m's sup distance to level m + 1; the finest level has none."""
+    return [
+        max(nested_l1_distance(cs, fs, window) for cs, fs in zip(coarse, fine))
+        for coarse, fine in zip(snapshots, snapshots[1:])
+    ] + [None]
+
+
+def _exact_errors(snapshots, problem: Problem, window) -> list[float]:
+    return [max(l1_error(s, problem.exact, window) for s in level) for level in snapshots]
+
+
+def _refine(
+    problem: Problem, flux_family: str, dx0: float, n_levels: int, mesh_ratio: float, *,
+    regime: str, measure_name: str, measure, delta_of, echo: dict, profile: str,
+    lf_lambda, final_time, window, n_output_times: int, run_checks: bool, workers: int,
+) -> StudyReport:
+    """The driver of both regimes: level m has dx0 / 2**m and horizon ``delta_of(dx)``.
+
+    ``measure`` maps the levels' snapshot lists to one measure per level.
+    """
+    flux = _build_flux(problem, flux_family, lf_lambda)
+    t_end = problem.final_time if final_time is None else float(final_time)
+    win = problem.window if window is None else window
+    targets = np.linspace(0.0, t_end, n_output_times)
+    dxs = [dx0 / 2**m for m in range(n_levels)]
+    args = [
+        (problem, flux, profile, delta_of(dx), dx, mesh_ratio, t_end, targets, run_checks)
+        for dx in dxs
+    ]
     if workers <= 1:
-        return [_run_level(*args) for args in level_args]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_level, *args) for args in level_args]
-        return [f.result() for f in futures]
+        results = [_run_level(*a) for a in args]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda a: _run_level(*a), args))
+    measures = measure([snaps for snaps, *_ in results], problem, win)
+    records = [
+        LevelRecord(
+            level=m,
+            dx=dx,
+            delta=delta_of(dx),
+            dt=mesh_ratio * dx,
+            n_cells=n_cells,
+            measure=value,
+            wall_time=wall,
+            invariants=reports,
+        )
+        for m, (dx, value, (_, wall, reports, n_cells)) in enumerate(zip(dxs, measures, results))
+    ]
+    echo = dict(
+        flux_family=flux_family, lf_lambda=lf_lambda, profile=profile, **echo, dx0=dx0,
+        n_levels=n_levels, mesh_ratio=mesh_ratio, final_time=t_end, window=list(win),
+        n_output_times=n_output_times,
+    )
+    measured = [v for v in measures if v is not None]
+    return StudyReport(regime, problem.name, measure_name, records, eoc(measured), echo)
 
 
 def refine_fixed_delta(
@@ -224,57 +276,12 @@ def refine_fixed_delta(
     """
     if n_levels < 2:
         raise ValueError("fixed-delta study needs at least 2 levels")
-    flux = _build_flux(problem, flux_family, lf_lambda)
-    t_end = problem.final_time if final_time is None else float(final_time)
-    win = problem.window if window is None else window
-    targets = np.linspace(0.0, t_end, n_output_times)
-    dxs = [dx0 / 2**m for m in range(n_levels)]
-    args = [
-        (problem, flux, profile, delta, dx, mesh_ratio, t_end, targets, run_checks)
-        for dx in dxs
-    ]
-    results = _run_levels(args, workers)
-
-    records = []
-    for m, (dx, (snaps, wall, reports)) in enumerate(zip(dxs, results)):
-        measure = None
-        if m + 1 < n_levels:
-            finer = results[m + 1][0]
-            measure = max(
-                nested_l1_distance(cs, fs, win) for cs, fs in zip(snaps, finer)
-            )
-        records.append(
-            LevelRecord(
-                level=m,
-                dx=dx,
-                delta=delta,
-                dt=mesh_ratio * dx,
-                n_cells=_level_geometry(problem, dx)[1],
-                measure=measure,
-                wall_time=wall,
-                invariants=reports,
-            )
-        )
-    distances = [rec.measure for rec in records if rec.measure is not None]
-    echo = {
-        "flux_family": flux_family,
-        "lf_lambda": lf_lambda,
-        "profile": profile,
-        "delta": delta,
-        "dx0": dx0,
-        "n_levels": n_levels,
-        "mesh_ratio": mesh_ratio,
-        "final_time": t_end,
-        "window": list(win),
-        "n_output_times": n_output_times,
-    }
-    return StudyReport(
-        regime="fixed_delta",
-        problem=problem.name,
-        measure_name="cauchy_l1_distance",
-        levels=records,
-        eoc=eoc(distances),
-        config_echo=echo,
+    return _refine(
+        problem, flux_family, dx0, n_levels, mesh_ratio,
+        regime="fixed_delta", measure_name="cauchy_l1_distance",
+        measure=_cauchy_distances, delta_of=lambda dx: delta, echo={"delta": delta},
+        profile=profile, lf_lambda=lf_lambda, final_time=final_time, window=window,
+        n_output_times=n_output_times, run_checks=run_checks, workers=workers,
     )
 
 
@@ -305,50 +312,10 @@ def refine_joint_limit(
         raise ValueError(f"problem {problem.name!r} has no exact local solution")
     if coupling <= 0.0:
         raise ValueError(f"coupling must be positive, got {coupling}")
-    flux = _build_flux(problem, flux_family, lf_lambda)
-    t_end = problem.final_time if final_time is None else float(final_time)
-    win = problem.window if window is None else window
-    targets = np.linspace(0.0, t_end, n_output_times)
-    dxs = [dx0 / 2**m for m in range(n_levels)]
-    args = [
-        (problem, flux, profile, coupling * dx, dx, mesh_ratio, t_end, targets, run_checks)
-        for dx in dxs
-    ]
-    results = _run_levels(args, workers)
-
-    records = []
-    for m, (dx, (snaps, wall, reports)) in enumerate(zip(dxs, results)):
-        error = max(l1_error(s, problem.exact, win) for s in snaps)
-        records.append(
-            LevelRecord(
-                level=m,
-                dx=dx,
-                delta=coupling * dx,
-                dt=mesh_ratio * dx,
-                n_cells=_level_geometry(problem, dx)[1],
-                measure=error,
-                wall_time=wall,
-                invariants=reports,
-            )
-        )
-    errors = [rec.measure for rec in records]
-    echo = {
-        "flux_family": flux_family,
-        "lf_lambda": lf_lambda,
-        "profile": profile,
-        "coupling": coupling,
-        "dx0": dx0,
-        "n_levels": n_levels,
-        "mesh_ratio": mesh_ratio,
-        "final_time": t_end,
-        "window": list(win),
-        "n_output_times": n_output_times,
-    }
-    return StudyReport(
-        regime="joint_limit",
-        problem=problem.name,
-        measure_name="l1_error_vs_exact",
-        levels=records,
-        eoc=eoc(errors),
-        config_echo=echo,
+    return _refine(
+        problem, flux_family, dx0, n_levels, mesh_ratio,
+        regime="joint_limit", measure_name="l1_error_vs_exact",
+        measure=_exact_errors, delta_of=lambda dx: coupling * dx, echo={"coupling": coupling},
+        profile=profile, lf_lambda=lf_lambda, final_time=final_time, window=window,
+        n_output_times=n_output_times, run_checks=run_checks, workers=workers,
     )

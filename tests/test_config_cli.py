@@ -159,6 +159,38 @@ def test_cli_check_fails_on_cfl_violation(tmp_path):
     assert payload["passed"] is False
 
 
+def test_enforce_cfl_false_applies_to_run_and_check_only(tmp_path, capsys):
+    text = """
+[kernel]
+delta = 0.125
+
+[flux]
+family = upwind_linear
+
+[problem]
+name = advect_bump
+T = 0.25
+
+[grid]
+dx = 0.0625
+
+[time]
+mesh_ratio = 1.5
+enforce_cfl = false
+
+[study]
+levels = 2
+"""
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "o")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    assert main(["check", "--config", cfg, "--out", out]) == 2
+    capsys.readouterr()
+    assert main(["study", "--config", cfg, "--out", out]) == 1
+    assert "mesh ratio 1.5 violates" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "study.json").exists()
+
+
 def test_cli_study_writes_tables(tmp_path):
     text = MINIMAL + "\n[study]\nregime = joint_limit\nlevels = 2\ncoupling = 2.0\n"
     cfg = write_config(tmp_path, text)
@@ -191,6 +223,15 @@ def test_cli_usage_error_exits_1(tmp_path):
     assert missing.returncode == 1
     assert "error" in missing.stderr.lower()
     assert "nope.cfg" in missing.stderr
+    cfg = write_config(tmp_path, MINIMAL + "\n[study]\nlevels = 2\n")
+    for workers in ("0", "-2"):
+        bad = subprocess.run(
+            [sys.executable, "-m", "horizonflux", "study", "--config", cfg, "--workers", workers],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert bad.returncode == 1
+        assert "--workers" in bad.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_flag_overrides(tmp_path, capsys):

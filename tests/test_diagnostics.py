@@ -221,10 +221,14 @@ def test_nonfinite_state_fails_every_audit(bad, at):
     traj = [random_state(rng, n=32, dx=dx)]
     for _ in range(4):
         traj.append(step(traj[-1], weights, GODUNOV, 0.3 * dx))
+    clean = [GridState(dx=s.dx, x0=s.x0, values=s.values.copy(), boundary=s.boundary,
+                       time=s.time) for s in traj]
     traj[at[0]].values[at[1]] = bad
     traj[at[0]].values[at[1] + 5] = bad
     for report in (check_max_principle(traj), check_tvd(traj), check_conservation(traj),
-                   check_entropy(traj, weights, GODUNOV)):
+                   check_entropy(traj, weights, GODUNOV),
+                   check_l1_contraction(traj, clean), check_l1_contraction(clean, traj),
+                   check_ordering(traj, traj)):
         assert not report.passed, report.name
         assert report.violation == np.inf
         assert report.location == at

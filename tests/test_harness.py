@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -123,11 +128,91 @@ def test_joint_limit_requires_exact_solution():
 
 
 def test_workers_do_not_change_results():
-    problem = get_problem("burgers_rarefaction")
-    serial = refine_joint_limit(problem, "godunov", 2.0, 1 / 16, 3, 0.45)
-    threaded = refine_joint_limit(problem, "godunov", 2.0, 1 / 16, 3, 0.45, workers=3)
-    assert serial.measures() == threaded.measures()
-    assert serial.eoc == threaded.eoc
+    for refine, problem, horizon, mesh_ratio in (
+        (refine_fixed_delta, "burgers_shock", 0.1, 0.9),
+        (refine_joint_limit, "burgers_rarefaction", 2.0, 0.45),
+    ):
+        args = (get_problem(problem), "godunov", horizon, 1 / 16, 3, mesh_ratio)
+        serial = refine(*args)
+        threaded = refine(*args, workers=3)
+        assert serial.as_dict() == threaded.as_dict(), serial.regime
+
+
+# -- pinned study outputs ------------------------------------------------------------
+# Recorded from the two per-regime study loops before they became one driver;
+# a refactor that moves any bit of a study's output fails here.
+
+
+def _level(level, dx, delta, dt, n_cells, measure, tol, audits):
+    names = ("max_principle", "tvd", "cell_entropy")
+    return {
+        "level": level, "dx": dx, "delta": delta, "dt": dt, "n_cells": n_cells,
+        "measure": measure,
+        "invariants": [
+            {"name": name, "passed": True, "violation": violation, "tolerance": t,
+             "location": location}
+            for name, t, (violation, location) in zip(names, tol, audits)
+        ],
+    }
+
+
+def _echo(key, value, mesh_ratio, window):
+    return {
+        "flux_family": "godunov", "lf_lambda": None, "profile": "uniform", key: value,
+        "dx0": 0.25, "n_levels": 3, "mesh_ratio": mesh_ratio, "final_time": 0.5,
+        "window": window, "n_output_times": 9,
+    }
+
+
+def test_fixed_delta_study_is_pinned():
+    report = refine_fixed_delta(get_problem("burgers_shock"), "godunov", 0.5, 0.25, 3, 0.9)
+    tol = (2e-12, 2e-12, 2e-10)
+    assert report.as_dict() == {
+        "regime": "fixed_delta",
+        "problem": "burgers_shock",
+        "measure": "cauchy_l1_distance",
+        "config": _echo("delta", 0.5, 0.9, [-0.5, 1.5]),
+        "levels": [
+            _level(0, 0.25, 0.5, 0.225, 20, 0.059374625690227785, tol, [
+                (0.0, None), (1.1102230246251565e-16, [3]),
+                (1.0554964244264032e-16, [3, 13, 1.025])]),
+            _level(1, 0.125, 0.5, 0.1125, 40, 0.03028111917285336, tol, [
+                (0.0, None), (1.1102230246251565e-16, [5]),
+                (1.5265566588595902e-16, [5, 16, 0.04999999999999999])]),
+            _level(2, 0.0625, 0.5, 0.05625, 80, None, tol, [
+                (0.0, None), (1.1102230246251565e-16, [1]),
+                (2.0649765928531345e-16, [5, 49, 1.025])]),
+        ],
+        "eoc": [0.9714279858223235],
+        "passed": True,
+    }
+
+
+def test_joint_limit_study_is_pinned():
+    report = refine_joint_limit(
+        get_problem("burgers_rarefaction"), "godunov", 2.0, 0.25, 3, 0.45
+    )
+    tol = (2e-12, 3e-12, 2e-10)
+    c = -1.0999999999999999
+    assert report.as_dict() == {
+        "regime": "joint_limit",
+        "problem": "burgers_rarefaction",
+        "measure": "l1_error_vs_exact",
+        "config": _echo("coupling", 2.0, 0.45, [-1.0, 1.0]),
+        "levels": [
+            _level(0, 0.25, 0.5, 0.1125, 20, 0.3155413982735149, tol, [
+                (0.0, None), (2.220446049250313e-16, [1]),
+                (4.185020385794047e-16, [5, 15, c])]),
+            _level(1, 0.125, 0.25, 0.05625, 40, 0.21903534899951477, tol, [
+                (0.0, None), (4.440892098500626e-16, [5]),
+                (3.7816971776294395e-16, [4, 23, c])]),
+            _level(2, 0.0625, 0.125, 0.028125, 80, 0.14789365754249084, tol, [
+                (0.0, None), (4.440892098500626e-16, [5]),
+                (4.954370248061845e-16, [15, 65, c])]),
+        ],
+        "eoc": [0.526665577927697, 0.5666035344055691],
+        "passed": True,
+    }
 
 
 def test_study_report_serializes():
@@ -139,3 +224,24 @@ def test_study_report_serializes():
     assert len(payload["levels"]) == 2
     assert "wall_time" not in payload["levels"][0]
     assert payload["levels"][0]["invariants"]
+
+
+# -- the study scripts -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("script, args, stem", [
+    ("fixed_horizon_study.py", ["--deltas", "0.1"], "delta_0p1"),
+    ("local_limit_study.py", ["--problems", "burgers_shock"], "burgers_shock"),
+])
+def test_study_script_writes_tables(tmp_path, script, args, stem):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), *args,
+         "--levels", "2", "--dx0", "0.0625", "--out", str(out)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    written = sorted(p.name for p in out.iterdir())
+    assert written == [f"{stem}.{ext}" for ext in ("csv", "dat", "json")]
