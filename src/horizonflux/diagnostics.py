@@ -207,19 +207,130 @@ def kruzhkov_constants(state: GridState, n: int = 17, margin: float = 0.1) -> np
     The per-cell entropy residual is piecewise linear in c between data
     values, so a modest uniform grid is a faithful probe.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     lo = float(np.min(state.values)) - margin
     hi = float(np.max(state.values)) + margin
     return np.linspace(lo, hi, n)
 
 
+def _as_constants(constants) -> np.ndarray:
+    cs = np.atleast_1d(np.asarray(constants, dtype=float))
+    if cs.ndim != 1 or cs.size == 0 or not np.all(np.isfinite(cs)):
+        raise ValueError(f"constants must be a non-empty 1-D array of finite values, got {cs!r}")
+    return cs
+
+
+def _step_dt(state_n: GridState, state_np1: GridState, weights: QuadratureWeights) -> float:
+    _check_pair(state_n, weights)
+    if state_n.n_cells != state_np1.n_cells or abs(state_n.dx - state_np1.dx) > 1e-12 * state_n.dx:
+        raise ValueError("states live on different grids")
+    dt = state_np1.time - state_n.time
+    if not dt > 0.0:
+        raise ValueError("states are not one step apart (need increasing times)")
+    return dt
+
+
 def _window_extrema(ext: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Min and max over every run of ``size`` consecutive entries, by doubling."""
+    """Min and max over every run of ``size`` consecutive entries (last axis), by doubling."""
     lo, hi, width = ext, ext, 1
     while 2 * width <= size:
-        lo, hi = np.minimum(lo[:-width], lo[width:]), np.maximum(hi[:-width], hi[width:])
+        lo = np.minimum(lo[..., :-width], lo[..., width:])
+        hi = np.maximum(hi[..., :-width], hi[..., width:])
         width *= 2
-    n, shift = ext.size - size + 1, size - width
-    return np.minimum(lo[:n], lo[shift : shift + n]), np.maximum(hi[:n], hi[shift : shift + n])
+    n, shift = ext.shape[-1] - size + 1, size - width
+    return (
+        np.minimum(lo[..., :n], lo[..., shift : shift + n]),
+        np.maximum(hi[..., :n], hi[..., shift : shift + n]),
+    )
+
+
+def _residual(u0, u1, c, dt, flux_sum):
+    """|u^{n+1}_j - c| - |u^n_j - c| + dt * (the q-sum of cell j)."""
+    return np.abs(u1 - c) - np.abs(u0 - c) + dt * flux_sum
+
+
+def _chunks(offsets: np.ndarray, cap: int):
+    """Consecutive ranges [i, j) with offsets[j] - offsets[i] <= cap, or j = i + 1."""
+    i, last = 0, offsets.size - 1
+    while i < last:
+        j = max(int(np.searchsorted(offsets, offsets[i] + cap, side="right")) - 1, i + 1)
+        yield i, j
+        i = j
+
+
+def _stencil_columns(cells: np.ndarray, pad: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of an extended row that hold the stencils of ``cells`` (sorted),
+    and the position of each cell's sum in a stencil sum over those columns.
+
+    Runs of nearby cells share their columns, so a periodic shock with its
+    wrap-around jump does not widen to the whole grid.
+    """
+    width = 2 * pad + 1
+    started = np.cumsum(np.bincount(cells, minlength=size))
+    covered = started.copy()
+    covered[width:] -= started[:-width]  # stencils j..j+2R that cover each column
+    cols = np.flatnonzero(covered)
+    return cols, np.searchsorted(cols, cells)
+
+
+def _q_sums(vals: np.ndarray, c, weights: QuadratureWeights, flux: TwoPointFlux) -> np.ndarray:
+    """sum_k W_k [q(v_j, v_{j+k}; c) - q(v_{j-k}, v_j; c)] along the last axis,
+    whose R = n_terms entries at each end are ghosts.
+
+    q(a, b; c) = g(a v c, b v c) - g(a ^ c, b ^ c); ``c`` broadcasts against ``vals``.
+    """
+    above, below = np.maximum(vals, c), np.minimum(vals, c)
+    ev_hi, ev_lo = flux.shifted_pair_evaluator(above), flux.shifted_pair_evaluator(below)
+    acc = np.zeros(above.shape[:-1] + (above.shape[-1] - 2 * weights.n_terms,))
+    return _stencil_sum(lambda k: ev_hi(k) - ev_lo(k), weights, acc)
+
+
+def _straddle_q_sums(ext, rows, cells, c, weights: QuadratureWeights, flux: TwoPointFlux, cap):
+    """The q-sum of each straddling pair (cell j of step ``rows``, constant c).
+
+    ``ext[row]`` is the extended u^n of the pair's step.  Pairs come sorted by
+    (row, c, cell); the pairs of one (row, c) whose cells lie less than a
+    stencil apart share one gathered run of ``ext``, and the runs are
+    evaluated in chunks of at most ``cap`` gathered values (a single run may
+    exceed it).
+    """
+    pad = weights.n_terms
+    width = 2 * pad + 1
+    new_run = np.ones(cells.size, dtype=bool)
+    new_run[1:] = (rows[1:] != rows[:-1]) | (c[1:] != c[:-1]) | (np.diff(cells) > width)
+    starts = np.flatnonzero(new_run)
+    run_of_pair = np.cumsum(new_run) - 1
+    first = cells[starts]
+    length = np.append(cells[starts[1:] - 1], cells[-1]) - first + width
+    offsets = np.concatenate(([0], np.cumsum(length)))
+    bounds = np.append(starts, cells.size)
+    out = np.empty(cells.size)
+    for i, j in _chunks(offsets, cap):
+        run = np.repeat(np.arange(i, j), length[i:j])
+        vals = ext[rows[starts[run]], np.arange(run.size) - offsets[run] + offsets[i] + first[run]]
+        block = _q_sums(vals, c[starts[run]], weights, flux)
+        pairs = slice(bounds[i], bounds[j])
+        run = run_of_pair[pairs]
+        out[pairs] = block[offsets[run] - offsets[i] + cells[pairs] - first[run]]
+    return out
+
+
+def _stencil_summary(ext: np.ndarray, weights: QuadratureWeights, flux: TwoPointFlux):
+    """Stencil min and max and flux sum S_j per row of extended u^n values.
+
+    The stencil of cell j is j-R..j+R.  S_j is taken only on cells whose
+    stencil is not flat in some row; on a flat stencil it is 0 exactly.
+    """
+    pad = weights.n_terms
+    lo, hi = _window_extrema(ext, 2 * pad + 1)
+    s = np.zeros(lo.shape)
+    cells = np.flatnonzero(~(lo == hi).all(axis=0))  # non-finite stencils are not flat
+    if cells.size:
+        cols, at = _stencil_columns(cells, pad, ext.shape[-1])
+        acc = np.zeros((ext.shape[0], cols.size - 2 * pad))
+        s[:, cells] = _stencil_sum(flux.shifted_pair_evaluator(ext[:, cols]), weights, acc)[:, at]
+    return lo, hi, s
 
 
 def _entropy_residual_matrix(
@@ -231,38 +342,24 @@ def _entropy_residual_matrix(
 ) -> np.ndarray:
     """Full residual matrix, one row per Kruzhkov constant, one column per cell.
 
-    The q-sum is taken on the straddle set only, see :func:`entropy_residuals`.
+    The q-sum is taken on the straddle block only: every constant that
+    straddles some cell's stencil, on every cell that some constant straddles
+    (see :func:`entropy_residuals`).
     """
-    _check_pair(state_n, weights)
-    if state_n.n_cells != state_np1.n_cells or abs(state_n.dx - state_np1.dx) > 1e-12 * state_n.dx:
-        raise ValueError("states live on different grids")
-    dt = state_np1.time - state_n.time
-    if not dt > 0.0:
-        raise ValueError("states are not one step apart (need increasing times)")
-    col = np.atleast_1d(np.asarray(constants, dtype=float))[:, None]
-    pad = weights.n_terms
-    ext = state_n.extended(pad)
-    lo, hi = _window_extrema(ext, 2 * pad + 1)
-    s = _stencil_sum(flux.shifted_pair_evaluator(ext), weights, np.zeros(state_n.n_cells))
-    base = np.abs(state_np1.values - col) - np.abs(state_n.values - col)
-    residual = base + dt * s  # exact for c <= lo, and on flat stencils, where S_j = 0
-    rough = np.flatnonzero(~(lo == hi))  # non-flat stencils, and non-finite ones
-    above = col >= hi[rough]
-    flux_sum = np.where(above, -s[rough], s[rough])
-    straddle = ~(above | (col <= lo[rough]))
-    cells = rough[straddle.any(axis=0)]
+    dt = _step_dt(state_n, state_np1, weights)
+    col = _as_constants(constants)[:, None]
+    u0, u1 = state_n.values, state_np1.values
+    ext = state_n.extended(weights.n_terms)
+    lo, hi, s = (a[0] for a in _stencil_summary(ext[None], weights, flux))
+    flat = lo == hi  # S_j = 0 exactly there
+    above = (col >= hi) & ~flat
+    residual = _residual(u0, u1, col, dt, np.where(above, -s, s))
+    straddle = ~(flat | (col >= hi) | (col <= lo))  # non-finite stencils straddle every c
+    rows, cells = np.flatnonzero(straddle.any(axis=1)), np.flatnonzero(straddle.any(axis=0))
     if cells.size:
-        # gather the stencils of the straddling cells; runs of them stay contiguous
-        rows = np.flatnonzero(straddle.any(axis=1))
-        starts = np.bincount(cells, minlength=ext.size + 1)
-        idx = np.flatnonzero(np.cumsum(starts - np.roll(starts, 2 * pad + 1)) > 0)
-        # q(a, b; c) = g(a v c, b v c) - g(a ^ c, b ^ c) on the gathered stencils
-        ev_hi = flux.shifted_pair_evaluator(np.maximum(ext[idx], col[rows]))
-        ev_lo = flux.shifted_pair_evaluator(np.minimum(ext[idx], col[rows]))
-        block = np.zeros((rows.size, idx.size - 2 * pad))
-        block = _stencil_sum(lambda k: ev_hi(k) - ev_lo(k), weights, block)
-        flux_sum[np.ix_(rows, np.searchsorted(rough, cells))] = block[:, np.searchsorted(idx, cells)]
-    residual[:, rough] = base[:, rough] + dt * flux_sum
+        cols, at = _stencil_columns(cells, weights.n_terms, ext.size)
+        q = _q_sums(ext[cols], col[rows], weights, flux)[:, at]
+        residual[np.ix_(rows, cells)] = _residual(u0[cells], u1[cells], col[rows], dt, q)
     return residual
 
 
@@ -279,7 +376,8 @@ def entropy_residuals(
                     + dt * sum_k [q(u_j, u_{j+k}; c) - q(u_{j-k}, u_j; c)] W_k
 
     and entropy satisfaction means max_j residual_j(c) <= 0 up to round-off.
-    Returns max_j residual_j(c) for every c in ``constants``.
+    Returns max_j residual_j(c) for every c in ``constants``, a non-empty 1-D
+    array of finite values.
 
     Lattice identity: if c >= max of u^n over cell j's stencil j-R..j+R
     (R = n_terms), every pair there has q(a, b; c) = g(c, c) - g(a, b), so the
@@ -298,7 +396,7 @@ def cell_entropy_residual(
     flux: TwoPointFlux,
     c: float,
 ) -> float:
-    """Worst cell entropy residual for a single Kruzhkov constant."""
+    """Worst cell entropy residual for a single (finite) Kruzhkov constant."""
     return float(entropy_residuals(state_n, state_np1, weights, flux, [c])[0])
 
 
@@ -310,23 +408,78 @@ def check_entropy(
 ) -> InvariantReport:
     """Cell entropy inequality over every step and every Kruzhkov constant.
 
-    A step costs one flux sum S_j plus the q-sum on the straddle set; every
-    other residual is |u^{n+1}_j - c| - |u^n_j - c| ∓ dt S_j exactly (in
-    real arithmetic), see :func:`entropy_residuals`.
+    ``constants`` defaults to :func:`kruzhkov_constants` of the first state;
+    given ones must form a non-empty 1-D array of finite values.
+
+    Only a few constants can hold cell j's largest residual.  At or above the
+    stencil max M_j the lattice identity (see :func:`entropy_residuals`) gives
+    residual_j(c) = |u^{n+1}_j - c| - (c - u^n_j) - dt S_j, nonincreasing in c;
+    at or below the stencil min m_j, |u^{n+1}_j - c| - (u^n_j - c) + dt S_j,
+    nondecreasing in c.  So in real arithmetic cell j's maximum is at the
+    smallest constant >= M_j, the largest constant <= m_j, or a straddling
+    constant m_j < c < M_j, which takes the q-sum.  The two side constants
+    come from a ``searchsorted`` on the sorted constants, and no constants x
+    cells matrix is built.
+
+    Steps go in blocks of max(1, C // 8) (C constants, n cells, R = n_terms):
+    the dozen or so block x (n + 2R) arrays a block keeps alive then hold no
+    more than one step of the constants x cells matrix did.  The straddle
+    pair lists and gathered runs are cut into chunks of at most C x (n + 2R)
+    values, the size of that matrix's straddle block.  In floating point the
+    reduction may miss the full matrix's maximum by round-off.  Ties go to the
+    earliest step, then the lowest cell, then the smallest constant.
     """
-    if constants is None:
-        constants = kruzhkov_constants(trajectory[0])
-    constants = np.atleast_1d(np.asarray(constants, dtype=float))
     scale = 1.0 + float(np.max(np.abs(trajectory[0].values)))
     tol = 1e-10 * scale
+    if constants is None:
+        constants = kruzhkov_constants(trajectory[0])
+        if not np.all(np.isfinite(constants)):  # u^0 is not finite: _report fails it
+            return _report("cell_entropy", np.inf, tol, None, trajectory)
+    cs = np.sort(_as_constants(constants))
+    cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
+    last = cs.size - 1
+    n, pad = trajectory[0].n_cells, weights.n_terms
+    cap = cs.size * (n + 2 * pad)
+    block = max(1, cs.size // 8)
     worst, where = 0.0, None
-    for n in range(len(trajectory) - 1):
-        matrix = _entropy_residual_matrix(
-            trajectory[n], trajectory[n + 1], weights, flux, constants
+    for b0 in range(0, len(trajectory) - 1, block):
+        states = trajectory[b0 : b0 + block + 1]
+        dt = np.array([[_step_dt(a, b, weights)] for a, b in zip(states[:-1], states[1:])])
+        ext = np.stack([state.extended(pad) for state in states[:-1]])
+        u0, u1 = ext[:, pad : pad + n], np.stack([state.values for state in states[1:]])
+        lo, hi, s = _stencil_summary(ext, weights, flux)
+        above = np.searchsorted(cs, hi)  # the smallest constant >= the stencil max
+        below = np.searchsorted(cs, lo, side="right") - 1  # the largest one <= the stencil min
+        c_below, c_above = cs[np.maximum(below, 0)], cs[np.minimum(above, last)]
+        sides = (  # each cell's residual at its two side constants
+            np.where(below >= 0, _residual(u0, u1, c_below, dt, s), -np.inf),
+            np.where(above <= last, _residual(u0, u1, c_above, dt, -s), -np.inf),
         )
-        ic, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
-        if matrix[ic, j] > worst:
-            worst, where = float(matrix[ic, j]), (n + 1, int(j), float(constants[ic]))
+        best = np.maximum(*sides)
+        peaks = []  # per chunk: its largest straddle residual and the pairs that reach it
+        count = np.maximum(above - below - 1, 0)  # the straddling constants of each cell
+        for i, k in _chunks(np.concatenate(([0], np.cumsum(count.sum(axis=1)))), cap):
+            per_cell = count[i:k].ravel()
+            if not per_cell.any():
+                continue
+            first = np.repeat(below[i:k].ravel() + 1 - np.cumsum(per_cell) + per_cell, per_cell)
+            row, cell = np.divmod(np.repeat(np.arange(per_cell.size), per_cell), n)
+            ic = first + np.arange(first.size)
+            order = np.lexsort((cell, ic, row))
+            row, cell, c = row[order] + i, cell[order], cs[ic[order]]
+            q = _straddle_q_sums(ext, row, cell, c, weights, flux, cap)
+            res = _residual(u0[row, cell], u1[row, cell], c, dt[row, 0], q)
+            np.maximum.at(best, (row, cell), res)
+            peak = res == res.max()
+            peaks.append((res.max(), row[peak], cell[peak], c[peak]))
+        b, j = np.unravel_index(int(np.argmax(best)), best.shape)
+        if best[b, j] > worst:
+            worst = float(best[b, j])
+            at_sides = ((c_below[b, j], sides[0][b, j]), (c_above[b, j], sides[1][b, j]))
+            reached = [c for c, res in at_sides if res == worst]
+            for top, row, cell, c in peaks:
+                reached += list(c[(top == worst) & (row == b) & (cell == j)])
+            where = (b0 + int(b) + 1, int(j), float(min(reached)))
     return _report("cell_entropy", worst, tol, where, trajectory)
 
 

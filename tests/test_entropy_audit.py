@@ -3,17 +3,24 @@
 Off the straddle set the audit replaces the q-sum of cell j by -S_j or +S_j,
 the step's own flux sum, which is exact in real arithmetic.  In floating point
 the two forms group the same terms differently, so the audit is pinned to the
-oracle within ENTROPY_ULPS eps * (1 + max|u|).
+oracle within ENTROPY_ULPS eps * (1 + max|u|).  ``check_entropy`` also probes
+only the nearest constant on each side of a cell's stencil range plus the
+straddling ones, which holds the cell's maximum in real arithmetic; its
+verdict, violation and location are pinned to the full oracle matrices.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horizonflux import (
     BOUNDARY_MODES,
+    FLUX_FAMILIES,
     PROFILE_NAMES,
     GridState,
     TwoPointFlux,
+    cfl_dt,
     check_entropy,
     cell_entropy_residual,
     entropy_residuals,
@@ -75,6 +82,43 @@ def test_audit_matrix_matches_full_q_sum(r, boundary):
                     )
 
 
+def assert_matches_oracle(report, trajectory, weights, flux, constants=None):
+    """Verdict, violation and location of ``check_entropy`` against the full matrices."""
+    cs = kruzhkov_constants(trajectory[0]) if constants is None else np.asarray(constants)
+    want = max(0.0, *(
+        float(reference_entropy_matrix(a, b, weights, flux, cs).max())
+        for a, b in zip(trajectory, trajectory[1:])
+    ))
+    tol = bound(trajectory[0])
+    assert report.passed == (want <= report.tolerance)
+    assert abs(report.violation - want) <= tol, (report.violation, want)
+    if report.location is None:
+        assert want <= tol
+    else:
+        n, j, c = report.location
+        assert c in cs
+        at = reference_entropy_matrix(trajectory[n - 1], trajectory[n], weights, flux, [c])[0, j]
+        assert abs(at - want) <= tol, (report.location, at, want)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+@pytest.mark.parametrize("r", [1, 4, 16, 64])
+def test_check_entropy_matches_the_full_matrix_oracle(r, boundary):
+    n = 48
+    dx = 1.0 / n
+    rng = np.random.default_rng(11 * r + len(boundary))
+    for name, state in data_sets(rng, n, dx, boundary).items():
+        for profile in PROFILE_NAMES:
+            weights = weights_for_r(r, dx, profile)
+            for flux in every_flux():
+                trajectory = [state]
+                for _ in range(2):
+                    trajectory.append(step(trajectory[-1], weights, flux, 0.2 * dx))
+                for constants in (None, user_constants(state)):
+                    report = check_entropy(trajectory, weights, flux, constants)
+                    assert_matches_oracle(report, trajectory, weights, flux, constants)
+
+
 def shock_run(n=64, r=3, steps=3, boundary="constant_extension"):
     dx = 1.0 / n
     values = np.where(np.arange(n) < n // 2, 0.8, -0.4)
@@ -121,11 +165,13 @@ def test_planted_violation_found_at_oracle_location(cell, constants, shift, path
 def test_audit_takes_the_q_sum_only_on_the_straddle_block(monkeypatch):
     trajectory, weights = shock_run(n=256, r=8, steps=1, boundary="periodic")
     constants = kruzhkov_constants(trajectory[0])
-    elements = []
+    largest = constants.size * (256 + 2 * weights.n_terms)
+    inputs, elements = [], []
     evaluator = TwoPointFlux.shifted_pair_evaluator
 
     def counted(flux, values):
         ev = evaluator(flux, values)
+        inputs.append(values.size)
 
         def tally(k):
             out = ev(k)
@@ -136,11 +182,18 @@ def test_audit_takes_the_q_sum_only_on_the_straddle_block(monkeypatch):
 
     monkeypatch.setattr(TwoPointFlux, "shifted_pair_evaluator", counted)
     got = _entropy_residual_matrix(*trajectory, weights, GODUNOV, constants)
-    fast = sum(elements)
+    matrix = sum(elements)
+    elements.clear()
+    report = check_entropy(trajectory, weights, GODUNOV, constants)
+    audit = sum(elements)
+    assert max(inputs) <= largest
     elements.clear()
     want = reference_entropy_matrix(*trajectory, weights, GODUNOV, constants)
+    oracle = sum(elements)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=bound(trajectory[0]))
-    assert fast < 0.25 * sum(elements)
+    assert_matches_oracle(report, trajectory, weights, GODUNOV, constants)
+    assert matrix < 0.25 * oracle
+    assert audit < 0.25 * oracle
 
 
 def test_nonfinite_stencils_take_the_q_sum():
@@ -171,3 +224,73 @@ def test_audit_rejects_weights_for_another_dx():
         entropy_residuals(*trajectory, wrong, GODUNOV, [0.1])
     with pytest.raises(ValueError, match="weights built for"):
         cell_entropy_residual(*trajectory, wrong, GODUNOV, 0.1)
+
+
+BAD_CONSTANTS = {
+    "nan": [np.nan], "inf": [np.inf], "minus_inf": [0.1, -np.inf], "empty": [], "2d": [[0.1, 0.2]],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_CONSTANTS.values(), ids=BAD_CONSTANTS.keys())
+def test_bad_constants_are_rejected(bad):
+    trajectory, weights = shock_run(n=32, r=2, steps=1)
+    with pytest.raises(ValueError, match="constants"):
+        check_entropy(trajectory, weights, GODUNOV, bad)
+    with pytest.raises(ValueError, match="constants"):
+        entropy_residuals(*trajectory, weights, GODUNOV, bad)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_cell_entropy_residual_rejects_a_nonfinite_constant(c):
+    trajectory, weights = shock_run(n=32, r=2, steps=1)
+    with pytest.raises(ValueError, match="constants"):
+        cell_entropy_residual(*trajectory, weights, GODUNOV, c)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_kruzhkov_constants_need_a_positive_count(n):
+    trajectory, _ = shock_run(n=32, r=2, steps=1)
+    with pytest.raises(ValueError, match="n must be"):
+        kruzhkov_constants(trajectory[0], n=n)
+
+
+def _local_for(family, draw):
+    names = ("burgers", "cubic", "linear_advection")
+    if family == "upwind_linear":
+        names = ("linear_advection",)
+    return make_local_flux(draw(st.sampled_from(names)), speed=draw(st.sampled_from([0.7, -0.7])))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_monotone_runs_satisfy_the_cell_entropy_inequality(data):
+    """Crandall & Majda: a monotone, consistent, conservative scheme satisfies the
+    cell entropy inequalities, for every family, profile, boundary and r, up to
+    the CFL bound (Lax-Friedrichs up to its monotonicity edge)."""
+    family = data.draw(st.sampled_from(FLUX_FAMILIES), label="family")
+    local = _local_for(family, data.draw)
+    boundary = data.draw(st.sampled_from(BOUNDARY_MODES), label="boundary")
+    profile = data.draw(st.sampled_from(PROFILE_NAMES), label="profile")
+    r = data.draw(st.integers(1, 64), label="r")
+    n = data.draw(st.integers(8, 40), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    dx = 1.0 / n
+    if data.draw(st.booleans(), label="stepped"):
+        state = random_step_profile(rng, n=n, dx=dx, boundary=boundary, n_jumps=3)
+    else:
+        state = random_state(rng, n=n, dx=dx, boundary=boundary)
+    lf_lambda = None
+    if family == "lax_friedrichs":
+        dmin, dmax = local.df_bounds(float(state.values.min()), float(state.values.max()))
+        edge = 1.0 / max(abs(dmin), abs(dmax))
+        lf_lambda = edge * data.draw(st.sampled_from([1.0, 0.9, 0.5]), label="lf_fraction")
+    flux = make_flux(family, local, lf_lambda=lf_lambda)
+    ratio = data.draw(st.sampled_from([1.0, 0.9, 0.5, 0.1]), label="cfl_fraction")
+    weights = weights_for_r(r, dx, profile)
+    dt = cfl_dt(state, flux, safety=ratio)
+    trajectory = [state]
+    for _ in range(3):
+        trajectory.append(step(trajectory[-1], weights, flux, dt))
+    report = check_entropy(trajectory, weights, flux)
+    assert report.passed, report
+    assert_matches_oracle(report, trajectory, weights, flux)
