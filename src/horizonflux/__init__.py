@@ -10,7 +10,9 @@ joint local limits.
 """
 
 from .diagnostics import (
+    AuditStream,
     InvariantReport,
+    audit_stream,
     audit_trajectory,
     cell_entropy_residual,
     check_conservation,
@@ -61,7 +63,6 @@ from .solver import (
     cell_average_init,
     cfl_dt,
     run,
-    state_at,
     step,
     step_conservative_form,
     validate_cfl,
@@ -72,6 +73,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdvectionExact",
+    "AuditStream",
     "BOUNDARY_MODES",
     "BurgersRiemannExact",
     "CflViolationError",
@@ -89,6 +91,7 @@ __all__ = [
     "SchemeConfig",
     "StudyReport",
     "TwoPointFlux",
+    "audit_stream",
     "audit_trajectory",
     "burgers_riemann_exact",
     "cell_average_init",
@@ -116,7 +119,6 @@ __all__ = [
     "refine_fixed_delta",
     "refine_joint_limit",
     "run",
-    "state_at",
     "step",
     "step_conservative_form",
     "total_variation",

@@ -2,7 +2,8 @@
 
 Every check is pure: it reads a trajectory (a list of states ordered in time)
 and returns an :class:`InvariantReport` with the worst violation magnitude and
-where it happened.  Tolerances scale with (1 + data magnitude) so the verdicts
+where it happened.  The audit bundle also runs as a ``run`` observer
+(:func:`audit_stream`), which sees each state once and stores no trajectory.  Tolerances scale with (1 + data magnitude) so the verdicts
 stay meaningful across problem scales.
 """
 
@@ -17,8 +18,14 @@ from .fluxes import TwoPointFlux
 from .kernels import QuadratureWeights
 from .solver import GridState, _check_pair, _stencil_sum
 
+# The entropy audit works over blocks of B = max(1, _BLOCK_VALUES // (n + 2R))
+# steps (n cells, R = n_terms): about 64 KiB of u^n values per block.
+_BLOCK_VALUES = 8192
+
 __all__ = [
+    "AuditStream",
     "InvariantReport",
+    "audit_stream",
     "audit_trajectory",
     "cell_entropy_residual",
     "check_conservation",
@@ -63,12 +70,26 @@ class InvariantReport:
         }
 
 
-def _report(name, violation, tolerance, location, *trajectories) -> InvariantReport:
-    for n, states in enumerate(zip(*trajectories)):  # a non-finite value fails outright
-        bad = [np.flatnonzero(~np.isfinite(s.values)) for s in states]
-        if any(b.size for b in bad):
-            violation, location = np.inf, (n, min(int(b[0]) for b in bad if b.size))
-            break
+def _nonfinite(n, *states) -> tuple | None:
+    """(n, the first non-finite cell of any of ``states``), or None if all are finite."""
+    finite = [np.isfinite(s.values) for s in states]
+    if all(f.all() for f in finite):
+        return None
+    return n, min(int(np.argmin(f)) for f in finite if not f.all())
+
+
+def _first_nonfinite(*trajectories) -> tuple | None:
+    for n, states in enumerate(zip(*trajectories)):
+        bad = _nonfinite(n, *states)
+        if bad is not None:
+            return bad
+    return None
+
+
+def _report(name, violation, tolerance, location, bad=None) -> InvariantReport:
+    """The verdict; ``bad``, the first non-finite (step, cell), fails it outright."""
+    if bad is not None:
+        violation, location = np.inf, bad
     violation = max(float(violation), 0.0)
     return InvariantReport(
         name=name,
@@ -113,32 +134,109 @@ def l1_distance(a: GridState, b: GridState) -> float:
 
 
 # -- trajectory checks ---------------------------------------------------------
+#
+# Each check is a running reduction over the steps: it takes its bounds and
+# tolerance from u^0, then sees u^1, u^2, ... one at a time, so the same code
+# audits a stored list and a run in progress (see :class:`AuditStream`).
+
+
+class _Check:
+    """A running reduction: the worst excess so far and where it happened."""
+
+    worst, where = 0.0, None
+
+    def result(self) -> tuple:
+        return self.name, self.worst, self.tol, self.where
+
+
+class _MaxPrinciple(_Check):
+    name = "max_principle"
+
+    def __init__(self, u0: GridState):
+        self.lo, self.hi = float(np.min(u0.values)), float(np.max(u0.values))
+        self.tol = 1e-12 * (1.0 + max(abs(self.lo), abs(self.hi)))
+
+    def observe(self, n: int, state: GridState) -> None:
+        excess = np.maximum(state.values - self.hi, self.lo - state.values)
+        j = int(np.argmax(excess))
+        if excess[j] > self.worst:
+            self.worst, self.where = float(excess[j]), (n, j)
+
+
+class _TotalVariation(_Check):
+    name = "tvd"
+
+    def __init__(self, u0: GridState):
+        self.last = total_variation(u0)
+        self.tol = 1e-12 * (1.0 + self.last)
+
+    def observe(self, n: int, state: GridState) -> None:
+        tv = total_variation(state)
+        if tv - self.last > self.worst:
+            self.worst, self.where = tv - self.last, (n,)
+        self.last = tv
+
+
+class _Conservation(_Check):
+    name = "conservation"
+
+    def __init__(self, u0: GridState):
+        if u0.boundary != "periodic":
+            raise ValueError("conservation check requires a periodic grid")
+        self.dx = u0.dx
+        self.mass0 = self.dx * float(np.sum(u0.values))
+        self.tol = 1e-13 * (1.0 + self.dx * float(np.sum(np.abs(u0.values))))
+
+    def observe(self, n: int, state: GridState) -> None:
+        drift = abs(self.dx * float(np.sum(state.values)) - self.mass0) / n
+        if drift > self.worst:
+            self.worst, self.where = drift, (n,)
+
+
+class AuditStream:
+    """Trajectory checks fed one state at a time, u^0 first; a ``run`` observer.
+
+    Nothing but the checks' running reductions (and the entropy audit's block
+    of at most B + 1 states) is kept, so a run audits in O(B n) memory.
+    :meth:`finish` returns the reports; the first non-finite (step, cell)
+    seen fails every one of them.  Built by :func:`audit_stream`.
+    """
+
+    def __init__(self, make_checks):
+        self._make_checks = make_checks  # u^0 -> the checks
+        self._checks = None
+        self._n, self._bad = 0, None
+
+    def __call__(self, state: GridState) -> None:
+        if self._checks is None:
+            self._checks = self._make_checks(state)
+        else:
+            self._n += 1
+            for check in self._checks:
+                check.observe(self._n, state)
+        if self._bad is None:
+            self._bad = _nonfinite(self._n, state)
+
+    def finish(self) -> list[InvariantReport]:
+        if self._checks is None:
+            raise ValueError("the audit saw no state")
+        return [_report(*check.result(), self._bad) for check in self._checks]
+
+
+def _fed(stream: AuditStream, trajectory: Sequence[GridState]) -> list[InvariantReport]:
+    for state in trajectory:
+        stream(state)
+    return stream.finish()
 
 
 def check_max_principle(trajectory: Sequence[GridState]) -> InvariantReport:
     """Values must stay inside the initial data range at every step."""
-    u0 = trajectory[0].values
-    b1, b2 = float(np.min(u0)), float(np.max(u0))
-    tol = 1e-12 * (1.0 + max(abs(b1), abs(b2)))
-    worst, where = 0.0, None
-    for n, state in enumerate(trajectory):
-        excess = np.maximum(state.values - b2, b1 - state.values)
-        j = int(np.argmax(excess))
-        if excess[j] > worst:
-            worst, where = float(excess[j]), (n, j)
-    return _report("max_principle", worst, tol, where, trajectory)
+    return _fed(AuditStream(lambda u0: [_MaxPrinciple(u0)]), trajectory)[0]
 
 
 def check_tvd(trajectory: Sequence[GridState]) -> InvariantReport:
     """Total variation must not increase from one step to the next."""
-    tvs = [total_variation(s) for s in trajectory]
-    tol = 1e-12 * (1.0 + tvs[0])
-    worst, where = 0.0, None
-    for n in range(len(tvs) - 1):
-        growth = tvs[n + 1] - tvs[n]
-        if growth > worst:
-            worst, where = growth, (n + 1,)
-    return _report("tvd", worst, tol, where, trajectory)
+    return _fed(AuditStream(lambda u0: [_TotalVariation(u0)]), trajectory)[0]
 
 
 def check_conservation(trajectory: Sequence[GridState]) -> InvariantReport:
@@ -147,18 +245,7 @@ def check_conservation(trajectory: Sequence[GridState]) -> InvariantReport:
     The per-step round-off budget is 1e-13 * scale, so the reported violation
     is the worst mass drift divided by the step count at which it occurred.
     """
-    if trajectory[0].boundary != "periodic":
-        raise ValueError("conservation check requires a periodic grid")
-    dx = trajectory[0].dx
-    mass0 = dx * float(np.sum(trajectory[0].values))
-    scale = 1.0 + dx * float(np.sum(np.abs(trajectory[0].values)))
-    tol = 1e-13 * scale
-    worst, where = 0.0, None
-    for n, state in enumerate(trajectory[1:], start=1):
-        drift = abs(dx * float(np.sum(state.values)) - mass0) / n
-        if drift > worst:
-            worst, where = drift, (n,)
-    return _report("conservation", worst, tol, where, trajectory)
+    return _fed(AuditStream(lambda u0: [_Conservation(u0)]), trajectory)[0]
 
 
 def check_l1_contraction(
@@ -174,7 +261,7 @@ def check_l1_contraction(
         growth = dists[n + 1] - dists[n]
         if growth > worst:
             worst, where = growth, (n + 1,)
-    return _report("l1_contraction", worst, tol, where, traj_a, traj_b)
+    return _report("l1_contraction", worst, tol, where, _first_nonfinite(traj_a, traj_b))
 
 
 def check_ordering(
@@ -195,7 +282,7 @@ def check_ordering(
         j = int(np.argmax(excess))
         if excess[j] > worst:
             worst, where = float(excess[j]), (n, j)
-    return _report("monotone_ordering", worst, tol, where, traj_a, traj_b)
+    return _report("monotone_ordering", worst, tol, where, _first_nonfinite(traj_a, traj_b))
 
 
 # -- cell entropy inequality ---------------------------------------------------
@@ -212,6 +299,10 @@ def kruzhkov_constants(state: GridState, n: int = 17, margin: float = 0.1) -> np
     lo = float(np.min(state.values)) - margin
     hi = float(np.max(state.values)) + margin
     return np.linspace(lo, hi, n)
+
+
+def _entropy_tolerance(u0: GridState) -> float:
+    return 1e-10 * (1.0 + float(np.max(np.abs(u0.values))))
 
 
 def _as_constants(constants) -> np.ndarray:
@@ -257,6 +348,10 @@ def _chunks(offsets: np.ndarray, cap: int):
         j = max(int(np.searchsorted(offsets, offsets[i] + cap, side="right")) - 1, i + 1)
         yield i, j
         i = j
+
+
+def _block_steps(n_cells: int, pad: int) -> int:
+    return max(1, _BLOCK_VALUES // (n_cells + 2 * pad))
 
 
 def _stencil_columns(cells: np.ndarray, pad: int, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,28 +514,30 @@ def check_entropy(
     smallest constant >= M_j, the largest constant <= m_j, or a straddling
     constant m_j < c < M_j, which takes the q-sum.  The two side constants
     come from a ``searchsorted`` on the sorted constants, and no constants x
-    cells matrix is built.
+    cells matrix is built.  A cell whose stencil is flat and whose value the
+    step left unchanged has residual exactly 0 at every c (S_j = 0), so only
+    the other cells are probed.
 
-    Steps go in blocks of max(1, C // 8) (C constants, n cells, R = n_terms):
-    the dozen or so block x (n + 2R) arrays a block keeps alive then hold no
-    more than one step of the constants x cells matrix did.  The straddle
-    pair lists and gathered runs are cut into chunks of at most C x (n + 2R)
-    values, the size of that matrix's straddle block.  In floating point the
+    Steps go in blocks of B = max(1, 8192 // (n + 2R)) (n cells, R = n_terms),
+    so a block's dozen or so B x (n + 2R) arrays stay near 64 KiB each
+    whatever the grid, and small grids pay the per-block numpy calls once
+    for many steps.  The straddle pair lists and gathered runs are cut into
+    chunks of at most C x (n + 2R) values (C constants), the size of the
+    constants x cells matrix's straddle block.  In floating point the
     reduction may miss the full matrix's maximum by round-off.  Ties go to the
     earliest step, then the lowest cell, then the smallest constant.
     """
-    scale = 1.0 + float(np.max(np.abs(trajectory[0].values)))
-    tol = 1e-10 * scale
+    tol = _entropy_tolerance(trajectory[0])
     if constants is None:
         constants = kruzhkov_constants(trajectory[0])
         if not np.all(np.isfinite(constants)):  # u^0 is not finite: _report fails it
-            return _report("cell_entropy", np.inf, tol, None, trajectory)
+            return _report("cell_entropy", np.inf, tol, None, _first_nonfinite(trajectory))
     cs = np.sort(_as_constants(constants))
     cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
     last = cs.size - 1
     n, pad = trajectory[0].n_cells, weights.n_terms
     cap = cs.size * (n + 2 * pad)
-    block = max(1, cs.size // 8)
+    block = _block_steps(n, pad)
     worst, where = 0.0, None
     for b0 in range(0, len(trajectory) - 1, block):
         states = trajectory[b0 : b0 + block + 1]
@@ -448,6 +545,11 @@ def check_entropy(
         ext = np.stack([state.extended(pad) for state in states[:-1]])
         u0, u1 = ext[:, pad : pad + n], np.stack([state.values for state in states[1:]])
         lo, hi, s = _stencil_summary(ext, weights, flux)
+        # a flat stencil that the step left unchanged has residual 0 at every c
+        cols = np.flatnonzero(~((lo == hi) & (u0 == u1)).all(axis=0))
+        if cols.size == 0:
+            continue
+        u0, u1, lo, hi, s = (a[:, cols] for a in (u0, u1, lo, hi, s))
         above = np.searchsorted(cs, hi)  # the smallest constant >= the stencil max
         below = np.searchsorted(cs, lo, side="right") - 1  # the largest one <= the stencil min
         c_below, c_above = cs[np.maximum(below, 0)], cs[np.minimum(above, last)]
@@ -463,11 +565,11 @@ def check_entropy(
             if not per_cell.any():
                 continue
             first = np.repeat(below[i:k].ravel() + 1 - np.cumsum(per_cell) + per_cell, per_cell)
-            row, cell = np.divmod(np.repeat(np.arange(per_cell.size), per_cell), n)
+            row, cell = np.divmod(np.repeat(np.arange(per_cell.size), per_cell), cols.size)
             ic = first + np.arange(first.size)
             order = np.lexsort((cell, ic, row))
             row, cell, c = row[order] + i, cell[order], cs[ic[order]]
-            q = _straddle_q_sums(ext, row, cell, c, weights, flux, cap)
+            q = _straddle_q_sums(ext, row, cols[cell], c, weights, flux, cap)
             res = _residual(u0[row, cell], u1[row, cell], c, dt[row, 0], q)
             np.maximum.at(best, (row, cell), res)
             peak = res == res.max()
@@ -479,16 +581,60 @@ def check_entropy(
             reached = [c for c, res in at_sides if res == worst]
             for top, row, cell, c in peaks:
                 reached += list(c[(top == worst) & (row == b) & (cell == j)])
-            where = (b0 + int(b) + 1, int(j), float(min(reached)))
-    return _report("cell_entropy", worst, tol, where, trajectory)
+            where = (b0 + int(b) + 1, int(cols[j]), float(min(reached)))
+    return _report("cell_entropy", worst, tol, where, _first_nonfinite(trajectory))
+
+
+class _CellEntropy(_Check):
+    """:func:`check_entropy` on blocks of B + 1 states, with u^0's constants."""
+
+    name = "cell_entropy"
+
+    def __init__(self, u0: GridState, weights: QuadratureWeights, flux: TwoPointFlux):
+        self.weights, self.flux = weights, flux
+        self.tol = _entropy_tolerance(u0)
+        constants = kruzhkov_constants(u0)  # not finite when u^0 is not: the stream fails it
+        self.constants = constants if np.all(np.isfinite(constants)) else None
+        self.size = _block_steps(u0.n_cells, weights.n_terms) + 1
+        self.block, self.start = [u0], 0
+
+    def observe(self, n: int, state: GridState) -> None:
+        self.block.append(state)
+        if len(self.block) == self.size:
+            self._flush()
+
+    def _flush(self) -> None:
+        if len(self.block) > 1 and self.constants is not None:
+            rep = check_entropy(self.block, self.weights, self.flux, self.constants)
+            if rep.violation > self.worst:  # strict: the earliest step keeps a tie
+                step, *rest = rep.location
+                self.worst, self.where = rep.violation, (self.start + step, *rest)
+        self.start += len(self.block) - 1
+        self.block = self.block[-1:]
+
+    def result(self) -> tuple:
+        self._flush()
+        return super().result()
+
+
+def _bundle(u0: GridState, weights: QuadratureWeights, flux: TwoPointFlux) -> list:
+    checks = [_MaxPrinciple(u0), _TotalVariation(u0)]
+    if u0.boundary == "periodic":
+        checks.append(_Conservation(u0))
+    return checks + [_CellEntropy(u0, weights, flux)]
+
+
+def audit_stream(weights: QuadratureWeights, flux: TwoPointFlux) -> AuditStream:
+    """The audit bundle of :func:`audit_trajectory` as a ``run`` observer.
+
+    Pass it as ``run(..., observer=audit)``, then ``audit.finish()`` returns the
+    reports that ``audit_trajectory`` gives on the stored trajectory.
+    """
+    return AuditStream(lambda u0: _bundle(u0, weights, flux))
 
 
 def audit_trajectory(
     trajectory: Sequence[GridState], weights: QuadratureWeights, flux: TwoPointFlux
 ) -> list[InvariantReport]:
     """Max principle, TVD, conservation (periodic grids only) and cell entropy."""
-    reports = [check_max_principle(trajectory), check_tvd(trajectory)]
-    if trajectory[0].boundary == "periodic":
-        reports.append(check_conservation(trajectory))
-    reports.append(check_entropy(trajectory, weights, flux))
-    return reports
+    return _fed(audit_stream(weights, flux), trajectory)

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import InvariantReport, audit_trajectory
+from .diagnostics import InvariantReport, audit_stream
 from .fluxes import make_flux, make_local_flux
 from .kernels import Kernel, compute_weights
 from .reference import Problem, l1_error
-from .solver import GridState, SchemeConfig, run, state_at
+from .solver import GridState, SchemeConfig, run
 
 __all__ = [
     "LevelRecord",
@@ -174,7 +174,8 @@ def _run_level(
     """Run one grid; return its snapshots at ``targets``, wall time, audits and n_cells.
 
     Every study level and the CLI's run and check reach ``run`` through here.
-    Only an audited run keeps its whole trajectory.
+    ``run`` keeps only the snapshots; an audited run streams every state
+    through :func:`~horizonflux.diagnostics.audit_stream` as it is made.
     """
     x0, n_cells = _level_geometry(problem, dx)
     kernel = Kernel(delta=delta, profile=profile)
@@ -182,15 +183,13 @@ def _run_level(
         kernel=kernel, flux=flux, mesh_ratio=mesh_ratio, final_time=final_time
     )
     started = time.perf_counter()
+    audit = audit_stream(compute_weights(kernel, dx), flux) if run_checks else None
     states = run(
         config, problem.u0, x0=x0, dx=dx, n_cells=n_cells, boundary=problem.boundary,
-        output_times=targets, store="all" if run_checks else "snapshots",
-        enforce_cfl=enforce_cfl, breakpoints=problem.u0_breakpoints or None,
+        output_times=targets, enforce_cfl=enforce_cfl,
+        breakpoints=problem.u0_breakpoints or None, observer=audit,
     )
-    reports: list[InvariantReport] = []
-    if run_checks:
-        reports = audit_trajectory(states, compute_weights(kernel, dx), flux)
-        states = [state_at(states, t) for t in targets]
+    reports = audit.finish() if run_checks else []
     return states, time.perf_counter() - started, reports, n_cells
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "cell_average_init",
     "cfl_dt",
     "run",
-    "state_at",
     "step",
     "step_conservative_form",
     "validate_cfl",
@@ -325,14 +324,19 @@ def run(
     store: str = "snapshots",
     enforce_cfl: bool = True,
     breakpoints: Sequence[float] | None = None,
+    observer: Callable[[GridState], None] | None = None,
 ) -> list[GridState]:
     """March the scheme to ``config.final_time`` with fixed dt = mesh_ratio * dx.
 
     The final step is shortened to land exactly on the final time (shortening
     only tightens the CFL bound, so it preserves every monotone-scheme
-    property).  With ``store="snapshots"`` the returned list holds, for each
-    requested output time t, the state whose time cell contains t; with
-    ``store="all"`` it holds every computed state.
+    property).  Output times must lie in [0, final_time] in either mode.  With
+    ``store="snapshots"`` the returned list holds, for each requested output
+    time t, the state whose time cell [t_n, t_{n+1}) contains t; with
+    ``store="all"`` it holds every computed state.  ``observer``, if given, is
+    called with u^0 and then with each new state once its time is set and its
+    values are checked finite, so it can audit the run without the trajectory
+    being stored (see :func:`horizonflux.diagnostics.audit_stream`).
 
     Raises RuntimeError with the step index if the solution stops being
     finite, and CflViolationError up front when ``enforce_cfl`` is set and the
@@ -359,17 +363,14 @@ def run(
     if remainder <= 1e-12 * max(1.0, t_end):
         remainder = 0.0
 
+    targets = sorted({0.0, t_end} if output_times is None else {float(t) for t in output_times})
+    for t in targets:
+        if t < -1e-12 or t > t_end + 1e-9 * max(1.0, t_end):
+            raise ValueError(f"output time {t} outside [0, {t_end}]")
     if store == "all":
-        trajectory = [state]
-    targets: list[float] = []
-    if store == "snapshots":
-        if output_times is None:
-            targets = sorted({0.0, t_end})
-        else:
-            targets = sorted(set(float(t) for t in output_times))
-            for t in targets:
-                if t < -1e-12 or t > t_end + 1e-9 * max(1.0, t_end):
-                    raise ValueError(f"output time {t} outside [0, {t_end}]")
+        trajectory, targets = [state], []
+    if observer is not None:
+        observer(state)
     snapshots: list[GridState] = []
     ptr = 0
     eps = 1e-9 * max(dt, 1e-300)
@@ -386,6 +387,8 @@ def run(
         state.time = t_next
         if not np.all(np.isfinite(state.values)):
             raise RuntimeError(f"non-finite solution values after step {i + 1}")
+        if observer is not None:
+            observer(state)
         if store == "all":
             trajectory.append(state)
     while ptr < len(targets):
@@ -393,14 +396,3 @@ def run(
         ptr += 1
 
     return trajectory if store == "all" else snapshots
-
-
-def state_at(trajectory: Sequence[GridState], t: float) -> GridState:
-    """The state whose time cell [t_n, t_{n+1}) contains t (clamped at the ends)."""
-    if not trajectory:
-        raise ValueError("empty trajectory")
-    times = np.array([s.time for s in trajectory])
-    spans = np.diff(times)
-    eps = 1e-9 * float(np.min(spans[spans > 0])) if np.any(spans > 0) else 1e-12
-    idx = int(np.searchsorted(times, t + eps, side="right")) - 1
-    return trajectory[max(idx, 0)]

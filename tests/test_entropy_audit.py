@@ -20,8 +20,12 @@ from horizonflux import (
     PROFILE_NAMES,
     GridState,
     TwoPointFlux,
+    audit_stream,
     cfl_dt,
+    check_conservation,
     check_entropy,
+    check_max_principle,
+    check_tvd,
     cell_entropy_residual,
     entropy_residuals,
     kruzhkov_constants,
@@ -266,7 +270,9 @@ def _local_for(family, draw):
 def test_monotone_runs_satisfy_the_cell_entropy_inequality(data):
     """Crandall & Majda: a monotone, consistent, conservative scheme satisfies the
     cell entropy inequalities, for every family, profile, boundary and r, up to
-    the CFL bound (Lax-Friedrichs up to its monotonicity edge)."""
+    the CFL bound (Lax-Friedrichs up to its monotonicity edge).  It also keeps
+    the maximum principle, is TVD and, on periodic grids, conserves mass; the
+    audit streamed step by step reports exactly what the list checks do."""
     family = data.draw(st.sampled_from(FLUX_FAMILIES), label="family")
     local = _local_for(family, data.draw)
     boundary = data.draw(st.sampled_from(BOUNDARY_MODES), label="boundary")
@@ -288,9 +294,16 @@ def test_monotone_runs_satisfy_the_cell_entropy_inequality(data):
     ratio = data.draw(st.sampled_from([1.0, 0.9, 0.5, 0.1]), label="cfl_fraction")
     weights = weights_for_r(r, dx, profile)
     dt = cfl_dt(state, flux, safety=ratio)
+    audit = audit_stream(weights, flux)
     trajectory = [state]
+    audit(state)
     for _ in range(3):
         trajectory.append(step(trajectory[-1], weights, flux, dt))
-    report = check_entropy(trajectory, weights, flux)
-    assert report.passed, report
-    assert_matches_oracle(report, trajectory, weights, flux)
+        audit(trajectory[-1])
+    reports = [check_max_principle(trajectory), check_tvd(trajectory)]
+    if boundary == "periodic":
+        reports.append(check_conservation(trajectory))
+    reports.append(check_entropy(trajectory, weights, flux))
+    assert all(rep.passed for rep in reports), reports
+    assert audit.finish() == reports
+    assert_matches_oracle(reports[-1], trajectory, weights, flux)

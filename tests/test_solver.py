@@ -17,7 +17,6 @@ from horizonflux import (
     make_flux,
     make_local_flux,
     run,
-    state_at,
     step,
     step_conservative_form,
     validate_cfl,
@@ -220,6 +219,15 @@ def test_run_snapshots_select_time_cells():
     assert snaps[2].time == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("store", ["snapshots", "all"])
+@pytest.mark.parametrize("times", [[99.0], [0.5, -0.1]])
+def test_run_rejects_output_times_outside_the_run(store, times):
+    cfg = _shock_config(0.05, 1 / 32, T=1.0)
+    with pytest.raises(ValueError, match="outside"):
+        run(cfg, RiemannData(1.0, 0.0), x0=-1.0, dx=1 / 32, n_cells=64,
+            boundary="constant_extension", output_times=times, store=store)
+
+
 def test_run_enforces_cfl_by_default():
     cfg = _shock_config(0.05, 1 / 32, mesh_ratio=1.7)
     with pytest.raises(CflViolationError):
@@ -291,14 +299,6 @@ def test_extended_ghost_reads():
     np.testing.assert_array_equal(state.extended(2), [1, 1, 1, 2, 3, 3, 3])
     wrap = GridState(dx=1.0, x0=0.0, values=np.array([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(wrap.extended(4), [3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1])
-
-
-def test_state_at_picks_time_cell():
-    mk = lambda t: GridState(dx=1.0, x0=0.0, values=np.array([t]), time=t)
-    traj = [mk(0.0), mk(0.1), mk(0.2)]
-    assert state_at(traj, 0.05).time == 0.0
-    assert state_at(traj, 0.1).time == 0.1
-    assert state_at(traj, 0.9).time == 0.2
 
 
 # -- discrete invariants under stepping --------------------------------------------
