@@ -46,12 +46,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_override_flags(sub) -> None:
-    sub.add_argument("--dx", help="override [grid] dx")
-    sub.add_argument("--delta", help="override [kernel] delta")
-    sub.add_argument("--flux", help="override [flux] family")
-    sub.add_argument("--T", help="override [problem] T")
-    sub.add_argument("--levels", help="override [study] levels")
-    sub.add_argument("--out", help="override [output] dir")
+    for flag, dotted in _OVERRIDE_FLAGS.items():
+        section, key = dotted.split(".")
+        sub.add_argument(f"--{flag}", help=f"override [{section}] {key}")
 
 
 def _overrides(args) -> dict[str, str]:
@@ -152,6 +149,14 @@ def _cmd_study(args) -> int:
     return 0 if report.passed() else 2
 
 
+def _float_flag(args, flag: str) -> float:
+    raw = getattr(args, flag)
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"--{flag} expects a float, got {raw!r}") from None
+
+
 def _cmd_weights(args) -> int:
     if args.config is not None:
         cfg = parse_config(args.config, _overrides(args))
@@ -161,7 +166,7 @@ def _cmd_weights(args) -> int:
         if args.delta is None or args.dx is None:
             raise ValueError("weights needs --config or both --delta and --dx")
         profile = args.profile or "uniform"
-        delta, dx = float(args.delta), float(args.dx)
+        delta, dx = _float_flag(args, "delta"), _float_flag(args, "dx")
         out_dir = args.out
     weights = compute_weights(Kernel(delta=delta, profile=profile), dx)
     sys.stdout.write(weights_table(weights))

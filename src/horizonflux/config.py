@@ -11,57 +11,45 @@ enforces it and exits 1 when a level's mesh ratio breaks it.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, replace
 
 from .fluxes import FLUX_FAMILIES
 from .harness import DEFAULT_OUTPUT_TIMES, _build_flux
 from .kernels import PROFILE_NAMES
-from .reference import PROBLEM_NAMES, Problem, get_problem
+from .reference import Problem, get_problem
 from .solver import BOUNDARY_MODES, validate_cfl
 
 __all__ = ["RunConfig", "config_to_text", "parse_config", "parse_config_text"]
 
 _REGIMES = ("fixed_delta", "joint_limit")
 
-# section -> key -> (type tag, default or REQUIRED marker)
+# One row per RunConfig field, in its order (also the order of the text form):
+# (field, section, key, type tag, default or the REQUIRED marker).
 _REQUIRED = object()
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "kernel": {
-        "profile": ("str", "uniform"),
-        "delta": ("float", _REQUIRED),
-    },
-    "flux": {
-        "family": ("str", _REQUIRED),
-        "lf_lambda": ("float", None),
-    },
-    "problem": {
-        "name": ("str", _REQUIRED),
-        "x_left": ("float", None),
-        "x_right": ("float", None),
-        "window_left": ("float", None),
-        "window_right": ("float", None),
-        "T": ("float", None),
-        "boundary": ("str", None),
-    },
-    "grid": {
-        "dx": ("float", _REQUIRED),
-    },
-    "time": {
-        "mesh_ratio": ("float", _REQUIRED),
-        "enforce_cfl": ("bool", True),
-    },
-    "study": {
-        "regime": ("str", "joint_limit"),
-        "levels": ("int", 4),
-        "coupling": ("float", 2.0),
-        "output_times": ("int", DEFAULT_OUTPUT_TIMES),
-    },
-    "output": {
-        "dir": ("str", "out"),
-    },
-}
+_FIELDS = (
+    ("profile", "kernel", "profile", "str", "uniform"),
+    ("delta", "kernel", "delta", "float", _REQUIRED),
+    ("flux_family", "flux", "family", "str", _REQUIRED),
+    ("lf_lambda", "flux", "lf_lambda", "float", None),
+    ("problem", "problem", "name", "str", _REQUIRED),
+    ("x_left", "problem", "x_left", "float", None),
+    ("x_right", "problem", "x_right", "float", None),
+    ("window_left", "problem", "window_left", "float", None),
+    ("window_right", "problem", "window_right", "float", None),
+    ("final_time", "problem", "T", "float", None),
+    ("boundary", "problem", "boundary", "str", None),
+    ("dx", "grid", "dx", "float", _REQUIRED),
+    ("mesh_ratio", "time", "mesh_ratio", "float", _REQUIRED),
+    ("enforce_cfl", "time", "enforce_cfl", "bool", True),
+    ("regime", "study", "regime", "str", "joint_limit"),
+    ("levels", "study", "levels", "int", 4),
+    ("coupling", "study", "coupling", "float", 2.0),
+    ("output_times", "study", "output_times", "int", DEFAULT_OUTPUT_TIMES),
+    ("out_dir", "output", "dir", "str", "out"),
+)
+_SCHEMA = {(section, key) for _, section, key, _, _ in _FIELDS}
+_SECTIONS = sorted({section for section, _ in _SCHEMA})
 
 
 @dataclass(frozen=True)
@@ -138,34 +126,31 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Run
 
     raw: dict[tuple[str, str], str] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ValueError(
-                f"unknown config section [{section}]; valid sections: "
-                + ", ".join(sorted(_SCHEMA))
+                f"unknown config section [{section}]; valid sections: " + ", ".join(_SECTIONS)
             )
         for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _SCHEMA:
                 raise ValueError(
                     f"unknown key {key!r} in section [{section}]; valid keys: "
-                    + ", ".join(sorted(_SCHEMA[section]))
+                    + ", ".join(sorted(k for s, k in _SCHEMA if s == section))
                 )
             raw[(section, key)] = value
     for dotted, value in (overrides or {}).items():
         section, _, key = dotted.partition(".")
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
+        if (section, key) not in _SCHEMA:
             raise ValueError(f"unknown override {dotted!r}")
         raw[(section, key)] = value
 
-    values: dict[tuple[str, str], object] = {}
-    for section, keys in _SCHEMA.items():
-        for key, (kind, default) in keys.items():
-            if (section, key) in raw:
-                values[(section, key)] = _convert(section, key, kind, raw[(section, key)])
-            elif default is _REQUIRED:
-                raise ValueError(f"missing required config key [{section}] {key}")
-            else:
-                values[(section, key)] = default
-
+    values: dict[str, object] = {}
+    for name, section, key, kind, default in _FIELDS:
+        if (section, key) in raw:
+            values[name] = _convert(section, key, kind, raw[(section, key)])
+        elif default is _REQUIRED:
+            raise ValueError(f"missing required config key [{section}] {key}")
+        else:
+            values[name] = default
     return _validate(values)
 
 
@@ -175,111 +160,65 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         return parse_config_text(handle.read(), overrides)
 
 
-def _positive(name: str, value: float) -> float:
+def _positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
-    return float(value)
 
 
-def _validate(v: dict[tuple[str, str], object]) -> RunConfig:
-    problem_name = v[("problem", "name")]
-    if problem_name not in PROBLEM_NAMES:
-        raise ValueError(
-            f"unknown problem {problem_name!r}; valid problems: "
-            + ", ".join(PROBLEM_NAMES)
-        )
-    base = get_problem(problem_name)
+def _one_of(value, choices, what: str, valid: str) -> None:
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; {valid}: " + ", ".join(choices))
 
-    profile = v[("kernel", "profile")]
-    if profile not in PROFILE_NAMES:
-        raise ValueError(
-            f"unknown kernel profile {profile!r}; valid profiles: "
-            + ", ".join(PROFILE_NAMES)
-        )
-    family = v[("flux", "family")]
-    if family not in FLUX_FAMILIES:
-        raise ValueError(
-            f"unknown flux family {family!r}; valid families: "
-            + ", ".join(FLUX_FAMILIES)
-        )
-    lf_lambda = v[("flux", "lf_lambda")]
+
+def _validate(v: dict[str, object]) -> RunConfig:
+    base = get_problem(v["problem"])
+    _one_of(v["profile"], PROFILE_NAMES, "kernel profile", "valid profiles")
+    family, lf_lambda = v["flux_family"], v["lf_lambda"]
+    _one_of(family, FLUX_FAMILIES, "flux family", "valid families")
     if family == "lax_friedrichs":
         if lf_lambda is None:
             raise ValueError("lax_friedrichs requires [flux] lf_lambda")
         _positive("lf_lambda", lf_lambda)
     elif lf_lambda is not None:
         raise ValueError(f"[flux] lf_lambda only applies to lax_friedrichs, not {family!r}")
+    for name, label in (("delta", "[kernel] delta"), ("dx", "[grid] dx"),
+                        ("mesh_ratio", "[time] mesh_ratio")):
+        _positive(label, v[name])
 
-    delta = _positive("[kernel] delta", v[("kernel", "delta")])
-    dx = _positive("[grid] dx", v[("grid", "dx")])
-    mesh_ratio = _positive("[time] mesh_ratio", v[("time", "mesh_ratio")])
-
-    x_left = v[("problem", "x_left")]
-    x_right = v[("problem", "x_right")]
-    x_left = base.domain[0] if x_left is None else float(x_left)
-    x_right = base.domain[1] if x_right is None else float(x_right)
+    # unset geometry comes from the named problem
+    for name, default in (("x_left", base.domain[0]), ("x_right", base.domain[1]),
+                          ("final_time", base.final_time), ("boundary", base.boundary)):
+        if v[name] is None:
+            v[name] = default
+    x_left, x_right = v["x_left"], v["x_right"]
     if not x_left < x_right:
         raise ValueError(f"domain must satisfy x_left < x_right, got ({x_left}, {x_right})")
-
-    window_left = v[("problem", "window_left")]
-    window_right = v[("problem", "window_right")]
-    window_left = max(base.window[0], x_left) if window_left is None else float(window_left)
-    window_right = min(base.window[1], x_right) if window_right is None else float(window_right)
+    if v["window_left"] is None:
+        v["window_left"] = max(base.window[0], x_left)
+    if v["window_right"] is None:
+        v["window_right"] = min(base.window[1], x_right)
+    window_left, window_right = v["window_left"], v["window_right"]
     if not window_left < window_right:
         raise ValueError(
             f"window must satisfy window_left < window_right, got ({window_left}, {window_right})"
         )
     if window_left < x_left - 1e-12 or window_right > x_right + 1e-12:
         raise ValueError("measurement window must lie inside the domain")
+    if not (math.isfinite(v["final_time"]) and v["final_time"] >= 0.0):
+        raise ValueError(f"[problem] T must be nonnegative, got {v['final_time']}")
+    _one_of(v["boundary"], BOUNDARY_MODES, "boundary", "valid modes")
 
-    final_time = v[("problem", "T")]
-    final_time = base.final_time if final_time is None else float(final_time)
-    if not (math.isfinite(final_time) and final_time >= 0.0):
-        raise ValueError(f"[problem] T must be nonnegative, got {final_time}")
+    _one_of(v["regime"], _REGIMES, "study regime", "valid")
+    if v["levels"] < 2:
+        raise ValueError(f"[study] levels must be at least 2, got {v['levels']}")
+    _positive("[study] coupling", v["coupling"])
+    if v["output_times"] < 2:
+        raise ValueError(f"[study] output_times must be at least 2, got {v['output_times']}")
 
-    boundary = v[("problem", "boundary")]
-    boundary = base.boundary if boundary is None else boundary
-    if boundary not in BOUNDARY_MODES:
-        raise ValueError(
-            f"unknown boundary {boundary!r}; valid modes: " + ", ".join(BOUNDARY_MODES)
-        )
-
-    regime = v[("study", "regime")]
-    if regime not in _REGIMES:
-        raise ValueError(f"unknown study regime {regime!r}; valid: " + ", ".join(_REGIMES))
-    levels = v[("study", "levels")]
-    if levels < 2:
-        raise ValueError(f"[study] levels must be at least 2, got {levels}")
-    coupling = _positive("[study] coupling", v[("study", "coupling")])
-    output_times = v[("study", "output_times")]
-    if output_times < 2:
-        raise ValueError(f"[study] output_times must be at least 2, got {output_times}")
-
-    enforce_cfl = v[("time", "enforce_cfl")]
-    cfg = RunConfig(
-        profile=profile,
-        delta=delta,
-        flux_family=family,
-        lf_lambda=lf_lambda,
-        problem=problem_name,
-        x_left=x_left,
-        x_right=x_right,
-        window_left=window_left,
-        window_right=window_right,
-        final_time=final_time,
-        boundary=boundary,
-        dx=dx,
-        mesh_ratio=mesh_ratio,
-        enforce_cfl=enforce_cfl,
-        regime=regime,
-        levels=levels,
-        coupling=coupling,
-        output_times=output_times,
-        out_dir=v[("output", "dir")],
-    )
-    if enforce_cfl:
+    cfg = RunConfig(**v)
+    if cfg.enforce_cfl:
         # reject an over-large mesh ratio now, naming the computed bound
-        validate_cfl(cfg.build_flux(), mesh_ratio, *base.data_box)
+        validate_cfl(cfg.build_flux(), cfg.mesh_ratio, *base.data_box)
     return cfg
 
 
@@ -293,37 +232,13 @@ def _fmt(value) -> str:
 
 def config_to_text(cfg: RunConfig) -> str:
     """Canonical text form; ``parse_config_text`` round-trips it exactly."""
-    sections: dict[str, dict[str, object]] = {
-        "kernel": {"profile": cfg.profile, "delta": cfg.delta},
-        "flux": {"family": cfg.flux_family},
-        "problem": {
-            "name": cfg.problem,
-            "x_left": cfg.x_left,
-            "x_right": cfg.x_right,
-            "window_left": cfg.window_left,
-            "window_right": cfg.window_right,
-            "T": cfg.final_time,
-            "boundary": cfg.boundary,
-        },
-        "grid": {"dx": cfg.dx},
-        "time": {
-            "mesh_ratio": cfg.mesh_ratio,
-            "enforce_cfl": cfg.enforce_cfl,
-        },
-        "study": {
-            "regime": cfg.regime,
-            "levels": cfg.levels,
-            "coupling": cfg.coupling,
-            "output_times": cfg.output_times,
-        },
-        "output": {"dir": cfg.out_dir},
-    }
-    if cfg.lf_lambda is not None:
-        sections["flux"]["lf_lambda"] = cfg.lf_lambda
-    out = io.StringIO()
-    for section, keys in sections.items():
-        out.write(f"[{section}]\n")
-        for key, value in keys.items():
-            out.write(f"{key} = {_fmt(value)}\n")
-        out.write("\n")
-    return out.getvalue()
+    text, current = "", None
+    for name, section, key, _, _ in _FIELDS:
+        value = getattr(cfg, name)
+        if value is None:  # lf_lambda of a family other than lax_friedrichs
+            continue
+        if section != current:
+            text += ("\n" if current else "") + f"[{section}]\n"
+            current = section
+        text += f"{key} = {_fmt(value)}\n"
+    return text + "\n"

@@ -27,16 +27,13 @@ __all__ = [
     "InvariantReport",
     "audit_stream",
     "audit_trajectory",
-    "cell_entropy_residual",
     "check_conservation",
     "check_entropy",
     "check_l1_contraction",
     "check_max_principle",
     "check_ordering",
     "check_tvd",
-    "discrete_bv_norm",
     "discrete_l1_norm",
-    "entropy_residuals",
     "kruzhkov_constants",
     "l1_distance",
     "total_variation",
@@ -86,6 +83,16 @@ def _first_nonfinite(*trajectories) -> tuple | None:
     return None
 
 
+def _first(*trajectories: Sequence[GridState]) -> GridState:
+    """u^0 of the first trajectory.  The trajectories must be equally long and,
+    like a streamed audit, hold at least one state."""
+    if len({len(t) for t in trajectories}) > 1:
+        raise ValueError("trajectories have different lengths")
+    if len(trajectories[0]) == 0:
+        raise ValueError("the audit saw no state")
+    return trajectories[0][0]
+
+
 def _report(name, violation, tolerance, location, bad=None) -> InvariantReport:
     """The verdict; ``bad``, the first non-finite (step, cell), fails it outright."""
     if bad is not None:
@@ -121,15 +128,14 @@ def total_variation(state: GridState) -> float:
     return tv
 
 
-def discrete_bv_norm(state: GridState) -> float:
-    """dx-weighted total variation, dx * sum_j |u_{j+1} - u_j|."""
-    return state.dx * total_variation(state)
+def _same_grid(a: GridState, b: GridState) -> None:
+    if a.n_cells != b.n_cells or abs(a.dx - b.dx) > 1e-12 * a.dx:
+        raise ValueError("states live on different grids")
 
 
 def l1_distance(a: GridState, b: GridState) -> float:
     """dx * sum_j |a_j - b_j| for two states on the same grid."""
-    if a.n_cells != b.n_cells or abs(a.dx - b.dx) > 1e-12 * a.dx:
-        raise ValueError("states live on different grids")
+    _same_grid(a, b)
     return a.dx * float(np.sum(np.abs(a.values - b.values)))
 
 
@@ -252,8 +258,7 @@ def check_l1_contraction(
     traj_a: Sequence[GridState], traj_b: Sequence[GridState]
 ) -> InvariantReport:
     """The discrete L1 distance of two runs must be non-increasing in time."""
-    if len(traj_a) != len(traj_b):
-        raise ValueError("trajectories have different lengths")
+    _first(traj_a, traj_b)
     dists = [l1_distance(a, b) for a, b in zip(traj_a, traj_b)]
     tol = 1e-12 * (1.0 + dists[0])
     worst, where = 0.0, None
@@ -268,13 +273,9 @@ def check_ordering(
     traj_a: Sequence[GridState], traj_b: Sequence[GridState]
 ) -> InvariantReport:
     """If u0 <= v0 componentwise, the ordering must persist at every step."""
-    if len(traj_a) != len(traj_b):
-        raise ValueError("trajectories have different lengths")
-    scale = 1.0 + max(
-        float(np.max(np.abs(traj_a[0].values))), float(np.max(np.abs(traj_b[0].values)))
-    )
-    tol = 1e-12 * scale
-    if np.any(traj_a[0].values > traj_b[0].values + tol):
+    u0, v0 = _first(traj_a, traj_b).values, traj_b[0].values
+    tol = 1e-12 * (1.0 + max(float(np.max(np.abs(u0))), float(np.max(np.abs(v0)))))
+    if np.any(u0 > v0 + tol):
         raise ValueError("initial data not ordered: need u0 <= v0")
     worst, where = 0.0, None
     for n, (a, b) in enumerate(zip(traj_a, traj_b)):
@@ -314,8 +315,7 @@ def _as_constants(constants) -> np.ndarray:
 
 def _step_dt(state_n: GridState, state_np1: GridState, weights: QuadratureWeights) -> float:
     _check_pair(state_n, weights)
-    if state_n.n_cells != state_np1.n_cells or abs(state_n.dx - state_np1.dx) > 1e-12 * state_n.dx:
-        raise ValueError("states live on different grids")
+    _same_grid(state_n, state_np1)
     dt = state_np1.time - state_n.time
     if not dt > 0.0:
         raise ValueError("states are not one step apart (need increasing times)")
@@ -428,73 +428,6 @@ def _stencil_summary(ext: np.ndarray, weights: QuadratureWeights, flux: TwoPoint
     return lo, hi, s
 
 
-def _entropy_residual_matrix(
-    state_n: GridState,
-    state_np1: GridState,
-    weights: QuadratureWeights,
-    flux: TwoPointFlux,
-    constants,
-) -> np.ndarray:
-    """Full residual matrix, one row per Kruzhkov constant, one column per cell.
-
-    The q-sum is taken on the straddle block only: every constant that
-    straddles some cell's stencil, on every cell that some constant straddles
-    (see :func:`entropy_residuals`).
-    """
-    dt = _step_dt(state_n, state_np1, weights)
-    col = _as_constants(constants)[:, None]
-    u0, u1 = state_n.values, state_np1.values
-    ext = state_n.extended(weights.n_terms)
-    lo, hi, s = (a[0] for a in _stencil_summary(ext[None], weights, flux))
-    flat = lo == hi  # S_j = 0 exactly there
-    above = (col >= hi) & ~flat
-    residual = _residual(u0, u1, col, dt, np.where(above, -s, s))
-    straddle = ~(flat | (col >= hi) | (col <= lo))  # non-finite stencils straddle every c
-    rows, cells = np.flatnonzero(straddle.any(axis=1)), np.flatnonzero(straddle.any(axis=0))
-    if cells.size:
-        cols, at = _stencil_columns(cells, weights.n_terms, ext.size)
-        q = _q_sums(ext[cols], col[rows], weights, flux)[:, at]
-        residual[np.ix_(rows, cells)] = _residual(u0[cells], u1[cells], col[rows], dt, q)
-    return residual
-
-
-def entropy_residuals(
-    state_n: GridState,
-    state_np1: GridState,
-    weights: QuadratureWeights,
-    flux: TwoPointFlux,
-    constants,
-) -> np.ndarray:
-    """Worst cell entropy residual for each Kruzhkov constant.
-
-    residual_j(c) = |u^{n+1}_j - c| - |u^n_j - c|
-                    + dt * sum_k [q(u_j, u_{j+k}; c) - q(u_{j-k}, u_j; c)] W_k
-
-    and entropy satisfaction means max_j residual_j(c) <= 0 up to round-off.
-    Returns max_j residual_j(c) for every c in ``constants``, a non-empty 1-D
-    array of finite values.
-
-    Lattice identity: if c >= max of u^n over cell j's stencil j-R..j+R
-    (R = n_terms), every pair there has q(a, b; c) = g(c, c) - g(a, b), so the
-    q-sum is exactly -S_j, where S_j = sum_k W_k [g(u_j, u_{j+k}) - g(u_{j-k}, u_j)]
-    is the flux sum of ``step``; if c <= the stencil min it is +S_j.  Neither
-    case reads u^{n+1}.  Only the straddle set, min < c < max, takes the q-sum.
-    """
-    matrix = _entropy_residual_matrix(state_n, state_np1, weights, flux, constants)
-    return matrix.max(axis=1)
-
-
-def cell_entropy_residual(
-    state_n: GridState,
-    state_np1: GridState,
-    weights: QuadratureWeights,
-    flux: TwoPointFlux,
-    c: float,
-) -> float:
-    """Worst cell entropy residual for a single (finite) Kruzhkov constant."""
-    return float(entropy_residuals(state_n, state_np1, weights, flux, [c])[0])
-
-
 def check_entropy(
     trajectory: Sequence[GridState],
     weights: QuadratureWeights,
@@ -503,11 +436,22 @@ def check_entropy(
 ) -> InvariantReport:
     """Cell entropy inequality over every step and every Kruzhkov constant.
 
-    ``constants`` defaults to :func:`kruzhkov_constants` of the first state;
-    given ones must form a non-empty 1-D array of finite values.
+    residual_j(c) = |u^{n+1}_j - c| - |u^n_j - c|
+                    + dt * sum_k [q(u_j, u_{j+k}; c) - q(u_{j-k}, u_j; c)] W_k
 
-    Only a few constants can hold cell j's largest residual.  At or above the
-    stencil max M_j the lattice identity (see :func:`entropy_residuals`) gives
+    and entropy satisfaction means residual_j(c) <= 0 up to round-off for
+    every step, cell j and c.  ``constants`` defaults to
+    :func:`kruzhkov_constants` of the first state; given ones must form a
+    non-empty 1-D array of finite values.
+
+    Lattice identity: if c >= max of u^n over cell j's stencil j-R..j+R
+    (R = n_terms), every pair there has q(a, b; c) = g(c, c) - g(a, b), so the
+    q-sum is exactly -S_j, where S_j = sum_k W_k [g(u_j, u_{j+k}) - g(u_{j-k}, u_j)]
+    is the flux sum of ``step``; if c <= the stencil min it is +S_j.  Neither
+    case reads u^{n+1}.  Only the straddle set, min < c < max, takes the q-sum.
+
+    Only a few constants can therefore hold cell j's largest residual.  At or
+    above the stencil max M_j the identity gives
     residual_j(c) = |u^{n+1}_j - c| - (c - u^n_j) - dt S_j, nonincreasing in c;
     at or below the stencil min m_j, |u^{n+1}_j - c| - (u^n_j - c) + dt S_j,
     nondecreasing in c.  So in real arithmetic cell j's maximum is at the
@@ -527,7 +471,7 @@ def check_entropy(
     reduction may miss the full matrix's maximum by round-off.  Ties go to the
     earliest step, then the lowest cell, then the smallest constant.
     """
-    tol = _entropy_tolerance(trajectory[0])
+    tol = _entropy_tolerance(_first(trajectory))
     if constants is None:
         constants = kruzhkov_constants(trajectory[0])
         if not np.all(np.isfinite(constants)):  # u^0 is not finite: _report fails it

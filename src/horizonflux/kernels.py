@@ -56,7 +56,6 @@ _PROFILES = {
     "triangular": (_rho_triangular, _cdf_triangular),
     "quadratic": (_rho_quadratic, _cdf_quadratic),
 }
-_ALIASES = {"triangular_decreasing": "triangular"}
 
 PROFILE_NAMES = tuple(sorted(_PROFILES))
 
@@ -75,13 +74,11 @@ class Kernel:
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"horizon delta must be positive and finite, got {self.delta}")
-        name = _ALIASES.get(self.profile, self.profile)
-        if name not in _PROFILES:
+        if self.profile not in _PROFILES:
             raise ValueError(
                 f"unknown kernel profile {self.profile!r}; valid profiles: "
                 + ", ".join(PROFILE_NAMES)
             )
-        object.__setattr__(self, "profile", name)
 
     def density(self, h):
         """Evaluate w(h); zero outside [0, delta]."""
@@ -98,17 +95,6 @@ class Kernel:
         s = np.clip(np.asarray(h, dtype=float) / self.delta, 0.0, 1.0)
         out = cdf(s)
         return float(out) if out.ndim == 0 else out
-
-    def mass(self, a: float, b: float) -> float:
-        """Exact integral of the kernel over [a, b].
-
-        Integration limits are clamped to the support [0, delta]; computed
-        from the profile antiderivative, so the result carries no quadrature
-        error.  Requires 0 <= a <= b.
-        """
-        if not (0.0 <= a <= b):
-            raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
-        return self.cumulative(b) - self.cumulative(a)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ sign changes of the integrand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .solver import GridState
+from .solver import _GL_NODES, _GL_WEIGHTS, GridState
 
 __all__ = [
     "AdvectionExact",
@@ -23,13 +23,9 @@ __all__ = [
     "PROBLEM_NAMES",
     "Problem",
     "RiemannData",
-    "burgers_riemann_exact",
     "get_problem",
     "l1_error",
-    "linear_advection_exact",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 @dataclass(frozen=True)
@@ -87,11 +83,6 @@ class BurgersRiemannExact:
         return (self.x_jump + ul * t, self.x_jump + ur * t)
 
 
-def burgers_riemann_exact(u_left: float, u_right: float, x, t: float):
-    """Evaluate the exact Burgers Riemann solution (jump initially at x = 0)."""
-    return BurgersRiemannExact(u_left, u_right)(x, t)
-
-
 @dataclass(frozen=True)
 class AdvectionExact:
     """u(x, t) = u0(x - speed * t), optionally wrapped onto a periodic domain."""
@@ -121,11 +112,6 @@ class AdvectionExact:
             ]
             shifted = [p + self.period if p < self.x_left else p for p in shifted]
         return tuple(sorted(shifted))
-
-
-def linear_advection_exact(u0: Callable, speed: float, x, t: float):
-    """Evaluate u0(x - speed * t) on the whole line."""
-    return AdvectionExact(u0, speed)(x, t)
 
 
 # -- exact windowed L1 error ---------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,16 +165,17 @@ def cell_average_init(
     if breakpoints is None:
         breakpoints = getattr(u0, "breakpoints", None)
     if breakpoints is not None:
-        for p in np.atleast_1d(np.asarray(breakpoints, dtype=float)):
+        jumps = np.atleast_1d(np.asarray(breakpoints, dtype=float)).tolist()
+        cuts: dict[int, list[float]] = {}  # cell -> its left edge and its jumps, sorted
+        for p in sorted(set(jumps)):
             j = int(math.floor((p - x0) / dx))
-            if not (0 <= j < n_cells):
-                continue
-            lo, hi = x0 + j * dx, x0 + (j + 1) * dx
-            if p <= lo or p >= hi:
-                continue  # jump on an edge splits nothing
-            cuts = [lo, p, hi]
+            # a jump on an edge splits nothing
+            if 0 <= j < n_cells and x0 + j * dx < p < x0 + (j + 1) * dx:
+                cuts.setdefault(j, [x0 + j * dx]).append(p)
+        for j, points in cuts.items():
+            points.append(x0 + (j + 1) * dx)
             total = 0.0
-            for a, b in zip(cuts[:-1], cuts[1:]):
+            for a, b in zip(points[:-1], points[1:]):
                 mid, half = 0.5 * (a + b), 0.5 * (b - a)
                 total += half * float(np.dot(fn(mid + half * _GL_NODES), _GL_WEIGHTS))
             avg[j] = total / dx
@@ -365,7 +366,7 @@ def run(
 
     targets = sorted({0.0, t_end} if output_times is None else {float(t) for t in output_times})
     for t in targets:
-        if t < -1e-12 or t > t_end + 1e-9 * max(1.0, t_end):
+        if not -1e-12 <= t <= t_end + 1e-9 * max(1.0, t_end):  # NaN fails too
             raise ValueError(f"output time {t} outside [0, {t_end}]")
     if store == "all":
         trajectory, targets = [state], []

@@ -234,6 +234,15 @@ def test_cli_usage_error_exits_1(tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--delta", ["--delta", "abc", "--dx", "0.05"]),
+    ("--dx", ["--delta", "0.2", "--dx", "abc"]),
+])
+def test_weights_names_a_flag_that_is_not_a_number(flag, argv, capsys):
+    assert main(["weights", *argv]) == 1
+    assert f"{flag} expects a float, got 'abc'" in capsys.readouterr().err
+
+
 def test_cli_flag_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = main(["run", "--config", cfg, "--dx", "0.0625", "--T", "0.25",

@@ -7,7 +7,6 @@ from horizonflux import (
     RiemannData,
     SchemeConfig,
     audit_trajectory,
-    cell_entropy_residual,
     check_conservation,
     check_entropy,
     check_l1_contraction,
@@ -15,9 +14,7 @@ from horizonflux import (
     check_ordering,
     check_tvd,
     compute_weights,
-    discrete_bv_norm,
     discrete_l1_norm,
-    entropy_residuals,
     kruzhkov_constants,
     l1_distance,
     make_flux,
@@ -47,7 +44,6 @@ def test_norms_hand_values():
     state = GridState(dx=0.5, x0=0.0, values=np.array([1.0, -2.0, 3.0]))
     assert discrete_l1_norm(state) == pytest.approx(3.0)
     assert total_variation(state) == pytest.approx(10.0)  # |−3| + |5| + |−2| wrap
-    assert discrete_bv_norm(state) == pytest.approx(5.0)
     clamped = GridState(dx=0.5, x0=0.0, values=np.array([1.0, -2.0, 3.0]),
                         boundary="constant_extension")
     assert total_variation(clamped) == pytest.approx(8.0)  # ghosts add nothing
@@ -56,7 +52,6 @@ def test_norms_hand_values():
 def test_norms_constant_state():
     state = GridState(dx=0.1, x0=0.0, values=np.full(7, 4.2))
     assert total_variation(state) == 0.0
-    assert discrete_bv_norm(state) == 0.0
 
 
 def test_l1_distance_requires_matching_grids():
@@ -164,7 +159,8 @@ def test_entropy_residual_zero_for_constants():
     after = GridState(dx=0.1, x0=0.0, values=np.full(9, 1.3), time=0.05)
     weights = weights_for_r(2, 0.1)
     for c in (-1.0, 0.0, 1.3, 7.0):
-        assert cell_entropy_residual(state, after, weights, GODUNOV, c) == 0.0
+        rep = check_entropy([state, after], weights, GODUNOV, [c])
+        assert rep.violation == 0.0 and rep.location is None
 
 
 def test_entropy_residual_outside_range_reduces_to_update_identity():
@@ -173,8 +169,7 @@ def test_entropy_residual_outside_range_reduces_to_update_identity():
     weights = weights_for_r(4, 1 / 64)
     after = step(state, weights, GODUNOV, 0.4 / 64)
     for c in (-5.0, 5.0):
-        res = cell_entropy_residual(state, after, weights, GODUNOV, c)
-        assert res <= 1e-13
+        assert check_entropy([state, after], weights, GODUNOV, [c]).violation <= 1e-13
 
 
 def test_entropy_residuals_nonpositive_for_riemann_step():
@@ -184,8 +179,8 @@ def test_entropy_residuals_nonpositive_for_riemann_step():
     assert len(constants) == 17
     scale = 1.0 + np.max(np.abs(traj[0].values))
     for n in range(len(traj) - 1):
-        res = entropy_residuals(traj[n], traj[n + 1], weights, GODUNOV, constants)
-        assert np.all(res <= 1e-10 * scale)
+        rep = check_entropy(traj[n : n + 2], weights, GODUNOV, constants)
+        assert rep.violation <= 1e-10 * scale
 
 
 def test_check_entropy_report():
@@ -202,10 +197,10 @@ def test_entropy_residual_rejects_bad_pairs():
     earlier = GridState(dx=0.1, x0=0.0, values=np.zeros(5), time=0.0)
     weights = weights_for_r(1, 0.1)
     with pytest.raises(ValueError, match="one step"):
-        cell_entropy_residual(state, earlier, weights, GODUNOV, 0.0)
+        check_entropy([state, earlier], weights, GODUNOV, [0.0])
     other = GridState(dx=0.2, x0=0.0, values=np.zeros(5), time=0.2)
     with pytest.raises(ValueError, match="grids"):
-        cell_entropy_residual(earlier, other, weights, GODUNOV, 0.0)
+        check_entropy([earlier, other], weights, GODUNOV, [0.0])
 
 
 # -- non-finite states and the audit bundle ------------------------------------------
@@ -245,3 +240,20 @@ def test_audit_trajectory_bundles_the_four_checks(boundary):
         want.append(check_conservation(traj))
     want.append(check_entropy(traj, weights, GODUNOV))
     assert audit_trajectory(traj, weights, GODUNOV) == want
+
+
+EMPTY_AUDITS = {
+    "max_principle": check_max_principle,
+    "tvd": check_tvd,
+    "conservation": check_conservation,
+    "entropy": lambda t: check_entropy(t, weights_for_r(1, 0.1), GODUNOV),
+    "l1_contraction": lambda t: check_l1_contraction(t, t),
+    "ordering": lambda t: check_ordering(t, t),
+    "audit_trajectory": lambda t: audit_trajectory(t, weights_for_r(1, 0.1), GODUNOV),
+}
+
+
+@pytest.mark.parametrize("audit", EMPTY_AUDITS.values(), ids=EMPTY_AUDITS.keys())
+def test_an_empty_trajectory_fails_every_audit_alike(audit):
+    with pytest.raises(ValueError, match="the audit saw no state"):
+        audit([])

@@ -6,10 +6,8 @@ from horizonflux import (
     BurgersRiemannExact,
     GridState,
     RiemannData,
-    burgers_riemann_exact,
     get_problem,
     l1_error,
-    linear_advection_exact,
 )
 
 
@@ -18,21 +16,21 @@ from horizonflux import (
 
 def test_shock_solution_moves_at_jump_speed():
     # Rankine-Hugoniot: s = (f(1) - f(0)) / (1 - 0) = 0.5
-    assert burgers_riemann_exact(1.0, 0.0, 0.49, 1.0) == 1.0
-    assert burgers_riemann_exact(1.0, 0.0, 0.51, 1.0) == 0.0
+    assert BurgersRiemannExact(1.0, 0.0)(0.49, 1.0) == 1.0
+    assert BurgersRiemannExact(1.0, 0.0)(0.51, 1.0) == 0.0
 
 
 def test_rarefaction_is_a_self_similar_fan():
-    assert burgers_riemann_exact(0.0, 1.0, 0.5, 1.0) == pytest.approx(0.5)
-    assert burgers_riemann_exact(-1.0, 1.0, 0.0, 2.0) == 0.0
-    assert burgers_riemann_exact(-1.0, 1.0, -5.0, 1.0) == -1.0
-    assert burgers_riemann_exact(-1.0, 1.0, 5.0, 1.0) == 1.0
+    assert BurgersRiemannExact(0.0, 1.0)(0.5, 1.0) == pytest.approx(0.5)
+    assert BurgersRiemannExact(-1.0, 1.0)(0.0, 2.0) == 0.0
+    assert BurgersRiemannExact(-1.0, 1.0)(-5.0, 1.0) == -1.0
+    assert BurgersRiemannExact(-1.0, 1.0)(5.0, 1.0) == 1.0
 
 
 def test_riemann_initial_time_returns_data():
     xs = np.array([-1.0, -0.01, 0.0, 0.01, 1.0])
     np.testing.assert_array_equal(
-        burgers_riemann_exact(1.0, 0.0, xs, 0.0), [1, 1, 0, 0, 0]
+        BurgersRiemannExact(1.0, 0.0)(xs, 0.0), [1, 1, 0, 0, 0]
     )
 
 
@@ -55,14 +53,14 @@ def test_shock_breakpoints():
 
 def test_advection_exact_identity_and_shift():
     u0 = lambda x: np.sin(2 * np.pi * x)
-    assert linear_advection_exact(u0, 2.0, 0.3, 0.0) == pytest.approx(u0(0.3))
+    assert AdvectionExact(u0, 2.0)(0.3, 0.0) == pytest.approx(u0(0.3))
     # one full period on a periodic domain returns the initial data
     periodic = AdvectionExact(u0, speed=1.0, period=1.0)
     xs = np.linspace(0, 1, 17)
     np.testing.assert_allclose(periodic(xs, 1.0), u0(xs), atol=1e-12)
     # half-period shift of an indicator, checked pointwise by substitution
     ind = RiemannData(1.0, 0.0, x_jump=0.0)
-    shifted = linear_advection_exact(ind, 1.0, np.array([0.3, 0.7]), 0.5)
+    shifted = AdvectionExact(ind, 1.0)(np.array([0.3, 0.7]), 0.5)
     np.testing.assert_array_equal(shifted, [ind(0.3 - 0.5), ind(0.7 - 0.5)])
 
 

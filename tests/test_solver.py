@@ -52,6 +52,11 @@ def test_cell_average_riemann_subcell():
     data = RiemannData(1.0, 0.0, x_jump=0.25)
     state = cell_average_init(data, dx=1.0, x0=0.0, n_cells=1)
     assert state.values[0] == pytest.approx(0.25, abs=1e-15)
+    # two jumps in one cell: u = 1 on [0.02, 0.05) within [0, 0.1), either order
+    pulse = lambda x: np.where((x >= 0.02) & (x < 0.05), 1.0, 0.0)
+    for jumps in ((0.02, 0.05), (0.05, 0.02)):
+        state = cell_average_init(pulse, dx=0.1, x0=0.0, n_cells=1, breakpoints=jumps)
+        assert state.values[0] == pytest.approx(0.3, abs=1e-15), jumps
 
 
 def test_cell_average_linear():
@@ -220,7 +225,7 @@ def test_run_snapshots_select_time_cells():
 
 
 @pytest.mark.parametrize("store", ["snapshots", "all"])
-@pytest.mark.parametrize("times", [[99.0], [0.5, -0.1]])
+@pytest.mark.parametrize("times", [[99.0], [0.5, -0.1], [np.nan]])
 def test_run_rejects_output_times_outside_the_run(store, times):
     cfg = _shock_config(0.05, 1 / 32, T=1.0)
     with pytest.raises(ValueError, match="outside"):
