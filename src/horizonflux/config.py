@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .fluxes import FLUX_FAMILIES
-from .harness import DEFAULT_OUTPUT_TIMES, _build_flux
+from .harness import DEFAULT_OUTPUT_TIMES, _build_flux, _level_geometry
 from .kernels import PROFILE_NAMES
 from .reference import Problem, get_problem
 from .solver import BOUNDARY_MODES, validate_cfl
@@ -178,7 +178,7 @@ def _validate(v: dict[str, object]) -> RunConfig:
     if family == "lax_friedrichs":
         if lf_lambda is None:
             raise ValueError("lax_friedrichs requires [flux] lf_lambda")
-        _positive("lf_lambda", lf_lambda)
+        _positive("[flux] lf_lambda", lf_lambda)
     elif lf_lambda is not None:
         raise ValueError(f"[flux] lf_lambda only applies to lax_friedrichs, not {family!r}")
     for name, label in (("delta", "[kernel] delta"), ("dx", "[grid] dx"),
@@ -191,8 +191,17 @@ def _validate(v: dict[str, object]) -> RunConfig:
         if v[name] is None:
             v[name] = default
     x_left, x_right = v["x_left"], v["x_right"]
+    for key in ("x_left", "x_right"):
+        if not math.isfinite(v[key]):
+            raise ValueError(f"[problem] {key} must be finite, got {v[key]}")
     if not x_left < x_right:
-        raise ValueError(f"domain must satisfy x_left < x_right, got ({x_left}, {x_right})")
+        raise ValueError(
+            f"[problem] x_left must be less than x_right, got ({x_left}, {x_right})"
+        )
+    try:
+        _level_geometry((x_left, x_right), v["dx"])
+    except ValueError as exc:
+        raise ValueError(f"[grid] {exc}") from None
     if v["window_left"] is None:
         v["window_left"] = max(base.window[0], x_left)
     if v["window_right"] is None:
@@ -200,10 +209,14 @@ def _validate(v: dict[str, object]) -> RunConfig:
     window_left, window_right = v["window_left"], v["window_right"]
     if not window_left < window_right:
         raise ValueError(
-            f"window must satisfy window_left < window_right, got ({window_left}, {window_right})"
+            f"[problem] window_left must be less than window_right, "
+            f"got ({window_left}, {window_right})"
         )
     if window_left < x_left - 1e-12 or window_right > x_right + 1e-12:
-        raise ValueError("measurement window must lie inside the domain")
+        raise ValueError(
+            f"[problem] window_left and window_right must lie inside the domain "
+            f"[{x_left}, {x_right}], got ({window_left}, {window_right})"
+        )
     if not (math.isfinite(v["final_time"]) and v["final_time"] >= 0.0):
         raise ValueError(f"[problem] T must be nonnegative, got {v['final_time']}")
     _one_of(v["boundary"], BOUNDARY_MODES, "boundary", "valid modes")

@@ -33,7 +33,6 @@ __all__ = [
     "check_max_principle",
     "check_ordering",
     "check_tvd",
-    "discrete_l1_norm",
     "kruzhkov_constants",
     "l1_distance",
     "total_variation",
@@ -108,11 +107,6 @@ def _report(name, violation, tolerance, location, bad=None) -> InvariantReport:
 
 
 # -- norms -------------------------------------------------------------------
-
-
-def discrete_l1_norm(state: GridState) -> float:
-    """dx * sum_j |u_j|."""
-    return state.dx * float(np.sum(np.abs(state.values)))
 
 
 def total_variation(state: GridState) -> float:
@@ -289,17 +283,13 @@ def check_ordering(
 # -- cell entropy inequality ---------------------------------------------------
 
 
-def kruzhkov_constants(state: GridState, n: int = 17, margin: float = 0.1) -> np.ndarray:
-    """Uniform grid of Kruzhkov constants spanning the data range plus a margin.
+def kruzhkov_constants(state: GridState) -> np.ndarray:
+    """17 uniform Kruzhkov constants spanning the data range plus a 0.1 margin.
 
     The per-cell entropy residual is piecewise linear in c between data
     values, so a modest uniform grid is a faithful probe.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    lo = float(np.min(state.values)) - margin
-    hi = float(np.max(state.values)) + margin
-    return np.linspace(lo, hi, n)
+    return np.linspace(float(np.min(state.values)) - 0.1, float(np.max(state.values)) + 0.1, 17)
 
 
 def _entropy_tolerance(u0: GridState) -> float:
@@ -341,32 +331,26 @@ def _residual(u0, u1, c, dt, flux_sum):
     return np.abs(u1 - c) - np.abs(u0 - c) + dt * flux_sum
 
 
-def _chunks(offsets: np.ndarray, cap: int):
-    """Consecutive ranges [i, j) with offsets[j] - offsets[i] <= cap, or j = i + 1."""
-    i, last = 0, offsets.size - 1
-    while i < last:
-        j = max(int(np.searchsorted(offsets, offsets[i] + cap, side="right")) - 1, i + 1)
-        yield i, j
-        i = j
-
-
 def _block_steps(n_cells: int, pad: int) -> int:
     return max(1, _BLOCK_VALUES // (n_cells + 2 * pad))
 
 
-def _stencil_columns(cells: np.ndarray, pad: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of an extended row that hold the stencils of ``cells`` (sorted),
-    and the position of each cell's sum in a stencil sum over those columns.
+def _stencil_runs(keys: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions that the stencils k..k+2R of the sorted ``keys`` cover, in
+    order, and where each stencil starts among them.
 
-    Runs of nearby cells share their columns, so a periodic shock with its
-    wrap-around jump does not widen to the whole grid.
+    Stencils less than one stencil width apart share a run, so a stencil sum
+    over the gathered positions reads every stencil whole and no position twice.
     """
     width = 2 * pad + 1
-    started = np.cumsum(np.bincount(cells, minlength=size))
-    covered = started.copy()
-    covered[width:] -= started[:-width]  # stencils j..j+2R that cover each column
-    cols = np.flatnonzero(covered)
-    return cols, np.searchsorted(cols, cells)
+    new_run = np.ones(keys.size, dtype=bool)
+    new_run[1:] = np.diff(keys) > width
+    first = keys[new_run]
+    length = np.append(keys[np.flatnonzero(new_run)[1:] - 1], keys[-1]) + width - first
+    start = np.cumsum(length) - length  # where each run begins among the positions
+    run = np.cumsum(new_run) - 1
+    positions = np.repeat(first - start, length) + np.arange(start[-1] + length[-1])
+    return positions, keys - first[run] + start[run]
 
 
 def _q_sums(vals: np.ndarray, c, weights: QuadratureWeights, flux: TwoPointFlux) -> np.ndarray:
@@ -379,53 +363,6 @@ def _q_sums(vals: np.ndarray, c, weights: QuadratureWeights, flux: TwoPointFlux)
     ev_hi, ev_lo = flux.shifted_pair_evaluator(above), flux.shifted_pair_evaluator(below)
     acc = np.zeros(above.shape[:-1] + (above.shape[-1] - 2 * weights.n_terms,))
     return _stencil_sum(lambda k: ev_hi(k) - ev_lo(k), weights, acc)
-
-
-def _straddle_q_sums(ext, rows, cells, c, weights: QuadratureWeights, flux: TwoPointFlux, cap):
-    """The q-sum of each straddling pair (cell j of step ``rows``, constant c).
-
-    ``ext[row]`` is the extended u^n of the pair's step.  Pairs come sorted by
-    (row, c, cell); the pairs of one (row, c) whose cells lie less than a
-    stencil apart share one gathered run of ``ext``, and the runs are
-    evaluated in chunks of at most ``cap`` gathered values (a single run may
-    exceed it).
-    """
-    pad = weights.n_terms
-    width = 2 * pad + 1
-    new_run = np.ones(cells.size, dtype=bool)
-    new_run[1:] = (rows[1:] != rows[:-1]) | (c[1:] != c[:-1]) | (np.diff(cells) > width)
-    starts = np.flatnonzero(new_run)
-    run_of_pair = np.cumsum(new_run) - 1
-    first = cells[starts]
-    length = np.append(cells[starts[1:] - 1], cells[-1]) - first + width
-    offsets = np.concatenate(([0], np.cumsum(length)))
-    bounds = np.append(starts, cells.size)
-    out = np.empty(cells.size)
-    for i, j in _chunks(offsets, cap):
-        run = np.repeat(np.arange(i, j), length[i:j])
-        vals = ext[rows[starts[run]], np.arange(run.size) - offsets[run] + offsets[i] + first[run]]
-        block = _q_sums(vals, c[starts[run]], weights, flux)
-        pairs = slice(bounds[i], bounds[j])
-        run = run_of_pair[pairs]
-        out[pairs] = block[offsets[run] - offsets[i] + cells[pairs] - first[run]]
-    return out
-
-
-def _stencil_summary(ext: np.ndarray, weights: QuadratureWeights, flux: TwoPointFlux):
-    """Stencil min and max and flux sum S_j per row of extended u^n values.
-
-    The stencil of cell j is j-R..j+R.  S_j is taken only on cells whose
-    stencil is not flat in some row; on a flat stencil it is 0 exactly.
-    """
-    pad = weights.n_terms
-    lo, hi = _window_extrema(ext, 2 * pad + 1)
-    s = np.zeros(lo.shape)
-    cells = np.flatnonzero(~(lo == hi).all(axis=0))  # non-finite stencils are not flat
-    if cells.size:
-        cols, at = _stencil_columns(cells, pad, ext.shape[-1])
-        acc = np.zeros((ext.shape[0], cols.size - 2 * pad))
-        s[:, cells] = _stencil_sum(flux.shifted_pair_evaluator(ext[:, cols]), weights, acc)[:, at]
-    return lo, hi, s
 
 
 def check_entropy(
@@ -465,9 +402,14 @@ def check_entropy(
     Steps go in blocks of B = max(1, 8192 // (n + 2R)) (n cells, R = n_terms),
     so a block's dozen or so B x (n + 2R) arrays stay near 64 KiB each
     whatever the grid, and small grids pay the per-block numpy calls once
-    for many steps.  The straddle pair lists and gathered runs are cut into
-    chunks of at most C x (n + 2R) values (C constants), the size of the
-    constants x cells matrix's straddle block.  In floating point the
+    for many steps.  One gather serves S_j and the q-sums: the stencils that
+    need a sum are keyed by where they start in the block's extended rows (one
+    copy of the rows per constant for the q-sums), the runs of positions they
+    cover are gathered into one 1-D array, and one stencil sum runs over it.
+    S_j is taken only on non-flat stencils, and the q-sum only on straddling
+    (constant, step, cell) triples, so a block's gathered arrays hold at most
+    C x B x (n + 2R) values (C constants), no more than C x 8192 unless a
+    single extended row is longer.  In floating point the
     reduction may miss the full matrix's maximum by round-off.  Ties go to the
     earliest step, then the lowest cell, then the smallest constant.
     """
@@ -480,20 +422,26 @@ def check_entropy(
     cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
     last = cs.size - 1
     n, pad = trajectory[0].n_cells, weights.n_terms
-    cap = cs.size * (n + 2 * pad)
     block = _block_steps(n, pad)
     worst, where = 0.0, None
     for b0 in range(0, len(trajectory) - 1, block):
         states = trajectory[b0 : b0 + block + 1]
         dt = np.array([[_step_dt(a, b, weights)] for a, b in zip(states[:-1], states[1:])])
         ext = np.stack([state.extended(pad) for state in states[:-1]])
+        flat, width = ext.ravel(), ext.shape[1]  # stencil k reads flat[k : k + 2R + 1]
         u0, u1 = ext[:, pad : pad + n], np.stack([state.values for state in states[1:]])
-        lo, hi, s = _stencil_summary(ext, weights, flux)
+        lo, hi = _window_extrema(ext, 2 * pad + 1)
         # a flat stencil that the step left unchanged has residual 0 at every c
         cols = np.flatnonzero(~((lo == hi) & (u0 == u1)).all(axis=0))
         if cols.size == 0:
             continue
-        u0, u1, lo, hi, s = (a[:, cols] for a in (u0, u1, lo, hi, s))
+        u0, u1, lo, hi = (a[:, cols] for a in (u0, u1, lo, hi))
+        s = np.zeros(lo.shape)  # S_j, exactly 0 on a flat stencil
+        rows, cells = np.nonzero(lo != hi)  # non-finite stencils are not flat
+        if rows.size:
+            pos, at = _stencil_runs(rows * width + cols[cells], pad)
+            pair = flux.shifted_pair_evaluator(flat[pos])
+            s[rows, cells] = _stencil_sum(pair, weights, np.zeros(pos.size - 2 * pad))[at]
         above = np.searchsorted(cs, hi)  # the smallest constant >= the stencil max
         below = np.searchsorted(cs, lo, side="right") - 1  # the largest one <= the stencil min
         c_below, c_above = cs[np.maximum(below, 0)], cs[np.minimum(above, last)]
@@ -502,29 +450,22 @@ def check_entropy(
             np.where(above <= last, _residual(u0, u1, c_above, dt, -s), -np.inf),
         )
         best = np.maximum(*sides)
-        peaks = []  # per chunk: its largest straddle residual and the pairs that reach it
-        count = np.maximum(above - below - 1, 0)  # the straddling constants of each cell
-        for i, k in _chunks(np.concatenate(([0], np.cumsum(count.sum(axis=1)))), cap):
-            per_cell = count[i:k].ravel()
-            if not per_cell.any():
-                continue
-            first = np.repeat(below[i:k].ravel() + 1 - np.cumsum(per_cell) + per_cell, per_cell)
-            row, cell = np.divmod(np.repeat(np.arange(per_cell.size), per_cell), cols.size)
-            ic = first + np.arange(first.size)
-            order = np.lexsort((cell, ic, row))
-            row, cell, c = row[order] + i, cell[order], cs[ic[order]]
-            q = _straddle_q_sums(ext, row, cols[cell], c, weights, flux, cap)
-            res = _residual(u0[row, cell], u1[row, cell], c, dt[row, 0], q)
-            np.maximum.at(best, (row, cell), res)
-            peak = res == res.max()
-            peaks.append((res.max(), row[peak], cell[peak], c[peak]))
+        # the straddling (constant, row, cell) triples, constant i = cs[ic[i]]
+        # keyed into its own copy of ext, which starts at flat position i * ext.size
+        ic = np.arange(below.min() + 1, above.max())
+        i, rows, cells = np.nonzero((below < ic[:, None, None]) & (ic[:, None, None] < above))
+        c, res = cs[ic[i]], np.empty(0)
+        if i.size:
+            pos, at = _stencil_runs(i * ext.size + rows * width + cols[cells], pad)
+            q = _q_sums(flat[pos % ext.size], cs[ic[pos // ext.size]], weights, flux)
+            res = _residual(u0[rows, cells], u1[rows, cells], c, dt[rows, 0], q[at])
+            np.maximum.at(best, (rows, cells), res)
         b, j = np.unravel_index(int(np.argmax(best)), best.shape)
         if best[b, j] > worst:
             worst = float(best[b, j])
             at_sides = ((c_below[b, j], sides[0][b, j]), (c_above[b, j], sides[1][b, j]))
-            reached = [c for c, res in at_sides if res == worst]
-            for top, row, cell, c in peaks:
-                reached += list(c[(top == worst) & (row == b) & (cell == j)])
+            reached = [cb for cb, rb in at_sides if rb == worst]
+            reached += list(c[(res == worst) & (rows == b) & (cells == j)])
             where = (b0 + int(b) + 1, int(cols[j]), float(min(reached)))
     return _report("cell_entropy", worst, tol, where, _first_nonfinite(trajectory))
 

@@ -16,6 +16,7 @@ distances carry no interpolation error.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -150,10 +151,10 @@ def _build_flux(problem: Problem, family: str, lf_lambda: float | None):
     return make_flux(family, local, lf_lambda=lf_lambda)
 
 
-def _level_geometry(problem: Problem, dx: float) -> tuple[float, int]:
-    a, b = problem.domain
+def _level_geometry(domain: tuple[float, float], dx: float) -> tuple[float, int]:
+    a, b = domain
     cells = (b - a) / dx
-    n = int(round(cells))
+    n = int(round(cells)) if math.isfinite(cells) else 0
     if n < 1 or abs(cells - n) > 1e-9:
         raise ValueError(f"dx={dx} does not tile the domain [{a}, {b}]")
     return a, n
@@ -168,7 +169,7 @@ def _run_level(
     mesh_ratio: float,
     final_time: float,
     targets,
-    run_checks: bool,
+    audit: bool,
     enforce_cfl: bool = True,
 ) -> tuple[list[GridState], float, list[InvariantReport], int]:
     """Run one grid; return its snapshots at ``targets``, wall time, audits and n_cells.
@@ -177,19 +178,18 @@ def _run_level(
     ``run`` keeps only the snapshots; an audited run streams every state
     through :func:`~horizonflux.diagnostics.audit_stream` as it is made.
     """
-    x0, n_cells = _level_geometry(problem, dx)
+    x0, n_cells = _level_geometry(problem.domain, dx)
     kernel = Kernel(delta=delta, profile=profile)
     config = SchemeConfig(
         kernel=kernel, flux=flux, mesh_ratio=mesh_ratio, final_time=final_time
     )
     started = time.perf_counter()
-    audit = audit_stream(compute_weights(kernel, dx), flux) if run_checks else None
+    stream = audit_stream(compute_weights(kernel, dx), flux) if audit else None
     states = run(
         config, problem.u0, x0=x0, dx=dx, n_cells=n_cells, boundary=problem.boundary,
-        output_times=targets, enforce_cfl=enforce_cfl,
-        breakpoints=problem.u0_breakpoints or None, observer=audit,
+        output_times=targets, enforce_cfl=enforce_cfl, observer=stream,
     )
-    reports = audit.finish() if run_checks else []
+    reports = stream.finish() if audit else []
     return states, time.perf_counter() - started, reports, n_cells
 
 
@@ -207,12 +207,16 @@ def _exact_errors(snapshots, problem: Problem, window) -> list[float]:
 
 def _refine(
     problem: Problem, flux_family: str, dx0: float, n_levels: int, mesh_ratio: float, *,
-    regime: str, measure_name: str, measure, delta_of, echo: dict, profile: str,
-    lf_lambda, final_time, window, n_output_times: int, run_checks: bool, workers: int,
+    regime: str, measure_name: str, measure, delta_of, echo: dict, profile: str = "uniform",
+    lf_lambda: float | None = None, final_time: float | None = None,
+    window: tuple[float, float] | None = None, n_output_times: int = DEFAULT_OUTPUT_TIMES,
+    workers: int = 1,
 ) -> StudyReport:
     """The driver of both regimes: level m has dx0 / 2**m and horizon ``delta_of(dx)``.
 
-    ``measure`` maps the levels' snapshot lists to one measure per level.
+    ``measure`` maps the levels' snapshot lists to one measure per level.  The
+    keyword defaults are those of both public studies, which forward their
+    options here; every level is audited.
     """
     flux = _build_flux(problem, flux_family, lf_lambda)
     t_end = problem.final_time if final_time is None else float(final_time)
@@ -220,7 +224,7 @@ def _refine(
     targets = np.linspace(0.0, t_end, n_output_times)
     dxs = [dx0 / 2**m for m in range(n_levels)]
     args = [
-        (problem, flux, profile, delta_of(dx), dx, mesh_ratio, t_end, targets, run_checks)
+        (problem, flux, profile, delta_of(dx), dx, mesh_ratio, t_end, targets, True)
         for dx in dxs
     ]
     if workers <= 1:
@@ -258,29 +262,22 @@ def refine_fixed_delta(
     dx0: float,
     n_levels: int,
     mesh_ratio: float,
-    *,
-    profile: str = "uniform",
-    lf_lambda: float | None = None,
-    final_time: float | None = None,
-    window: tuple[float, float] | None = None,
-    n_output_times: int = DEFAULT_OUTPUT_TIMES,
-    run_checks: bool = True,
-    workers: int = 1,
+    **options,
 ) -> StudyReport:
     """Fixed-horizon refinement: dx halves, delta stays put.
 
     The measure attached to level m is the Cauchy distance to level m + 1,
     the sup over stored output times of the windowed L1 distance between the
     two nested fields; a convergent scheme drives it down monotonically.
+    ``options`` are the keyword options of :func:`_refine` (profile, lf_lambda,
+    final_time, window, n_output_times, workers).
     """
     if n_levels < 2:
         raise ValueError("fixed-delta study needs at least 2 levels")
     return _refine(
         problem, flux_family, dx0, n_levels, mesh_ratio,
         regime="fixed_delta", measure_name="cauchy_l1_distance",
-        measure=_cauchy_distances, delta_of=lambda dx: delta, echo={"delta": delta},
-        profile=profile, lf_lambda=lf_lambda, final_time=final_time, window=window,
-        n_output_times=n_output_times, run_checks=run_checks, workers=workers,
+        measure=_cauchy_distances, delta_of=lambda dx: delta, echo={"delta": delta}, **options,
     )
 
 
@@ -291,19 +288,13 @@ def refine_joint_limit(
     dx0: float,
     n_levels: int,
     mesh_ratio: float,
-    *,
-    profile: str = "uniform",
-    lf_lambda: float | None = None,
-    final_time: float | None = None,
-    window: tuple[float, float] | None = None,
-    n_output_times: int = DEFAULT_OUTPUT_TIMES,
-    run_checks: bool = True,
-    workers: int = 1,
+    **options,
 ) -> StudyReport:
     """Joint local limit: dx halves and the horizon follows, delta = coupling * dx.
 
     Each level's measure is the sup over stored output times of the windowed
-    L1 error against the problem's exact local entropy solution.
+    L1 error against the problem's exact local entropy solution.  ``options``
+    are those of :func:`refine_fixed_delta`.
     """
     if n_levels < 1:
         raise ValueError("joint-limit study needs at least 1 level")
@@ -315,6 +306,5 @@ def refine_joint_limit(
         problem, flux_family, dx0, n_levels, mesh_ratio,
         regime="joint_limit", measure_name="l1_error_vs_exact",
         measure=_exact_errors, delta_of=lambda dx: coupling * dx, echo={"coupling": coupling},
-        profile=profile, lf_lambda=lf_lambda, final_time=final_time, window=window,
-        n_output_times=n_output_times, run_checks=run_checks, workers=workers,
+        **options,
     )

@@ -91,7 +91,6 @@ class AdvectionExact:
     speed: float
     period: float | None = None
     x_left: float = 0.0
-    piecewise_linear: bool = False
 
     def _pullback(self, x, t):
         y = np.asarray(x, dtype=float) - self.speed * t
@@ -189,13 +188,15 @@ def l1_error(state: GridState, exact, window: tuple[float, float]) -> float:
 
 @dataclass(frozen=True)
 class Problem:
-    """A named benchmark: initial data, geometry, and its exact local solution."""
+    """A named benchmark: initial data, geometry, and its exact local solution.
+
+    Cell averaging splits cells at ``u0.breakpoints``, the initial jumps, if u0 has them.
+    """
 
     name: str
     local_flux: str
     speed: float
     u0: Callable
-    u0_breakpoints: tuple[float, ...]
     exact: object | None
     domain: tuple[float, float]
     window: tuple[float, float]
@@ -215,7 +216,6 @@ def _make_problems() -> dict[str, Problem]:
         local_flux="burgers",
         speed=1.0,
         u0=RiemannData(1.0, 0.0),
-        u0_breakpoints=(0.0,),
         exact=BurgersRiemannExact(1.0, 0.0),
         domain=(-2.0, 3.0),
         window=(-0.5, 1.5),
@@ -228,7 +228,6 @@ def _make_problems() -> dict[str, Problem]:
         local_flux="burgers",
         speed=1.0,
         u0=RiemannData(-1.0, 1.0),
-        u0_breakpoints=(0.0,),
         exact=BurgersRiemannExact(-1.0, 1.0),
         domain=(-2.5, 2.5),
         window=(-1.0, 1.0),
@@ -241,7 +240,6 @@ def _make_problems() -> dict[str, Problem]:
         local_flux="linear_advection",
         speed=1.0,
         u0=_bump,
-        u0_breakpoints=(),
         exact=AdvectionExact(_bump, 1.0, period=1.0, x_left=0.0),
         domain=(0.0, 1.0),
         window=(0.0, 1.0),

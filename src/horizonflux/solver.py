@@ -15,7 +15,6 @@ are bit-reproducible regardless of how callers parallelize independent runs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,7 +29,6 @@ __all__ = [
     "GridState",
     "SchemeConfig",
     "cell_average_init",
-    "cfl_dt",
     "run",
     "step",
     "step_conservative_form",
@@ -166,6 +164,8 @@ def cell_average_init(
         breakpoints = getattr(u0, "breakpoints", None)
     if breakpoints is not None:
         jumps = np.atleast_1d(np.asarray(breakpoints, dtype=float)).tolist()
+        if not all(math.isfinite(p) for p in jumps):
+            raise ValueError(f"breakpoints must be finite, got {jumps}")
         cuts: dict[int, list[float]] = {}  # cell -> its left edge and its jumps, sorted
         for p in sorted(set(jumps)):
             j = int(math.floor((p - x0) / dx))
@@ -183,29 +183,6 @@ def cell_average_init(
     if not np.all(np.isfinite(avg)):
         raise ValueError("initial data produced non-finite cell averages")
     return GridState(dx=dx, x0=x0, values=avg, boundary=boundary, time=time)
-
-
-def cfl_dt(state: GridState, flux: TwoPointFlux, safety: float = 0.9) -> float:
-    """Largest monotonicity-safe time step for this state, times ``safety``.
-
-    dt = safety * dx / (L1 + L2) with the Lipschitz bounds taken over the
-    current data box; the maximum principle keeps that box from growing, so a
-    dt chosen from the initial data stays valid for the whole run.  A
-    degenerate flux (L1 + L2 = 0) leaves dt unconstrained; we warn and return
-    safety * dx.
-    """
-    lo = float(np.min(state.values))
-    hi = float(np.max(state.values))
-    l1, l2 = flux.lipschitz_box_bound(lo, hi)
-    total = l1 + l2
-    if total <= 1e-300:
-        warnings.warn(
-            "degenerate flux: CFL does not constrain dt, returning safety * dx",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return safety * state.dx
-    return safety * state.dx / total
 
 
 def validate_cfl(
@@ -322,7 +299,6 @@ def run(
     n_cells: int,
     boundary: str = "periodic",
     output_times: Sequence[float] | None = None,
-    store: str = "snapshots",
     enforce_cfl: bool = True,
     breakpoints: Sequence[float] | None = None,
     observer: Callable[[GridState], None] | None = None,
@@ -331,20 +307,18 @@ def run(
 
     The final step is shortened to land exactly on the final time (shortening
     only tightens the CFL bound, so it preserves every monotone-scheme
-    property).  Output times must lie in [0, final_time] in either mode.  With
-    ``store="snapshots"`` the returned list holds, for each requested output
-    time t, the state whose time cell [t_n, t_{n+1}) contains t; with
-    ``store="all"`` it holds every computed state.  ``observer``, if given, is
-    called with u^0 and then with each new state once its time is set and its
-    values are checked finite, so it can audit the run without the trajectory
-    being stored (see :func:`horizonflux.diagnostics.audit_stream`).
+    property).  Output times must lie in [0, final_time]; the returned list
+    holds, for each of them (default 0 and final_time), the state whose time
+    cell [t_n, t_{n+1}) contains it.  ``observer``, if given, is called with
+    u^0 and then with each new state once its time is set and its values are
+    checked finite: it audits a run without the trajectory being stored (see
+    :func:`horizonflux.diagnostics.audit_stream`), and ``observer=states.append``
+    keeps every state.
 
     Raises RuntimeError with the step index if the solution stops being
     finite, and CflViolationError up front when ``enforce_cfl`` is set and the
     mesh ratio is too large for the initial data box.
     """
-    if store not in ("snapshots", "all"):
-        raise ValueError(f"store must be 'snapshots' or 'all', got {store!r}")
     weights = compute_weights(config.kernel, dx)
     state = cell_average_init(
         u0, dx=dx, x0=x0, n_cells=n_cells, boundary=boundary, breakpoints=breakpoints
@@ -368,8 +342,6 @@ def run(
     for t in targets:
         if not -1e-12 <= t <= t_end + 1e-9 * max(1.0, t_end):  # NaN fails too
             raise ValueError(f"output time {t} outside [0, {t_end}]")
-    if store == "all":
-        trajectory, targets = [state], []
     if observer is not None:
         observer(state)
     snapshots: list[GridState] = []
@@ -390,10 +362,8 @@ def run(
             raise RuntimeError(f"non-finite solution values after step {i + 1}")
         if observer is not None:
             observer(state)
-        if store == "all":
-            trajectory.append(state)
     while ptr < len(targets):
         snapshots.append(state)
         ptr += 1
 
-    return trajectory if store == "all" else snapshots
+    return snapshots

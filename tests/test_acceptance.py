@@ -215,9 +215,9 @@ def test_criterion_06_cell_entropy_inequality():
             kernel = Kernel(4 * dx, "uniform")
             config = SchemeConfig(kernel=kernel, flux=flux, mesh_ratio=0.4,
                                   final_time=0.4)
-            trajectory = run(config, RiemannData(u_left, u_right), x0=-1.5, dx=dx,
-                             n_cells=192, boundary="constant_extension",
-                             store="all", breakpoints=(0.0,))
+            trajectory = []
+            run(config, RiemannData(u_left, u_right), x0=-1.5, dx=dx, n_cells=192,
+                boundary="constant_extension", breakpoints=(0.0,), observer=trajectory.append)
             weights = compute_weights(kernel, dx)
             constants = kruzhkov_constants(trajectory[0])
             assert len(constants) == 17

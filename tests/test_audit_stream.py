@@ -106,10 +106,9 @@ def test_streamed_audit_matches_the_stored_run(r, boundary):
         kernel = Kernel(delta=weights.delta, profile=profile)
         for flux, steps in zip(every_flux(), step_counts):
             config = SchemeConfig(kernel, flux, mesh_ratio=0.2, final_time=steps * dt)
-            audit = audit_stream(weights, flux)
-            trajectory = run(config, three_jumps, x0=0.0, dx=dx, n_cells=n,
-                             boundary=boundary, store="all", enforce_cfl=False,
-                             observer=audit)
+            audit, trajectory = audit_stream(weights, flux), []
+            run(config, three_jumps, x0=0.0, dx=dx, n_cells=n, boundary=boundary,
+                enforce_cfl=False, observer=lambda s: (audit(s), trajectory.append(s)))
             assert len(trajectory) == int(np.ceil(steps)) + 1
             streamed = audit.finish()
             label = f"{flux.family}/{flux.local.name} {profile} {steps}"
@@ -124,9 +123,9 @@ def test_streamed_audit_keeps_its_failures():
     weights = weights_for_r(r, dx)
     config = SchemeConfig(Kernel(delta=weights.delta), GODUNOV, mesh_ratio=4.0,
                           final_time=5 * 4.0 * dx)
-    audit = audit_stream(weights, GODUNOV)
-    trajectory = run(config, bumpy_shock, x0=0.0, dx=dx, n_cells=n, store="all",
-                     enforce_cfl=False, observer=audit)
+    audit, trajectory = audit_stream(weights, GODUNOV), []
+    run(config, bumpy_shock, x0=0.0, dx=dx, n_cells=n, enforce_cfl=False,
+        observer=lambda s: (audit(s), trajectory.append(s)))
     streamed = audit.finish()
     assert not streamed[0].passed and not streamed[1].passed
     assert streamed == reference_audit(trajectory, weights, GODUNOV)
@@ -155,15 +154,12 @@ def test_ties_keep_the_earliest_step_across_blocks():
 def test_observer_sees_u0_then_every_step():
     n = 64
     dx = 1.0 / n
+    dt = 0.4 * dx
     config = SchemeConfig(Kernel(delta=2 * dx), GODUNOV, mesh_ratio=0.4, final_time=0.33)
     seen = []
-    stored = run(config, bumpy_shock, x0=0.0, dx=dx, n_cells=n, store="all",
-                 observer=seen.append)
-    assert len(seen) == len(stored) and all(a is b for a, b in zip(seen, stored))
-    assert seen[-1].time == 0.33
-    seen.clear()
     snaps = run(config, bumpy_shock, x0=0.0, dx=dx, n_cells=n, observer=seen.append)
-    assert [s.time for s in seen] == [s.time for s in stored]
+    full = int(0.33 // dt)  # full steps; a shortened one lands on T
+    assert [s.time for s in seen] == [k * dt for k in range(full + 1)] + [0.33]
     assert snaps[0] is seen[0] and snaps[-1] is seen[-1]
 
 

@@ -68,6 +68,28 @@ def test_bad_values_rejected():
         parse_config_text(MINIMAL.replace("dx = 0.03125", "dx = tiny"))
 
 
+PROBLEM = "name = burgers_shock"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (PROBLEM, PROBLEM + "\nx_right = inf", r"\[problem\] x_right must be finite, got inf"),
+    (PROBLEM, PROBLEM + "\nx_left = -inf", r"\[problem\] x_left must be finite, got -inf"),
+    (PROBLEM, PROBLEM + "\nx_left = 1\nx_right = 0",
+     r"\[problem\] x_left must be less than x_right"),
+    (PROBLEM, PROBLEM + "\nwindow_left = 1\nwindow_right = 0",
+     r"\[problem\] window_left must be less than window_right"),
+    (PROBLEM, PROBLEM + "\nwindow_left = -5",
+     r"\[problem\] window_left and window_right must lie inside the domain \[-2.0, 3.0\]"),
+    ("dx = 0.03125", "dx = 0.3", r"\[grid\] dx=0.3 does not tile the domain \[-2.0, 3.0\]"),
+    ("family = godunov", "family = lax_friedrichs\nlf_lambda = -1",
+     r"\[flux\] lf_lambda must be positive and finite"),
+], ids=["x_right_inf", "x_left_minus_inf", "reversed_domain", "reversed_window",
+        "window_outside", "dx_off_the_tiling", "negative_lf_lambda"])
+def test_bad_values_name_their_key(old, new, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config_text(MINIMAL.replace(old, new))
+
+
 def test_cfl_inconsistent_mesh_ratio_rejected_at_load():
     # rarefaction data box [-1, 1]: L1 + L2 = 2, so 0.9 is too large
     text = MINIMAL.replace("name = burgers_shock", "name = burgers_rarefaction")
@@ -224,6 +246,15 @@ def test_cli_usage_error_exits_1(tmp_path):
     assert "error" in missing.stderr.lower()
     assert "nope.cfg" in missing.stderr
     cfg = write_config(tmp_path, MINIMAL + "\n[study]\nlevels = 2\n")
+    unbounded = write_config(tmp_path, MINIMAL.replace(PROBLEM, PROBLEM + "\nx_right = inf"),
+                             name="unbounded.cfg")
+    bad = subprocess.run(
+        [sys.executable, "-m", "horizonflux", "check", "--config", unbounded],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert bad.returncode == 1
+    assert "[problem] x_right must be finite" in bad.stderr
+    assert "Traceback" not in bad.stderr
     for workers in ("0", "-2"):
         bad = subprocess.run(
             [sys.executable, "-m", "horizonflux", "study", "--config", cfg, "--workers", workers],

@@ -80,8 +80,8 @@ def test_fixed_delta_constant_data_collapses_to_zero():
     from dataclasses import replace
 
     constant = replace(get_problem("burgers_shock"),
-                       u0=lambda x: np.full_like(x, 0.3), u0_breakpoints=(), exact=None)
-    report = refine_fixed_delta(constant, "godunov", 0.1, 1 / 8, 3, 0.9, run_checks=False)
+                       u0=lambda x: np.full_like(x, 0.3), exact=None)
+    report = refine_fixed_delta(constant, "godunov", 0.1, 1 / 8, 3, 0.9)
     assert report.measures() == [0.0, 0.0]
 
 

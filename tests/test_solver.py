@@ -12,7 +12,6 @@ from horizonflux import (
     RiemannData,
     SchemeConfig,
     cell_average_init,
-    cfl_dt,
     compute_weights,
     make_flux,
     make_local_flux,
@@ -22,7 +21,6 @@ from horizonflux import (
     validate_cfl,
     wide_numerical_flux,
 )
-from flux_oracles import partials
 from testutil import random_state, weights_for_r
 
 GODUNOV = make_flux("godunov", make_local_flux("burgers"))
@@ -73,6 +71,13 @@ def test_cell_average_scalar_only_function():
 def test_cell_average_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore", invalid="ignore"):
         cell_average_init(lambda x: x / (x - x), dx=1.0, x0=0.0, n_cells=2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_cell_average_rejects_non_finite_breakpoints(bad):
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        cell_average_init(lambda x: np.zeros_like(x), dx=0.5, x0=0.0, n_cells=4,
+                          breakpoints=(0.2, bad))
 
 
 # -- single steps --------------------------------------------------------------
@@ -148,29 +153,6 @@ def test_wide_flux_is_consistent_on_constants():
 # -- CFL ------------------------------------------------------------------------
 
 
-def test_cfl_dt_exact_for_upwind():
-    up = make_flux("upwind_linear", make_local_flux("linear_advection", speed=2.0))
-    state = GridState(dx=0.1, x0=0.0, values=np.array([0.3, -0.2, 0.5]))
-    assert cfl_dt(state, up, safety=1.0) == pytest.approx(0.05, abs=1e-15)
-
-
-def test_cfl_dt_burgers_box():
-    state = GridState(dx=0.01, x0=0.0, values=np.array([-1.0, 0.4, 1.0]))
-    # dense sampling oracle for L1 + L2 over the data box
-    u = np.linspace(-1, 1, 101)
-    aa, bb = np.meshgrid(u, u, indexing="ij")
-    g1, g2 = partials(GODUNOV, aa, bb)
-    oracle = np.max(np.abs(g1)) + np.max(np.abs(g2))
-    assert cfl_dt(state, GODUNOV, safety=0.9) == pytest.approx(0.9 * 0.01 / oracle, rel=1e-12)
-
-
-def test_cfl_dt_degenerate_flux_warns():
-    zero = make_flux("upwind_linear", make_local_flux("linear_advection", speed=0.0))
-    state = GridState(dx=0.2, x0=0.0, values=np.array([1.0, 2.0]))
-    with pytest.warns(RuntimeWarning, match="degenerate"):
-        assert cfl_dt(state, zero, safety=0.5) == pytest.approx(0.1)
-
-
 def test_validate_cfl_names_the_bound():
     with pytest.raises(CflViolationError, match="dt/dx <= 0.5"):
         validate_cfl(GODUNOV, 0.8, -1.0, 1.0)
@@ -203,8 +185,9 @@ def test_run_zero_time_returns_initial_state():
 def test_run_lands_exactly_on_final_time():
     # T is not a multiple of dt, so the last step must shorten
     cfg = _shock_config(0.05, 1 / 32, mesh_ratio=0.9, T=0.33)
-    traj = run(cfg, RiemannData(1.0, 0.0), x0=-1.0, dx=1 / 32, n_cells=64,
-               boundary="constant_extension", store="all")
+    traj = []
+    run(cfg, RiemannData(1.0, 0.0), x0=-1.0, dx=1 / 32, n_cells=64,
+        boundary="constant_extension", observer=traj.append)
     assert traj[-1].time == pytest.approx(0.33, abs=1e-14)
     dts = np.diff([s.time for s in traj])
     assert np.all(dts[:-1] == pytest.approx(0.9 / 32))
@@ -224,13 +207,12 @@ def test_run_snapshots_select_time_cells():
     assert snaps[2].time == pytest.approx(0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("store", ["snapshots", "all"])
 @pytest.mark.parametrize("times", [[99.0], [0.5, -0.1], [np.nan]])
-def test_run_rejects_output_times_outside_the_run(store, times):
+def test_run_rejects_output_times_outside_the_run(times):
     cfg = _shock_config(0.05, 1 / 32, T=1.0)
     with pytest.raises(ValueError, match="outside"):
         run(cfg, RiemannData(1.0, 0.0), x0=-1.0, dx=1 / 32, n_cells=64,
-            boundary="constant_extension", output_times=times, store=store)
+            boundary="constant_extension", output_times=times)
 
 
 def test_run_enforces_cfl_by_default():

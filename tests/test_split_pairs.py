@@ -14,7 +14,6 @@ from horizonflux import (
     PROFILE_NAMES,
     TwoPointFlux,
     check_entropy,
-    kruzhkov_constants,
     step,
     wide_numerical_flux,
 )
@@ -68,7 +67,8 @@ def test_solver_and_audit_match_reference(r, boundary, monkeypatch):
     for make_state in (random_state, random_step_profile):
         state = make_state(rng, n=n, dx=dx, boundary=boundary)
         state.values[rng.choice(n, 4, replace=False)] = 0.0  # sonic kinks
-        constants = kruzhkov_constants(state, n=9)
+        lo, hi = float(state.values.min()), float(state.values.max())
+        constants = np.linspace(lo - 0.1, hi + 0.1, 9)
         for profile in PROFILE_NAMES:
             weights = weights_for_r(r, dx, profile)
             for flux in every_flux():
