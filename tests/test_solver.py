@@ -207,12 +207,18 @@ def test_run_snapshots_select_time_cells():
     assert snaps[2].time == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("store", ["snapshots", "all"])
 @pytest.mark.parametrize("times", [[99.0], [0.5, -0.1], [np.nan]])
-def test_run_rejects_output_times_outside_the_run(times):
+def test_run_rejects_output_times_outside_the_run(store, times):
+    # "all" keeps every state through the observer; the times are rejected
+    # before the observer sees u^0.
     cfg = _shock_config(0.05, 1 / 32, T=1.0)
+    traj = []
+    observer = traj.append if store == "all" else None
     with pytest.raises(ValueError, match="outside"):
         run(cfg, RiemannData(1.0, 0.0), x0=-1.0, dx=1 / 32, n_cells=64,
-            boundary="constant_extension", output_times=times)
+            boundary="constant_extension", output_times=times, observer=observer)
+    assert traj == []
 
 
 def test_run_enforces_cfl_by_default():
