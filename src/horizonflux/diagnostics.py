@@ -379,7 +379,8 @@ def check_entropy(
     and entropy satisfaction means residual_j(c) <= 0 up to round-off for
     every step, cell j and c.  ``constants`` defaults to
     :func:`kruzhkov_constants` of the first state; given ones must form a
-    non-empty 1-D array of finite values.
+    non-empty 1-D array of finite values.  A non-finite state fails the audit
+    at its first (step, cell) before any residual is computed.
 
     Lattice identity: if c >= max of u^n over cell j's stencil j-R..j+R
     (R = n_terms), every pair there has q(a, b; c) = g(c, c) - g(a, b), so the
@@ -414,11 +415,12 @@ def check_entropy(
     earliest step, then the lowest cell, then the smallest constant.
     """
     tol = _entropy_tolerance(_first(trajectory))
-    if constants is None:
-        constants = kruzhkov_constants(trajectory[0])
-        if not np.all(np.isfinite(constants)):  # u^0 is not finite: _report fails it
-            return _report("cell_entropy", np.inf, tol, None, _first_nonfinite(trajectory))
-    cs = np.sort(_as_constants(constants))
+    cs = None if constants is None else _as_constants(constants)
+    dts = [_step_dt(a, b, weights) for a, b in zip(trajectory[:-1], trajectory[1:])]
+    bad = _first_nonfinite(trajectory)
+    if bad is not None:  # fails outright, before any inf - inf
+        return _report("cell_entropy", np.inf, tol, None, bad)
+    cs = np.sort(kruzhkov_constants(trajectory[0]) if cs is None else cs)
     cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
     last = cs.size - 1
     n, pad = trajectory[0].n_cells, weights.n_terms
@@ -426,7 +428,7 @@ def check_entropy(
     worst, where = 0.0, None
     for b0 in range(0, len(trajectory) - 1, block):
         states = trajectory[b0 : b0 + block + 1]
-        dt = np.array([[_step_dt(a, b, weights)] for a, b in zip(states[:-1], states[1:])])
+        dt = np.array(dts[b0 : b0 + block])[:, None]
         ext = np.stack([state.extended(pad) for state in states[:-1]])
         flat, width = ext.ravel(), ext.shape[1]  # stencil k reads flat[k : k + 2R + 1]
         u0, u1 = ext[:, pad : pad + n], np.stack([state.values for state in states[1:]])
@@ -437,7 +439,7 @@ def check_entropy(
             continue
         u0, u1, lo, hi = (a[:, cols] for a in (u0, u1, lo, hi))
         s = np.zeros(lo.shape)  # S_j, exactly 0 on a flat stencil
-        rows, cells = np.nonzero(lo != hi)  # non-finite stencils are not flat
+        rows, cells = np.nonzero(lo != hi)
         if rows.size:
             pos, at = _stencil_runs(rows * width + cols[cells], pad)
             pair = flux.shifted_pair_evaluator(flat[pos])
@@ -467,7 +469,7 @@ def check_entropy(
             reached = [cb for cb, rb in at_sides if rb == worst]
             reached += list(c[(res == worst) & (rows == b) & (cells == j)])
             where = (b0 + int(b) + 1, int(cols[j]), float(min(reached)))
-    return _report("cell_entropy", worst, tol, where, _first_nonfinite(trajectory))
+    return _report("cell_entropy", worst, tol, where)
 
 
 class _CellEntropy(_Check):
@@ -478,8 +480,8 @@ class _CellEntropy(_Check):
     def __init__(self, u0: GridState, weights: QuadratureWeights, flux: TwoPointFlux):
         self.weights, self.flux = weights, flux
         self.tol = _entropy_tolerance(u0)
-        constants = kruzhkov_constants(u0)  # not finite when u^0 is not: the stream fails it
-        self.constants = constants if np.all(np.isfinite(constants)) else None
+        finite = np.all(np.isfinite(u0.values))  # if not, the stream fails it
+        self.constants = kruzhkov_constants(u0) if finite else None
         self.size = _block_steps(u0.n_cells, weights.n_terms) + 1
         self.block, self.start = [u0], 0
 

@@ -166,6 +166,30 @@ class TwoPointFlux:
 
         return ev
 
+    def additive_halves(self, values: np.ndarray, reach: int):
+        """(A(values), B(values)) if g(a, b) = A(a) + B(b) holds exactly on every
+        pair values[i], values[j] with i < j <= i + reach, else None.
+
+        Always so when ⊕ is +.  When ⊕ is max (Godunov over a flux whose single
+        minimum is at 0) both halves are >= 0, and positive on opposite sides
+        of 0, so max(A, B) = A + B wherever one of them is 0: only a transonic
+        pair within reach, A_i > 0 and B_j > 0, needs the max.  The nearest
+        such pair joins the last entry of a run of positive A to the first
+        entry of a run of positive B, so only run ends and run starts are
+        compared.
+        """
+        left, right, op = self._split()
+        a, b = left(values), right(values)
+        if op is not np.add:
+            pos_a, pos_b = a > 0.0, b > 0.0
+            ends = (pos_a[:-1] > pos_a[1:]).nonzero()[0]
+            starts = (pos_b[1:] > pos_b[:-1]).nonzero()[0] + 1
+            nxt = starts.searchsorted(ends, side="right")  # the first start right of each end
+            has = nxt < starts.size
+            if (starts[nxt[has]] - ends[has] <= reach).any():
+                return None
+        return a, b
+
     # -- entropy flux -------------------------------------------------------
 
     def q(self, a, b, c):

@@ -3,7 +3,8 @@
 Each family is evaluated here from its textbook definition rather than from
 the split pair the package uses: Godunov by an explicit search for the
 interval extremum of f over the critical points of f, the other families by
-their direct formulas.  ``partials`` gives the one-sided partial derivatives
+their direct formulas.  ``reference_rate`` sums the step's flux differences
+over k in a plain loop.  ``partials`` gives the one-sided partial derivatives
 of each family in closed form.  ``reference_entropy_matrix`` takes the full
 q-sum of the cell entropy residual at every (c, j), with no lattice identity.
 """
@@ -53,6 +54,18 @@ def reference_g(flux, a, b):
 def reference_pair_evaluator(flux, values):
     """Drop-in for ``TwoPointFlux.shifted_pair_evaluator`` built on reference_g."""
     return lambda k: reference_g(flux, values[..., :-k], values[..., k:])
+
+
+def reference_rate(state, weights, flux):
+    """sum_k W_k [g(u_j, u_{j+k}) - g(u_{j-k}, u_j)] by a loop over k on reference_g:
+    the rate of ``step``, u^{n+1} = u^n - dt * rate."""
+    n, pad = state.n_cells, weights.n_terms
+    ext = state.extended(pad)
+    acc = np.zeros(n)
+    for k in range(1, pad + 1):
+        gk = reference_g(flux, ext[:-k], ext[k:])
+        acc += (gk[pad : pad + n] - gk[pad - k : pad - k + n]) * weights.weights[k - 1]
+    return acc
 
 
 def partials(flux, a, b):

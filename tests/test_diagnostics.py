@@ -22,7 +22,7 @@ from horizonflux import (
     step,
     total_variation,
 )
-from testutil import random_state, weights_for_r
+from testutil import every_flux, random_state, weights_for_r
 
 GODUNOV = make_flux("godunov", make_local_flux("burgers"))
 
@@ -226,6 +226,24 @@ def test_nonfinite_state_fails_every_audit(bad, at):
         assert not report.passed, report.name
         assert report.violation == np.inf
         assert report.location == at
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["u0", "u1", "both"])
+def test_nonfinite_step_fails_the_entropy_audit_without_warning(bad, where):
+    """No inf - inf reaches the audit's arithmetic: tier-1 turns RuntimeWarnings into errors."""
+    dx = 1 / 32
+    weights = weights_for_r(2, dx)
+    for flux in every_flux():
+        u0 = random_state(np.random.default_rng(5), n=32, dx=dx)
+        u1 = step(u0, weights, flux, 0.2 * dx)
+        for state in {"u0": [u0], "u1": [u1], "both": [u0, u1]}[where]:
+            state.values[10] = bad
+        for constants in (None, [-0.5, 0.0, 0.5]):
+            report = check_entropy([u0, u1], weights, flux, constants)
+            assert not report.passed
+            assert report.violation == np.inf
+            assert report.location == ((0, 10) if where != "u1" else (1, 10))
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horizonflux import (
+    BOUNDARY_MODES,
+    PROFILE_NAMES,
     CflViolationError,
     GridState,
     Kernel,
     RiemannData,
     SchemeConfig,
+    TwoPointFlux,
     cell_average_init,
     compute_weights,
     make_flux,
@@ -21,7 +24,8 @@ from horizonflux import (
     validate_cfl,
     wide_numerical_flux,
 )
-from testutil import random_state, weights_for_r
+from flux_oracles import reference_rate
+from testutil import every_flux, random_state, random_step_profile, weights_for_r
 
 GODUNOV = make_flux("godunov", make_local_flux("burgers"))
 
@@ -83,12 +87,26 @@ def test_cell_average_rejects_non_finite_breakpoints(bad):
 # -- single steps --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
 def test_constant_state_is_a_fixed_point(boundary):
+    """Bit for bit, for every flux, profile and r <= 256 (check_entropy skips the
+    cells of a flat stencil that the step left unchanged)."""
     state = GridState(dx=0.1, x0=0.0, values=np.full(12, 1.7), boundary=boundary)
     weights = compute_weights(Kernel(0.35, "triangular"), 0.1)
     out = step(state, weights, GODUNOV, 0.04)
     np.testing.assert_array_equal(out.values, state.values)
+    n = 64
+    dx = 1.0 / n
+    for r in (1, 4, 16, 64, 256):
+        for profile in PROFILE_NAMES:
+            weights = weights_for_r(r, dx, profile)
+            for flux in every_flux():
+                for c in (-0.7, -0.0, 0.0, 0.3, 1.0):
+                    state = GridState(dx=dx, x0=0.0, values=np.full(n, c), boundary=boundary)
+                    out = step(state, weights, flux, 0.3 * dx)
+                    np.testing.assert_array_equal(
+                        out.values, state.values,
+                        err_msg=f"{flux.family} over {flux.local.name}, r={r}, {profile}, c={c}")
 
 
 def test_three_cell_example():
@@ -148,6 +166,98 @@ def test_wide_flux_is_consistent_on_constants():
     np.testing.assert_allclose(edges, GODUNOV.f(-0.6), atol=1e-14)
     out = step_conservative_form(state, weights, GODUNOV, 0.05)
     np.testing.assert_allclose(out.values, state.values, atol=1e-15)
+
+
+# -- the correlation path of step against the k-loop oracle -------------------------
+# ``step`` sums split fluxes as two correlations, which group the terms
+# differently from the loop over k; on data in [-1, 1] the two agree to
+# STEP_ATOL (the worst case measured over these inputs is eps).
+
+STEP_ATOL = 8 * np.finfo(float).eps
+
+
+def assert_matches_oracle(state, weights, flux, dt):
+    got = step(state, weights, flux, dt).values
+    want = state.values - dt * reference_rate(state, weights, flux)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=STEP_ATOL,
+                               err_msg=f"{flux.family} over {flux.local.name}")
+
+
+def _step_data(rng, n, dx, boundary):
+    """Rough and stepped data with sonic zeros, a rising profile (no transonic pair
+    but across the periodic wrap) and nonnegative data (none at all)."""
+    rough = random_state(rng, n=n, dx=dx, boundary=boundary)
+    steps = random_step_profile(rng, n=n, dx=dx, boundary=boundary)
+    for data in (rough, steps):
+        data.values[rng.choice(n, 4, replace=False)] = 0.0
+    rising = GridState(dx=dx, x0=0.0, values=np.sort(rough.values), boundary=boundary)
+    positive = GridState(dx=dx, x0=0.0, values=np.abs(rough.values), boundary=boundary)
+    return rough, steps, rising, positive
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+@pytest.mark.parametrize("r", [1, 4, 16, 64, 256])
+def test_step_matches_the_k_loop_oracle(r, boundary):
+    n = 256
+    dx = 1.0 / n
+    rng = np.random.default_rng(1000 + r + len(boundary))
+    states = _step_data(rng, n, dx, boundary)
+    for profile in PROFILE_NAMES:
+        weights = weights_for_r(r, dx, profile)
+        for flux in every_flux():
+            for state in states:
+                assert_matches_oracle(state, weights, flux, 0.4 * dx)
+
+
+def _takes_the_loop(state, weights, flux, monkeypatch):
+    """Whether ``step`` sums over k pair by pair; the correlation path asks for
+    no shifted pairs."""
+    calls = []
+    evaluator = TwoPointFlux.shifted_pair_evaluator
+    with monkeypatch.context() as m:
+        m.setattr(TwoPointFlux, "shifted_pair_evaluator",
+                  lambda self, values: calls.append(1) or evaluator(self, values))
+        step(state, weights, flux, 0.2 * state.dx)
+    return bool(calls)
+
+
+@pytest.mark.parametrize("case, boundary, loop", [
+    ("pair_at_R", "periodic", True),
+    ("pair_at_R", "constant_extension", True),
+    ("pair_at_R_plus_1", "periodic", False),
+    ("pair_at_R_plus_1", "constant_extension", False),
+    ("pair_across_the_wrap", "periodic", True),
+    ("pair_across_the_wrap", "constant_extension", False),
+    ("edge_jump_through_the_ghosts", "constant_extension", True),
+])
+def test_godunov_takes_the_loop_only_on_a_transonic_pair_within_reach(
+        case, boundary, loop, monkeypatch):
+    """A transonic pair u_i > 0 > u_j with 0 < j - i <= R makes max(f+, f-) differ
+    from f+ + f-.  Constant-extension ghosts repeat the edge values, so they drop
+    the pair across the wrap; an edge jump is read through them by every stencil
+    that reaches past the edge."""
+    n, r = 24, 4
+    dx = 1.0 / n
+    values = np.zeros(n)
+    at = {"pair_at_R": (5, 5 + r), "pair_at_R_plus_1": (5, 6 + r),
+          "pair_across_the_wrap": (n - 1, 0), "edge_jump_through_the_ghosts": (n - 2, n - 1)}
+    positive, negative = at[case]
+    values[positive], values[negative] = 0.5, -0.5
+    state = GridState(dx=dx, x0=0.0, values=values, boundary=boundary)
+    weights = weights_for_r(r, dx)
+    assert _takes_the_loop(state, weights, GODUNOV, monkeypatch) == loop
+    assert_matches_oracle(state, weights, GODUNOV, 0.2 * dx)
+
+
+def test_godunov_transonic_test_matches_a_search_over_all_pairs():
+    """``additive_halves`` declines exactly when some A_i > 0, B_j > 0 has 0 < j - i <= reach."""
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        values = rng.choice([-0.5, 0.0, 0.5], int(rng.integers(1, 30)))
+        reach = int(rng.integers(1, 6))
+        pairs = [(i, j) for i in range(values.size) for j in range(i + 1, min(i + reach + 1, values.size))]
+        transonic = any(values[i] > 0.0 > values[j] for i, j in pairs)
+        assert (GODUNOV.additive_halves(values, reach) is None) == transonic, (values, reach)
 
 
 # -- CFL ------------------------------------------------------------------------

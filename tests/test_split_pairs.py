@@ -3,7 +3,9 @@
 Godunov, Engquist-Osher and upwind must agree bit for bit with their
 reference forms, on g itself and on everything the solver and the entropy
 audit build from it.  Lax-Friedrichs groups its terms differently from its
-reference form, so it agrees to a pinned round-off bound.
+reference form, so it agrees to a pinned round-off bound.  ``step`` reads the
+pair evaluator only on its loop path; its correlation path is pinned to the
+k-loop oracle in test_solver.py.
 """
 
 import numpy as np
