@@ -253,6 +253,9 @@ def check_l1_contraction(
 ) -> InvariantReport:
     """The discrete L1 distance of two runs must be non-increasing in time."""
     _first(traj_a, traj_b)
+    bad = _first_nonfinite(traj_a, traj_b)
+    if bad is not None:  # fails outright, before any inf - inf
+        return _report("l1_contraction", np.inf, np.inf, None, bad)
     dists = [l1_distance(a, b) for a, b in zip(traj_a, traj_b)]
     tol = 1e-12 * (1.0 + dists[0])
     worst, where = 0.0, None
@@ -260,7 +263,7 @@ def check_l1_contraction(
         growth = dists[n + 1] - dists[n]
         if growth > worst:
             worst, where = growth, (n + 1,)
-    return _report("l1_contraction", worst, tol, where, _first_nonfinite(traj_a, traj_b))
+    return _report("l1_contraction", worst, tol, where)
 
 
 def check_ordering(
@@ -269,6 +272,9 @@ def check_ordering(
     """If u0 <= v0 componentwise, the ordering must persist at every step."""
     u0, v0 = _first(traj_a, traj_b).values, traj_b[0].values
     tol = 1e-12 * (1.0 + max(float(np.max(np.abs(u0))), float(np.max(np.abs(v0)))))
+    bad = _first_nonfinite(traj_a, traj_b)
+    if bad is not None:  # fails outright, before any inf - inf
+        return _report("monotone_ordering", np.inf, tol, None, bad)
     if np.any(u0 > v0 + tol):
         raise ValueError("initial data not ordered: need u0 <= v0")
     worst, where = 0.0, None
@@ -277,7 +283,7 @@ def check_ordering(
         j = int(np.argmax(excess))
         if excess[j] > worst:
             worst, where = float(excess[j]), (n, j)
-    return _report("monotone_ordering", worst, tol, where, _first_nonfinite(traj_a, traj_b))
+    return _report("monotone_ordering", worst, tol, where)
 
 
 # -- cell entropy inequality ---------------------------------------------------

@@ -167,8 +167,8 @@ class TwoPointFlux:
         return ev
 
     def additive_halves(self, values: np.ndarray, reach: int):
-        """(A(values), B(values)) if g(a, b) = A(a) + B(b) holds exactly on every
-        pair values[i], values[j] with i < j <= i + reach, else None.
+        """(A(values), B(values), op), op = np.add if g(a, b) = A(a) + B(b) holds
+        exactly on every pair values[i], values[j] with i < j <= i + reach, else ⊕.
 
         Always so when ⊕ is +.  When ⊕ is max (Godunov over a flux whose single
         minimum is at 0) both halves are >= 0, and positive on opposite sides
@@ -187,8 +187,8 @@ class TwoPointFlux:
             nxt = starts.searchsorted(ends, side="right")  # the first start right of each end
             has = nxt < starts.size
             if (starts[nxt[has]] - ends[has] <= reach).any():
-                return None
-        return a, b
+                return a, b, op
+        return a, b, np.add
 
     # -- entropy flux -------------------------------------------------------
 

@@ -11,6 +11,8 @@ import json
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .diagnostics import InvariantReport
 from .harness import StudyReport
 from .kernels import QuadratureWeights
@@ -38,13 +40,13 @@ def _write(path, text: str) -> None:
 
 
 def write_solution_csv(trajectory: Sequence[GridState], path) -> None:
-    """One row per (snapshot, cell): t, x_center, u."""
-    lines = ["t,x_center,u"]
+    """One row per (snapshot, cell): t, x_center, u; ``%.17g`` is ``format_float``."""
+    parts = ["t,x_center,u\n"]
     for state in trajectory:
-        t = format_float(state.time)
-        for x, u in zip(state.centers, state.values):
-            lines.append(f"{t},{format_float(x)},{format_float(u)}")
-    _write(path, "\n".join(lines) + "\n")
+        row = format_float(state.time) + ",%.17g,%.17g\n"
+        pairs = np.column_stack((state.centers, state.values)).ravel()
+        parts.append(row * state.n_cells % tuple(pairs.tolist()))
+    _write(path, "".join(parts))
 
 
 def weights_table(weights: QuadratureWeights) -> str:

@@ -260,11 +260,11 @@ def step(
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     ext = state.extended(weights.n_terms)
-    halves = flux.additive_halves(ext, weights.n_terms)
-    if halves is None:
-        acc = _stencil_sum(flux.shifted_pair_evaluator(ext), weights, np.zeros(state.n_cells))
-    else:
-        acc = _correlation_sum(*halves, weights)
+    a, b, op = flux.additive_halves(ext, weights.n_terms)
+    if op is np.add:
+        acc = _correlation_sum(a, b, weights)
+    else:  # the k-loop on the same halves, as shifted_pair_evaluator combines them
+        acc = _stencil_sum(lambda k: op(a[:-k], b[k:]), weights, np.zeros(state.n_cells))
     return GridState(
         dx=state.dx,
         x0=state.x0,

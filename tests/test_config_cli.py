@@ -11,6 +11,7 @@ from horizonflux import CflViolationError, GridState, compute_weights, Kernel
 from horizonflux.cli import main
 from horizonflux.config import config_to_text, parse_config, parse_config_text
 from horizonflux.outputs import write_solution_csv
+from loop_oracles import reference_solution_csv
 
 MINIMAL = """
 [kernel]
@@ -126,6 +127,23 @@ def test_solution_csv_shape(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 1 + 6  # header + 2 snapshots x 3 cells
     assert lines[1] == "0,0.5,0"
+
+
+def test_solution_csv_bytes_equal_the_per_value_writer(tmp_path):
+    """Signed zeros, infinities, NaN, subnormals and 1e+-300 print as format_float does."""
+    rng = np.random.default_rng(3)
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320,
+                        2.2250738585072009e-308, 1e300, -1e300, 1e-300, -1e-300, 0.1, 1 / 3])
+    trajectory = [
+        GridState(dx=1e-300, x0=-1e-298, values=special, time=-0.0),
+        GridState(dx=1e298, x0=-1e300, values=special[::-1].copy(), time=1e-300),
+        GridState(dx=0.1, x0=-2.0, values=rng.standard_normal(40), time=0.1 + 0.2),
+        GridState(dx=5 / 2560, x0=-2.0, values=rng.uniform(-1, 1, 2560), time=0.5),
+    ]
+    path = tmp_path / "solution.csv"
+    write_solution_csv(trajectory, path)
+    assert path.read_bytes() == reference_solution_csv(trajectory).encode("utf-8")
+    assert "nan" in path.read_text() and "-0," in path.read_text()
 
 
 def test_weights_csv(tmp_path):

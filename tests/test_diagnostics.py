@@ -205,7 +205,6 @@ def test_entropy_residual_rejects_bad_pairs():
 # -- non-finite states and the audit bundle ------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the audit
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("at", [(0, 3), (2, 7)])
 def test_nonfinite_state_fails_every_audit(bad, at):
@@ -226,6 +225,22 @@ def test_nonfinite_state_fails_every_audit(bad, at):
         assert not report.passed, report.name
         assert report.violation == np.inf
         assert report.location == at
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 1])
+def test_the_same_infinity_in_both_runs_fails_the_two_run_audits(bad, at):
+    """Both runs hold one infinity at one cell: no inf - inf (or -inf + inf in the
+    ordering bound) reaches the arithmetic, since tier-1 turns RuntimeWarnings
+    into errors."""
+    dx = 1 / 32
+    u0 = random_state(np.random.default_rng(8), n=32, dx=dx)
+    traj = [u0, step(u0, weights_for_r(2, dx), GODUNOV, 0.3 * dx)]
+    traj[at].values[10] = bad
+    for report in (check_l1_contraction(traj, traj), check_ordering(traj, traj)):
+        assert not report.passed, report.name
+        assert report.violation == np.inf
+        assert report.location == (at, 10)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

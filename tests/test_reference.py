@@ -9,6 +9,7 @@ from horizonflux import (
     get_problem,
     l1_error,
 )
+from loop_oracles import reference_l1_error
 
 
 # -- exact solutions -------------------------------------------------------------
@@ -142,3 +143,61 @@ def test_problem_registry():
     np.testing.assert_allclose(bump.u0(np.array([0.0, 0.5])), [0.0, 1.0], atol=1e-15)
     with pytest.raises(ValueError, match="valid problems"):
         get_problem("sod_tube")
+
+
+# -- the array pass against the cell-by-cell loop ------------------------------------
+
+
+def _perturbed(problem, dx, t, noise, rng):
+    """The exact solution at cell centers plus noise, as a state at time t."""
+    x0, x1 = problem.domain
+    n = int(round((x1 - x0) / dx))
+    values = problem.exact(x0 + (np.arange(n) + 0.5) * dx, t) + noise * rng.standard_normal(n)
+    return GridState(dx=dx, x0=x0, values=values, boundary=problem.boundary, time=t)
+
+
+@pytest.mark.parametrize("name", ["burgers_shock", "burgers_rarefaction", "advect_bump"])
+def test_l1_error_equals_the_cell_loop(name):
+    """Bit for bit: the pieces, their formulas and their left-to-right sum are the
+    loop's.  At t = 0 and at the final time every breakpoint sits on a cell edge;
+    the random times put them inside cells, and the random windows cut cells."""
+    problem = get_problem(name)
+    rng = np.random.default_rng(len(name))
+    for m in range(4):
+        dx = 1 / 64 / 2**m
+        for t in (0.0, problem.final_time, rng.uniform(0.0, problem.final_time)):
+            for noise in (0.0, 1e-3, 0.3):
+                state = _perturbed(problem, dx, t, noise, rng)
+                cut = tuple(np.sort(rng.uniform(*problem.domain, 2)))
+                for window in (problem.window, problem.domain, cut):
+                    got = l1_error(state, problem.exact, window)
+                    assert got == reference_l1_error(state, problem.exact, window), (dx, t, window)
+
+
+def test_l1_error_equals_the_cell_loop_on_edge_and_inner_breakpoints():
+    """Breakpoints on an edge, one ulp inside a cell, twice in one cell, or outside
+    the window; a fan whose cells change sign inside, and a non-affine exact."""
+    rng = np.random.default_rng(4)
+    state = GridState(dx=0.25, x0=-1.0, values=rng.uniform(-1, 1, 8),
+                      boundary="constant_extension", time=0.5)
+    fan = BurgersRiemannExact(-0.5, 0.5)  # breakpoints -0.25 and 0.25, both edges
+    shock = BurgersRiemannExact(1.0, 0.0, x_jump=0.25 + 2.0**-53)
+    assert shock.breakpoints(0.5) == (np.nextafter(0.5, 1.0),)
+    narrow = BurgersRiemannExact(-0.1, 0.1, x_jump=0.6)  # both in the cell [0.5, 0.75)
+    beyond = BurgersRiemannExact(1.0, 0.0, x_jump=5.0)
+    bump = AdvectionExact(lambda x: np.cos(3 * x), 0.7)
+    for exact in (fan, shock, narrow, beyond, bump):
+        for window in ((-1.0, 1.0), (-0.9, 0.3), (-0.25, 0.6)):
+            assert l1_error(state, exact, window) == reference_l1_error(state, exact, window)
+
+
+def test_l1_error_on_a_piece_of_two_ulps():
+    """Both samples of a 2-ulp piece can round to one point; its slope is then 0,
+    where the loop divided by zero."""
+    x0 = 1.0 + 2.0**-52  # odd last bit: x0 + ulp/2 and x0 + 3 ulp/2 round alike
+    state = GridState(dx=1.0, x0=x0, values=np.array([0.5]), boundary="constant_extension")
+    exact = BurgersRiemannExact(1.0, 0.0, x_jump=x0 + 2 * 2.0**-52)
+    assert exact.breakpoints(0.0)[0] - x0 == 2 * 2.0**-52
+    with pytest.raises(ZeroDivisionError):
+        reference_l1_error(state, exact, (x0, x0 + 1.0))
+    assert l1_error(state, exact, (x0, x0 + 1.0)) == pytest.approx(0.5, abs=1e-15)

@@ -13,7 +13,6 @@ from horizonflux import (
     Kernel,
     RiemannData,
     SchemeConfig,
-    TwoPointFlux,
     cell_average_init,
     compute_weights,
     make_flux,
@@ -24,6 +23,7 @@ from horizonflux import (
     validate_cfl,
     wide_numerical_flux,
 )
+from horizonflux import solver
 from flux_oracles import reference_rate
 from testutil import every_flux, random_state, random_step_profile, weights_for_r
 
@@ -209,14 +209,26 @@ def test_step_matches_the_k_loop_oracle(r, boundary):
                 assert_matches_oracle(state, weights, flux, 0.4 * dx)
 
 
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+@pytest.mark.parametrize("r", [1, 4, 16, 64])
+def test_godunov_loop_path_is_the_k_loop_oracle_bit_for_bit(r, boundary, monkeypatch):
+    """On transonic data ``step`` sums g = max(f+, f-) over k in the oracle's order,
+    and the split pair equals the interval extremum exactly."""
+    n, dx = 256, 1.0 / 256
+    weights = weights_for_r(r, dx)
+    states = _step_data(np.random.default_rng(2000 + r), n, dx, boundary)[:2]
+    for state in states:
+        assert _takes_the_loop(state, weights, GODUNOV, monkeypatch)
+        want = state.values - 0.4 * dx * reference_rate(state, weights, GODUNOV)
+        np.testing.assert_array_equal(step(state, weights, GODUNOV, 0.4 * dx).values, want)
+
+
 def _takes_the_loop(state, weights, flux, monkeypatch):
-    """Whether ``step`` sums over k pair by pair; the correlation path asks for
-    no shifted pairs."""
+    """Whether ``step`` sums over k pair by pair, in ``solver._stencil_sum``."""
     calls = []
-    evaluator = TwoPointFlux.shifted_pair_evaluator
+    loop = solver._stencil_sum
     with monkeypatch.context() as m:
-        m.setattr(TwoPointFlux, "shifted_pair_evaluator",
-                  lambda self, values: calls.append(1) or evaluator(self, values))
+        m.setattr(solver, "_stencil_sum", lambda *args: calls.append(1) or loop(*args))
         step(state, weights, flux, 0.2 * state.dx)
     return bool(calls)
 
@@ -250,14 +262,16 @@ def test_godunov_takes_the_loop_only_on_a_transonic_pair_within_reach(
 
 
 def test_godunov_transonic_test_matches_a_search_over_all_pairs():
-    """``additive_halves`` declines exactly when some A_i > 0, B_j > 0 has 0 < j - i <= reach."""
+    """``additive_halves`` keeps max exactly when some A_i > 0, B_j > 0 has 0 < j - i <= reach."""
     rng = np.random.default_rng(31)
     for _ in range(2000):
         values = rng.choice([-0.5, 0.0, 0.5], int(rng.integers(1, 30)))
         reach = int(rng.integers(1, 6))
         pairs = [(i, j) for i in range(values.size) for j in range(i + 1, min(i + reach + 1, values.size))]
         transonic = any(values[i] > 0.0 > values[j] for i, j in pairs)
-        assert (GODUNOV.additive_halves(values, reach) is None) == transonic, (values, reach)
+        a, b, op = GODUNOV.additive_halves(values, reach)
+        assert (op is np.maximum) == transonic, (values, reach)
+        np.testing.assert_array_equal(op(a[:-1], b[1:]), GODUNOV.g(values[:-1], values[1:]))
 
 
 # -- CFL ------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Godunov, Engquist-Osher and upwind must agree bit for bit with their
 reference forms, on g itself and on everything the solver and the entropy
 audit build from it.  Lax-Friedrichs groups its terms differently from its
-reference form, so it agrees to a pinned round-off bound.  ``step`` reads the
-pair evaluator only on its loop path; its correlation path is pinned to the
-k-loop oracle in test_solver.py.
+reference form, so it agrees to a pinned round-off bound.  ``step`` reads no
+pair evaluator: its loop combines the split halves itself, and both of its
+paths are pinned to the k-loop oracle in test_solver.py.
 """
 
 import numpy as np
@@ -54,7 +54,6 @@ def test_g_matches_reference_on_kink_sets():
 def _solver_outputs(flux, state, weights, dt, constants):
     after = step(state, weights, flux, dt)
     return {
-        "step": after.values,
         "wide_flux": wide_numerical_flux(state, weights, flux),
         "entropy": check_entropy([state, after], weights, flux, constants).as_dict(),
     }
