@@ -16,7 +16,7 @@ import numpy as np
 
 from .fluxes import TwoPointFlux
 from .kernels import QuadratureWeights
-from .solver import GridState, _check_pair, _stencil_sum
+from .solver import GridState, _check_pair, _flux_sum, _stencil_sum
 
 # The entropy audit works over blocks of B = max(1, _BLOCK_VALUES // (n + 2R))
 # steps (n cells, R = n_terms): about 64 KiB of u^n values per block.
@@ -205,17 +205,17 @@ class AuditStream:
     def __init__(self, make_checks):
         self._make_checks = make_checks  # u^0 -> the checks
         self._checks = None
-        self._n, self._bad = 0, None
+        self._n, self._bad = -1, None
 
     def __call__(self, state: GridState) -> None:
-        if self._checks is None:
-            self._checks = self._make_checks(state)
-        else:
-            self._n += 1
+        self._n += 1
+        self._bad = self._bad or _nonfinite(self._n, state)
+        if self._checks is None:  # a non-finite u^0 fails every check, whatever its tolerance
+            with np.errstate(invalid="ignore" if self._bad else None):
+                self._checks = self._make_checks(state)
+        elif self._bad is None:  # no check observes from the first non-finite state on
             for check in self._checks:
                 check.observe(self._n, state)
-        if self._bad is None:
-            self._bad = _nonfinite(self._n, state)
 
     def finish(self) -> list[InvariantReport]:
         if self._checks is None:
@@ -292,8 +292,8 @@ def check_ordering(
 def kruzhkov_constants(state: GridState) -> np.ndarray:
     """17 uniform Kruzhkov constants spanning the data range plus a 0.1 margin.
 
-    The per-cell entropy residual is piecewise linear in c between data
-    values, so a modest uniform grid is a faithful probe.
+    A sample: for nonlinear f the per-cell entropy residual curves in c between
+    data values, so its maximum can fall between two of these constants.
     """
     return np.linspace(float(np.min(state.values)) - 0.1, float(np.max(state.values)) + 0.1, 17)
 
@@ -360,15 +360,20 @@ def _stencil_runs(keys: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _q_sums(vals: np.ndarray, c, weights: QuadratureWeights, flux: TwoPointFlux) -> np.ndarray:
-    """sum_k W_k [q(v_j, v_{j+k}; c) - q(v_{j-k}, v_j; c)] along the last axis,
+    """sum_k W_k [q(v_j, v_{j+k}; c) - q(v_{j-k}, v_j; c)] over the 1-D ``vals``,
     whose R = n_terms entries at each end are ghosts.
 
-    q(a, b; c) = g(a v c, b v c) - g(a ^ c, b ^ c); ``c`` broadcasts against ``vals``.
+    q(a, b; c) = g(a v c, b v c) - g(a ^ c, b ^ c), ``c`` per entry of ``vals``.
+    Where g = A + B on the pairs of v v c and of v ^ c, q(a, b; c) = α(a) + β(b)
+    with α = A(v v c) - A(v ^ c), β = B(v v c) - B(v ^ c); else the k-loop.
     """
-    above, below = np.maximum(vals, c), np.minimum(vals, c)
-    ev_hi, ev_lo = flux.shifted_pair_evaluator(above), flux.shifted_pair_evaluator(below)
-    acc = np.zeros(above.shape[:-1] + (above.shape[-1] - 2 * weights.n_terms,))
-    return _stencil_sum(lambda k: ev_hi(k) - ev_lo(k), weights, acc)
+    pad = weights.n_terms
+    a_hi, b_hi, op_hi = flux.additive_halves(np.maximum(vals, c), pad)
+    a_lo, b_lo, op_lo = flux.additive_halves(np.minimum(vals, c), pad)
+    if op_hi is np.add and op_lo is np.add:
+        return _flux_sum(a_hi - a_lo, b_hi - b_lo, np.add, weights)
+    pair = lambda k: op_hi(a_hi[:-k], b_hi[k:]) - op_lo(a_lo[:-k], b_lo[k:])
+    return _stencil_sum(pair, weights, vals.size - 2 * pad)
 
 
 def check_entropy(
@@ -412,13 +417,15 @@ def check_entropy(
     for many steps.  One gather serves S_j and the q-sums: the stencils that
     need a sum are keyed by where they start in the block's extended rows (one
     copy of the rows per constant for the q-sums), the runs of positions they
-    cover are gathered into one 1-D array, and one stencil sum runs over it.
-    S_j is taken only on non-flat stencils, and the q-sum only on straddling
-    (constant, step, cell) triples, so a block's gathered arrays hold at most
-    C x B x (n + 2R) values (C constants), no more than C x 8192 unless a
-    single extended row is longer.  In floating point the
-    reduction may miss the full matrix's maximum by round-off.  Ties go to the
-    earliest step, then the lowest cell, then the smallest constant.
+    cover are gathered into one 1-D array, and one flux sum runs over it: two
+    correlations of split halves as in ``step``, or the k-loop for Godunov
+    with a transonic pair in reach (see :func:`_q_sums`).  S_j is taken only
+    on non-flat stencils, and the q-sum only on straddling (constant, step,
+    cell) triples, so a block's gathered arrays hold at most C x B x (n + 2R)
+    values (C constants), no more than C x 8192 unless a single extended row
+    is longer.  In floating point the reduction may miss the full matrix's
+    maximum by round-off.  Ties go to the earliest step, then the lowest
+    cell, then the smallest constant.
     """
     tol = _entropy_tolerance(_first(trajectory))
     cs = None if constants is None else _as_constants(constants)
@@ -448,8 +455,7 @@ def check_entropy(
         rows, cells = np.nonzero(lo != hi)
         if rows.size:
             pos, at = _stencil_runs(rows * width + cols[cells], pad)
-            pair = flux.shifted_pair_evaluator(flat[pos])
-            s[rows, cells] = _stencil_sum(pair, weights, np.zeros(pos.size - 2 * pad))[at]
+            s[rows, cells] = _flux_sum(*flux.additive_halves(flat[pos], pad), weights)[at]
         above = np.searchsorted(cs, hi)  # the smallest constant >= the stencil max
         below = np.searchsorted(cs, lo, side="right") - 1  # the largest one <= the stencil min
         c_below, c_above = cs[np.maximum(below, 0)], cs[np.minimum(above, last)]

@@ -212,31 +212,28 @@ def _check_pair(state: GridState, weights: QuadratureWeights) -> None:
         )
 
 
-def _stencil_sum(pair, weights: QuadratureWeights, acc: np.ndarray) -> np.ndarray:
-    """Add sum_k W_k [p(u_j, u_{j+k}) - p(u_{j-k}, u_j)] into ``acc`` (cells last).
-
-    ``pair(k)[..., i]`` is p(ext[i], ext[i+k]) over n_terms ghost cells per
-    side.  k runs upward with elementwise ops, so cell partitioning is moot.
+def _stencil_sum(pair, weights: QuadratureWeights, n: int) -> np.ndarray:
+    """sum_k W_k [p(u_j, u_{j+k}) - p(u_{j-k}, u_j)] over n cells, where ``pair(k)[i]``
+    is p(ext[i], ext[i+k]) over n_terms ghost cells per side.  k runs upward
+    with elementwise ops, so cell partitioning is moot.
     """
-    pad = weights.n_terms
-    n = acc.shape[-1]
-    w = weights.weights
-    for k in range(1, pad + 1):
+    pad, acc = weights.n_terms, np.zeros(n)
+    for k, w in enumerate(weights.weights, 1):
         pk = pair(k)
-        acc += (pk[..., pad : pad + n] - pk[..., pad - k : pad - k + n]) * w[k - 1]
+        acc += (pk[pad : pad + n] - pk[pad - k : pad - k + n]) * w
     return acc
 
 
-def _correlation_sum(a: np.ndarray, b: np.ndarray, weights: QuadratureWeights) -> np.ndarray:
-    """sum_k W_k [(A_j + B_{j+k}) - (A_{j-k} + B_j)] over the extended halves, by
-    two correlations.
-
-    With differences dA_i = A_{i+1} - A_i and tail sums T_l = sum_{k>l} W_k
-    the sum is sum_{l<R} T_l (dB_{j+l} + dA_{j-l-1}), so a flat stencil gives
-    exactly 0.
+def _flux_sum(a: np.ndarray, b: np.ndarray, op, weights: QuadratureWeights) -> np.ndarray:
+    """sum_k W_k [(A_j ⊕ B_{j+k}) - (A_{j-k} ⊕ B_j)] over the extended halves of
+    :meth:`TwoPointFlux.additive_halves`: the k-loop unless ⊕ is +, else two
+    correlations.  With dA_i = A_{i+1} - A_i and tail sums T_l = sum_{k>l} W_k
+    it is sum_{l<R} T_l (dB_{j+l} + dA_{j-l-1}), so a flat stencil gives exactly 0.
     """
     pad = weights.n_terms
     n = a.size - 2 * pad
+    if op is not np.add:
+        return _stencil_sum(lambda k: op(a[:-k], b[k:]), weights, n)
     tail = weights.weights[::-1].cumsum()[::-1]
     return (
         np.correlate(b[pad + 1 :] - b[pad:-1], tail, "valid")
@@ -260,11 +257,7 @@ def step(
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     ext = state.extended(weights.n_terms)
-    a, b, op = flux.additive_halves(ext, weights.n_terms)
-    if op is np.add:
-        acc = _correlation_sum(a, b, weights)
-    else:  # the k-loop on the same halves, as shifted_pair_evaluator combines them
-        acc = _stencil_sum(lambda k: op(a[:-k], b[k:]), weights, np.zeros(state.n_cells))
+    acc = _flux_sum(*flux.additive_halves(ext, weights.n_terms), weights)
     return GridState(
         dx=state.dx,
         x0=state.x0,

@@ -6,10 +6,17 @@ interval extremum of f over the critical points of f, the other families by
 their direct formulas.  ``reference_rate`` sums the step's flux differences
 over k in a plain loop.  ``partials`` gives the one-sided partial derivatives
 of each family in closed form.  ``reference_entropy_matrix`` takes the full
-q-sum of the cell entropy residual at every (c, j), with no lattice identity.
+q-sum of the cell entropy residual at every (c, j), with no lattice identity,
+and ``assert_entropy_matches_oracle`` pins ``check_entropy``'s report to it.
 """
 
 import numpy as np
+
+from horizonflux import kruzhkov_constants
+
+# The audit groups the q-sum's terms otherwise than the oracle matrix does; the
+# two agree within ENTROPY_ULPS eps * (1 + max|u|).
+ENTROPY_ULPS = 16
 
 # critical points of f that can host an interval extremum, per local flux
 INTERIOR_EXTREMA = {"burgers": (0.0,), "cubic": (), "linear_advection": ()}
@@ -121,3 +128,33 @@ def reference_entropy_matrix(state_n, state_np1, weights, flux, constants):
         - np.abs(state_n.values[None, :] - col)
         + dt * acc
     )
+
+
+def entropy_bound(state):
+    return ENTROPY_ULPS * np.finfo(float).eps * (1.0 + float(np.max(np.abs(state.values))))
+
+
+def entropy_matrices(trajectory, weights, flux, constants):
+    """``reference_entropy_matrix`` of every step of ``trajectory``."""
+    return [reference_entropy_matrix(a, b, weights, flux, constants)
+            for a, b in zip(trajectory, trajectory[1:])]
+
+
+def assert_entropy_matches_oracle(report, trajectory, weights, flux, constants=None,
+                                  matrices=None):
+    """Verdict, violation and location of ``check_entropy`` against the full
+    matrices (``entropy_matrices`` of the trajectory, unless given)."""
+    cs = kruzhkov_constants(trajectory[0]) if constants is None else np.asarray(constants)
+    if matrices is None:
+        matrices = entropy_matrices(trajectory, weights, flux, cs)
+    want = max(0.0, *(float(matrix.max()) for matrix in matrices))
+    tol = entropy_bound(trajectory[0])
+    assert report.passed == (want <= report.tolerance)
+    assert abs(report.violation - want) <= tol, (report.violation, want)
+    if report.location is None:
+        assert want <= tol
+    else:
+        n, j, c = report.location
+        assert c in cs
+        at = matrices[n - 1][np.flatnonzero(cs == c)[0], j]
+        assert abs(at - want) <= tol, (report.location, at, want)

@@ -206,8 +206,14 @@ def test_entropy_residual_rejects_bad_pairs():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("at", [(0, 3), (2, 7)])
-def test_nonfinite_state_fails_every_audit(bad, at):
+@pytest.mark.parametrize("at, cells, states", [
+    pytest.param((0, 3), (3, 8), (0,), id="at0"),
+    pytest.param((2, 7), (7, 12), (2,), id="at1"),
+    # the same value at adjacent cells of u^0 and u^1
+    pytest.param((0, 10), (10, 11), (0, 1), id="same_in_u0_and_u1"),
+])
+def test_nonfinite_state_fails_every_audit(bad, at, cells, states):
+    """No inf - inf reaches the streamed reductions: tier-1 turns RuntimeWarnings into errors."""
     rng = np.random.default_rng(21)
     dx = 1 / 32
     weights = weights_for_r(2, dx)
@@ -216,8 +222,8 @@ def test_nonfinite_state_fails_every_audit(bad, at):
         traj.append(step(traj[-1], weights, GODUNOV, 0.3 * dx))
     clean = [GridState(dx=s.dx, x0=s.x0, values=s.values.copy(), boundary=s.boundary,
                        time=s.time) for s in traj]
-    traj[at[0]].values[at[1]] = bad
-    traj[at[0]].values[at[1] + 5] = bad
+    for n in states:
+        traj[n].values[list(cells)] = bad
     for report in (check_max_principle(traj), check_tvd(traj), check_conservation(traj),
                    check_entropy(traj, weights, GODUNOV),
                    check_l1_contraction(traj, clean), check_l1_contraction(clean, traj),

@@ -32,15 +32,15 @@ from horizonflux import (
     make_local_flux,
     step,
 )
-from flux_oracles import reference_entropy_matrix
+from flux_oracles import (
+    assert_entropy_matches_oracle,
+    entropy_bound,
+    entropy_matrices,
+    reference_entropy_matrix,
+)
 from testutil import every_flux, random_state, random_step_profile, weights_for_r
 
-ENTROPY_ULPS = 16
 GODUNOV = make_flux("godunov", make_local_flux("burgers"))
-
-
-def bound(state):
-    return ENTROPY_ULPS * np.finfo(float).eps * (1.0 + float(np.max(np.abs(state.values))))
 
 
 def data_sets(rng, n, dx, boundary):
@@ -66,41 +66,71 @@ def user_constants(state):
     return np.array([hi + 0.5, u[3], lo - 2.0, u[3], 0.0, u[-1], lo, hi, 0.5 * (lo + hi), u[3]])
 
 
-def assert_matches_oracle(report, trajectory, weights, flux, constants=None):
-    """Verdict, violation and location of ``check_entropy`` against the full matrices."""
-    cs = kruzhkov_constants(trajectory[0]) if constants is None else np.asarray(constants)
-    want = max(0.0, *(
-        float(reference_entropy_matrix(a, b, weights, flux, cs).max())
-        for a, b in zip(trajectory, trajectory[1:])
-    ))
-    tol = bound(trajectory[0])
-    assert report.passed == (want <= report.tolerance)
-    assert abs(report.violation - want) <= tol, (report.violation, want)
-    if report.location is None:
-        assert want <= tol
-    else:
-        n, j, c = report.location
-        assert c in cs
-        at = reference_entropy_matrix(trajectory[n - 1], trajectory[n], weights, flux, [c])[0, j]
-        assert abs(at - want) <= tol, (report.location, at, want)
-
-
-@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
-@pytest.mark.parametrize("r", [1, 4, 16, 64])
-def test_check_entropy_matches_the_full_matrix_oracle(r, boundary):
+def assert_audits_match_the_oracle(r, boundary, profiles, fluxes):
     n = 48
     dx = 1.0 / n
     rng = np.random.default_rng(11 * r + len(boundary))
     for name, state in data_sets(rng, n, dx, boundary).items():
-        for profile in PROFILE_NAMES:
+        for profile in profiles:
             weights = weights_for_r(r, dx, profile)
-            for flux in every_flux():
+            for flux in fluxes:
                 trajectory = [state]
                 for _ in range(2):
                     trajectory.append(step(trajectory[-1], weights, flux, 0.2 * dx))
                 for constants in (None, user_constants(state)):
                     report = check_entropy(trajectory, weights, flux, constants)
-                    assert_matches_oracle(report, trajectory, weights, flux, constants)
+                    assert_entropy_matches_oracle(report, trajectory, weights, flux, constants)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+@pytest.mark.parametrize("r", [1, 4, 16, 64])
+def test_check_entropy_matches_the_full_matrix_oracle(r, boundary):
+    assert_audits_match_the_oracle(r, boundary, PROFILE_NAMES, every_flux())
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+def test_check_entropy_matches_the_full_matrix_oracle_at_r_256(boundary):
+    """The widest horizon the bench steps: a stencil spans ten grids, and both
+    steps share one block.  Godunov over Burgers keeps the k-loop on transonic
+    data, Engquist-Osher takes the correlations."""
+    burgers = make_local_flux("burgers")
+    fluxes = [GODUNOV, make_flux("engquist_osher", burgers)]
+    assert_audits_match_the_oracle(256, boundary, ["quadratic"], fluxes)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+@pytest.mark.parametrize("profile", PROFILE_NAMES)
+@pytest.mark.parametrize("family", FLUX_FAMILIES)
+def test_scheme_steps_satisfy_the_entropy_inequality_at_every_constant(family, profile, boundary):
+    """The residual is not piecewise linear in c for a nonlinear flux, so an
+    interior maximum can fall between the 17 default constants.  On a dense grid
+    of c (every stencil value, the sonic point 0 and 257 uniform points over the
+    data range plus the default margin) a step at the CFL edge (Lax-Friedrichs at
+    its monotonicity edge) has no oracle residual above the audit's tolerance,
+    and ``check_entropy`` given that grid agrees with the oracle.  The local flux
+    cycles with r, so Godunov meets Burgers at r = 4 and 256."""
+    locals_ = [("linear_advection", 0.7)] if family == "upwind_linear" else [
+        ("cubic", 1.0), ("burgers", 1.0), ("linear_advection", -0.7)]
+    n = 16
+    dx = 1.0 / n
+    rng = np.random.default_rng(FLUX_FAMILIES.index(family) * 100 + len(profile + boundary))
+    for i, r in enumerate([1, 4, 16, 64, 256]):
+        local = make_local_flux(*locals_[i % len(locals_)])
+        state = random_state(rng, n=n, dx=dx, boundary=boundary)
+        state.values[rng.choice(n, 2, replace=False)] = 0.0
+        lo, hi = float(state.values.min()), float(state.values.max())
+        dmin, dmax = local.df_bounds(lo, hi)
+        lf_lambda = 1.0 / max(abs(dmin), abs(dmax)) if family == "lax_friedrichs" else None
+        flux = make_flux(family, local, lf_lambda=lf_lambda)
+        weights = weights_for_r(r, dx, profile)
+        dt = dx / sum(flux.lipschitz_box_bound(lo, hi))
+        trajectory = [state, step(state, weights, flux, dt)]
+        cs = np.unique(np.concatenate(
+            [state.extended(r), [0.0], np.linspace(lo - 0.1, hi + 0.1, 257)]))
+        matrices = entropy_matrices(trajectory, weights, flux, cs)
+        report = check_entropy(trajectory, weights, flux, cs)
+        assert max(float(matrix.max()) for matrix in matrices) <= report.tolerance, (r, flux)
+        assert_entropy_matches_oracle(report, trajectory, weights, flux, cs, matrices)
 
 
 def shock_run(n=64, r=3, steps=3, boundary="constant_extension"):
@@ -143,19 +173,26 @@ def test_planted_violation_found_at_oracle_location(cell, constants, shift, path
     worst, where = reference_check(trajectory, weights, GODUNOV, cs)
     assert not report.passed
     assert report.location[:2] == where == (len(trajectory) - 1, cell)
-    assert abs(report.violation - worst) <= bound(trajectory[0])
+    assert abs(report.violation - worst) <= entropy_bound(trajectory[0])
 
 
 def test_audit_takes_the_q_sum_only_on_the_straddle_block(monkeypatch):
+    """The audit's pair work, R pairs per value it hands to ``additive_halves``,
+    against the oracle's pair evaluations."""
     trajectory, weights = shock_run(n=256, r=8, steps=1, boundary="periodic")
     constants = kruzhkov_constants(trajectory[0])
     largest = constants.size * (256 + 2 * weights.n_terms)
     inputs, elements = [], []
+    halves = TwoPointFlux.additive_halves
+
+    def counted_halves(flux, values, reach):
+        inputs.append(values.size)
+        return halves(flux, values, reach)
+
     evaluator = TwoPointFlux.shifted_pair_evaluator
 
-    def counted(flux, values):
+    def counted_evaluator(flux, values):
         ev = evaluator(flux, values)
-        inputs.append(values.size)
 
         def tally(k):
             out = ev(k)
@@ -164,15 +201,17 @@ def test_audit_takes_the_q_sum_only_on_the_straddle_block(monkeypatch):
 
         return tally
 
-    monkeypatch.setattr(TwoPointFlux, "shifted_pair_evaluator", counted)
-    report = check_entropy(trajectory, weights, GODUNOV, constants)
-    audit = sum(elements)
+    with monkeypatch.context() as m:
+        m.setattr(TwoPointFlux, "additive_halves", counted_halves)
+        report = check_entropy(trajectory, weights, GODUNOV, constants)
+    audit = weights.n_terms * sum(inputs)
     assert max(inputs) <= largest
-    elements.clear()
-    reference_entropy_matrix(*trajectory, weights, GODUNOV, constants)
+    with monkeypatch.context() as m:
+        m.setattr(TwoPointFlux, "shifted_pair_evaluator", counted_evaluator)
+        reference_entropy_matrix(*trajectory, weights, GODUNOV, constants)
     oracle = sum(elements)
-    assert_matches_oracle(report, trajectory, weights, GODUNOV, constants)
-    assert audit < 0.25 * oracle
+    assert_entropy_matches_oracle(report, trajectory, weights, GODUNOV, constants)
+    assert audit < 0.25 * oracle, (audit, oracle)
 
 
 def test_audit_rejects_weights_for_another_dx():
@@ -256,7 +295,7 @@ def test_monotone_runs_satisfy_the_cell_entropy_inequality(data):
     reports.append(check_entropy(trajectory, weights, flux))
     assert all(rep.passed for rep in reports), reports
     assert audit.finish() == reports
-    assert_matches_oracle(reports[-1], trajectory, weights, flux)
+    assert_entropy_matches_oracle(reports[-1], trajectory, weights, flux)
 
 
 @given(data=st.data())

@@ -187,7 +187,7 @@ def test_fixed_delta_study_is_pinned():
                 (1.5265566588595902e-16, [5, 16, 0.04999999999999999])]),
             _level(2, 0.0625, 0.5, 0.05625, 80, None, tol, [
                 (0.0, None), (2.220446049250313e-16, [4]),
-                (1.6653345369377348e-16, [2, 32, 1.025])]),
+                (1.6653345369377348e-16, [7, 32, 0.04999999999999999])]),
         ],
         "eoc": [0.9714279858223224],
         "passed": True,

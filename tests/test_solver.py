@@ -210,7 +210,7 @@ def test_step_matches_the_k_loop_oracle(r, boundary):
 
 
 @pytest.mark.parametrize("boundary", BOUNDARY_MODES)
-@pytest.mark.parametrize("r", [1, 4, 16, 64])
+@pytest.mark.parametrize("r", [1, 4, 16, 64, 256])
 def test_godunov_loop_path_is_the_k_loop_oracle_bit_for_bit(r, boundary, monkeypatch):
     """On transonic data ``step`` sums g = max(f+, f-) over k in the oracle's order,
     and the split pair equals the interval extremum exactly."""
