@@ -3,8 +3,9 @@
 Every check is pure: it reads a trajectory (a list of states ordered in time)
 and returns an :class:`InvariantReport` with the worst violation magnitude and
 where it happened.  The audit bundle also runs as a ``run`` observer
-(:func:`audit_stream`), which sees each state once and stores no trajectory.  Tolerances scale with (1 + data magnitude) so the verdicts
-stay meaningful across problem scales.
+(:func:`audit_stream`), which writes each state once into a block of rows and
+stores no trajectory; a list is fed through the same stream.  Tolerances scale
+with (1 + data magnitude) so the verdicts stay meaningful across problem scales.
 """
 
 from __future__ import annotations
@@ -136,14 +137,27 @@ def l1_distance(a: GridState, b: GridState) -> float:
 # -- trajectory checks ---------------------------------------------------------
 #
 # Each check is a running reduction over the steps: it takes its bounds and
-# tolerance from u^0, then sees u^1, u^2, ... one at a time, so the same code
-# audits a stored list and a run in progress (see :class:`AuditStream`).
+# tolerance from u^0, then sees the later states a block at a time, so the same
+# code audits a stored list and a run in progress (see :class:`AuditStream`).
+# ``observe(first, values, ext, times)`` gets B + 1 consecutive states, u^first
+# to u^{first+B}: their values as rows, the same rows with R ghost cells per
+# side, and their times; u^first was the last state of the previous block.
 
 
 class _Check:
     """A running reduction: the worst excess so far and where it happened."""
 
     worst, where = 0.0, None
+
+    def _fold(self, first: int, excess: np.ndarray) -> None:
+        """Keep the largest entry of ``excess`` (one row per step, from step
+        ``first`` on; 2-D if by cell) if it beats the worst so far.  Its first
+        occurrence counts, so a tie keeps the earliest step, then the lowest cell."""
+        i = int(np.argmax(excess))
+        if excess.flat[i] > self.worst:
+            self.worst = float(excess.flat[i])
+            step, *cell = np.unravel_index(i, excess.shape)
+            self.where = (first + int(step), *(int(j) for j in cell))
 
     def result(self) -> tuple:
         return self.name, self.worst, self.tol, self.where
@@ -156,11 +170,9 @@ class _MaxPrinciple(_Check):
         self.lo, self.hi = float(np.min(u0.values)), float(np.max(u0.values))
         self.tol = 1e-12 * (1.0 + max(abs(self.lo), abs(self.hi)))
 
-    def observe(self, n: int, state: GridState) -> None:
-        excess = np.maximum(state.values - self.hi, self.lo - state.values)
-        j = int(np.argmax(excess))
-        if excess[j] > self.worst:
-            self.worst, self.where = float(excess[j]), (n, j)
+    def observe(self, first: int, values: np.ndarray, *_) -> None:
+        u = values[1:]
+        self._fold(first + 1, np.maximum(u - self.hi, self.lo - u))
 
 
 class _TotalVariation(_Check):
@@ -169,12 +181,15 @@ class _TotalVariation(_Check):
     def __init__(self, u0: GridState):
         self.last = total_variation(u0)
         self.tol = 1e-12 * (1.0 + self.last)
+        self.periodic = u0.boundary == "periodic"
 
-    def observe(self, n: int, state: GridState) -> None:
-        tv = total_variation(state)
-        if tv - self.last > self.worst:
-            self.worst, self.where = tv - self.last, (n,)
-        self.last = tv
+    def observe(self, first: int, values: np.ndarray, *_) -> None:
+        u = values[1:]
+        tv = np.abs(np.diff(u, axis=1)).sum(axis=1)  # row by row, as total_variation sums
+        if self.periodic:
+            tv += np.abs(u[:, 0] - u[:, -1])
+        self._fold(first + 1, np.diff(tv, prepend=self.last))
+        self.last = tv[-1]
 
 
 class _Conservation(_Check):
@@ -187,39 +202,79 @@ class _Conservation(_Check):
         self.mass0 = self.dx * float(np.sum(u0.values))
         self.tol = 1e-13 * (1.0 + self.dx * float(np.sum(np.abs(u0.values))))
 
-    def observe(self, n: int, state: GridState) -> None:
-        drift = abs(self.dx * float(np.sum(state.values)) - self.mass0) / n
-        if drift > self.worst:
-            self.worst, self.where = drift, (n,)
+    def observe(self, first: int, values: np.ndarray, *_) -> None:
+        steps = np.arange(first + 1, first + len(values))
+        self._fold(first + 1, np.abs(self.dx * values[1:].sum(axis=1) - self.mass0) / steps)
 
 
 class AuditStream:
     """Trajectory checks fed one state at a time, u^0 first; a ``run`` observer.
 
-    Nothing but the checks' running reductions (and the entropy audit's block
-    of at most B + 1 states) is kept, so a run audits in O(B n) memory.
-    :meth:`finish` returns the reports; the first non-finite (step, cell)
-    seen fails every one of them.  Built by :func:`audit_stream`.
+    Each state is written once, with ``pad`` ghost cells per side, into a
+    preallocated block of B + 1 rows (B = max(1, 8192 // (n + 2 pad)) steps);
+    when the block is full every check reduces it at once, and its last row
+    starts the next block.  Nothing else is kept but the checks' running
+    reductions and the entropy audit's pending batch, so a run audits in
+    O(B n) memory.  :meth:`finish` returns the reports; the first non-finite
+    (step, cell) seen fails every one of them.  ``counts`` holds the entropy
+    audit's work counters.  Built by :func:`audit_stream`.
     """
 
-    def __init__(self, make_checks):
+    def __init__(self, make_checks, pad: int = 0):
         self._make_checks = make_checks  # u^0 -> the checks
+        self._pad = pad
         self._checks = None
-        self._n, self._bad = -1, None
+        self._bad = None
 
     def __call__(self, state: GridState) -> None:
-        self._n += 1
-        self._bad = self._bad or _nonfinite(self._n, state)
-        if self._checks is None:  # a non-finite u^0 fails every check, whatever its tolerance
-            with np.errstate(invalid="ignore" if self._bad else None):
-                self._checks = self._make_checks(state)
+        if self._checks is None:
+            self._start(state)
         elif self._bad is None:  # no check observes from the first non-finite state on
-            for check in self._checks:
-                check.observe(self._n, state)
+            _same_grid(self._u0, state)
+            state.values.take(self._ghosts, mode=self._mode, out=self._ext[self._rows])
+            self._times[self._rows] = state.time
+            self._rows += 1
+            if self._rows == len(self._ext):
+                self._flush()
+
+    def _start(self, u0: GridState) -> None:
+        self._bad = _nonfinite(0, u0)
+        with np.errstate(invalid="ignore" if self._bad else None):  # a non-finite u^0
+            self._checks = self._make_checks(u0)  # fails every check, whatever its tolerance
+        n, pad = u0.n_cells, self._pad
+        self._u0, self._first, self._rows = u0, 0, 1
+        self._ext = np.empty((_block_steps(n, pad) + 1, n + 2 * pad))
+        self._ext[0] = u0.extended(pad)
+        self._times = np.full(len(self._ext), u0.time)
+        self._ghosts = np.arange(-pad, n + pad)
+        self._mode = "wrap" if u0.boundary == "periodic" else "clip"
+
+    def _flush(self) -> None:
+        """Reduce the states of the block, then start the next one from its last."""
+        rows, pad, n = self._rows, self._pad, self._u0.n_cells
+        ext = self._ext[:rows]
+        values = ext[:, pad : pad + n]
+        finite = np.isfinite(values[1:])
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=1)))
+            self._bad = (self._first + 1 + row, int(np.argmin(finite[row])))
+            return
+        for check in self._checks:
+            check.observe(self._first, values, ext, self._times[:rows])
+        self._ext[0], self._times[0] = ext[-1], self._times[rows - 1]
+        self._first, self._rows = self._first + rows - 1, 1
+
+    @property
+    def counts(self) -> dict:
+        """The entropy audit's work so far (see :func:`check_entropy`); empty without it."""
+        checks = self._checks or ()
+        return {k: v for check in checks for k, v in getattr(check, "counts", {}).items()}
 
     def finish(self) -> list[InvariantReport]:
         if self._checks is None:
             raise ValueError("the audit saw no state")
+        if self._bad is None and self._rows > 1:
+            self._flush()
         return [_report(*check.result(), self._bad) for check in self._checks]
 
 
@@ -309,15 +364,6 @@ def _as_constants(constants) -> np.ndarray:
     return cs
 
 
-def _step_dt(state_n: GridState, state_np1: GridState, weights: QuadratureWeights) -> float:
-    _check_pair(state_n, weights)
-    _same_grid(state_n, state_np1)
-    dt = state_np1.time - state_n.time
-    if not dt > 0.0:
-        raise ValueError("states are not one step apart (need increasing times)")
-    return dt
-
-
 def _window_extrema(ext: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Min and max over every run of ``size`` consecutive entries (last axis), by doubling."""
     lo, hi, width = ext, ext, 1
@@ -332,9 +378,9 @@ def _window_extrema(ext: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]
     )
 
 
-def _residual(u0, u1, c, dt, flux_sum):
-    """|u^{n+1}_j - c| - |u^n_j - c| + dt * (the q-sum of cell j)."""
-    return np.abs(u1 - c) - np.abs(u0 - c) + dt * flux_sum
+def _excess(u0, u1, c):
+    """|u^{n+1}_j - c| - |u^n_j - c|: the residual less its dt * q-sum term."""
+    return np.abs(u1 - c) - np.abs(u0 - c)
 
 
 def _block_steps(n_cells: int, pad: int) -> int:
@@ -343,20 +389,22 @@ def _block_steps(n_cells: int, pad: int) -> int:
 
 def _stencil_runs(keys: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions that the stencils k..k+2R of the sorted ``keys`` cover, in
-    order, and where each stencil starts among them.
+    order, and a mask of the positions where a stencil starts.
 
-    Stencils less than one stencil width apart share a run, so a stencil sum
-    over the gathered positions reads every stencil whole and no position twice.
+    Each stencil adds its positions up to the next one's start, at most its
+    2R + 1, so a stencil sum over the gathered positions reads every stencil
+    whole and no position twice.
     """
+    if keys.size == 0:
+        return np.empty(0, dtype=int), np.empty(0, dtype=bool)
     width = 2 * pad + 1
-    new_run = np.ones(keys.size, dtype=bool)
-    new_run[1:] = np.diff(keys) > width
-    first = keys[new_run]
-    length = np.append(keys[np.flatnonzero(new_run)[1:] - 1], keys[-1]) + width - first
-    start = np.cumsum(length) - length  # where each run begins among the positions
-    run = np.cumsum(new_run) - 1
-    positions = np.repeat(first - start, length) + np.arange(start[-1] + length[-1])
-    return positions, keys - first[run] + start[run]
+    length = np.full(keys.size, width)
+    np.minimum(keys[1:] - keys[:-1], width, out=length[:-1])
+    start = np.cumsum(length) - length  # where each stencil starts among the positions
+    positions = np.repeat(keys - start, length) + np.arange(start[-1] + width)
+    starts = np.zeros(positions.size, dtype=bool)
+    starts[start] = True
+    return positions, starts
 
 
 def _q_sums(vals: np.ndarray, c, weights: QuadratureWeights, flux: TwoPointFlux) -> np.ndarray:
@@ -409,110 +457,154 @@ def check_entropy(
     come from a ``searchsorted`` on the sorted constants, and no constants x
     cells matrix is built.  A cell whose stencil is flat and whose value the
     step left unchanged has residual exactly 0 at every c (S_j = 0), so only
-    the other cells are probed.
+    the other cells, the active (step, cell) items, are probed.
 
-    Steps go in blocks of B = max(1, 8192 // (n + 2R)) (n cells, R = n_terms),
-    so a block's dozen or so B x (n + 2R) arrays stay near 64 KiB each
-    whatever the grid, and small grids pay the per-block numpy calls once
-    for many steps.  One gather serves S_j and the q-sums: the stencils that
-    need a sum are keyed by where they start in the block's extended rows (one
-    copy of the rows per constant for the q-sums), the runs of positions they
-    cover are gathered into one 1-D array, and one flux sum runs over it: two
-    correlations of split halves as in ``step``, or the k-loop for Godunov
-    with a transonic pair in reach (see :func:`_q_sums`).  S_j is taken only
-    on non-flat stencils, and the q-sum only on straddling (constant, step,
-    cell) triples, so a block's gathered arrays hold at most C x B x (n + 2R)
-    values (C constants), no more than C x 8192 unless a single extended row
-    is longer.  In floating point the reduction may miss the full matrix's
-    maximum by round-off.  Ties go to the earliest step, then the lowest
-    cell, then the smallest constant.
+    The trajectory is fed through :class:`AuditStream`, as ``run`` feeds
+    :func:`audit_stream`, so both paths run the same two stages.  A dense stage
+    runs once per block of B = max(1, 8192 // (n + 2R)) steps (n cells): the
+    stencil extrema of the block's extended rows, the active items, their side
+    constants and straddling (item, constant) triples, and the runs of stencil
+    values that S_j (non-flat stencils only) and the triples' q-sums read,
+    each gathered into one 1-D array (stencils keyed by where they start in the
+    rows, one copy of the rows per constant for the q-sums).  A sparse stage
+    runs once per batch of blocks: one flux sum over each gathered array (two
+    correlations of split halves as in ``step``, or the k-loop for Godunov with
+    a transonic pair in reach, see :func:`_q_sums`), the residuals, and the
+    fold of the worst one into the running maximum.  A batch runs before its
+    active items, gathered values and triples would pass 8192, and at the
+    end; a block that reaches 8192 by itself runs alone, in place, so the
+    sparse stage's arrays hold about 8192 values unless one block's work is
+    larger, and mostly inactive blocks share the sparse stage's numpy calls.
+    ``AuditStream.counts`` tallies this work.  In floating point the
+    reduction may miss the full matrix's maximum by round-off.  Ties go to the
+    earliest step, then the lowest cell, then the smallest constant.
     """
-    tol = _entropy_tolerance(_first(trajectory))
     cs = None if constants is None else _as_constants(constants)
-    dts = [_step_dt(a, b, weights) for a, b in zip(trajectory[:-1], trajectory[1:])]
-    bad = _first_nonfinite(trajectory)
-    if bad is not None:  # fails outright, before any inf - inf
-        return _report("cell_entropy", np.inf, tol, None, bad)
-    cs = np.sort(kruzhkov_constants(trajectory[0]) if cs is None else cs)
-    cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
-    last = cs.size - 1
-    n, pad = trajectory[0].n_cells, weights.n_terms
-    block = _block_steps(n, pad)
-    worst, where = 0.0, None
-    for b0 in range(0, len(trajectory) - 1, block):
-        states = trajectory[b0 : b0 + block + 1]
-        dt = np.array(dts[b0 : b0 + block])[:, None]
-        ext = np.stack([state.extended(pad) for state in states[:-1]])
-        flat, width = ext.ravel(), ext.shape[1]  # stencil k reads flat[k : k + 2R + 1]
-        u0, u1 = ext[:, pad : pad + n], np.stack([state.values for state in states[1:]])
-        lo, hi = _window_extrema(ext, 2 * pad + 1)
-        # a flat stencil that the step left unchanged has residual 0 at every c
-        cols = np.flatnonzero(~((lo == hi) & (u0 == u1)).all(axis=0))
-        if cols.size == 0:
-            continue
-        u0, u1, lo, hi = (a[:, cols] for a in (u0, u1, lo, hi))
-        s = np.zeros(lo.shape)  # S_j, exactly 0 on a flat stencil
-        rows, cells = np.nonzero(lo != hi)
-        if rows.size:
-            pos, at = _stencil_runs(rows * width + cols[cells], pad)
-            s[rows, cells] = _flux_sum(*flux.additive_halves(flat[pos], pad), weights)[at]
-        above = np.searchsorted(cs, hi)  # the smallest constant >= the stencil max
-        below = np.searchsorted(cs, lo, side="right") - 1  # the largest one <= the stencil min
-        c_below, c_above = cs[np.maximum(below, 0)], cs[np.minimum(above, last)]
-        sides = (  # each cell's residual at its two side constants
-            np.where(below >= 0, _residual(u0, u1, c_below, dt, s), -np.inf),
-            np.where(above <= last, _residual(u0, u1, c_above, dt, -s), -np.inf),
-        )
-        best = np.maximum(*sides)
-        # the straddling (constant, row, cell) triples, constant i = cs[ic[i]]
-        # keyed into its own copy of ext, which starts at flat position i * ext.size
-        ic = np.arange(below.min() + 1, above.max())
-        i, rows, cells = np.nonzero((below < ic[:, None, None]) & (ic[:, None, None] < above))
-        c, res = cs[ic[i]], np.empty(0)
-        if i.size:
-            pos, at = _stencil_runs(i * ext.size + rows * width + cols[cells], pad)
-            q = _q_sums(flat[pos % ext.size], cs[ic[pos // ext.size]], weights, flux)
-            res = _residual(u0[rows, cells], u1[rows, cells], c, dt[rows, 0], q[at])
-            np.maximum.at(best, (rows, cells), res)
-        b, j = np.unravel_index(int(np.argmax(best)), best.shape)
-        if best[b, j] > worst:
-            worst = float(best[b, j])
-            at_sides = ((c_below[b, j], sides[0][b, j]), (c_above[b, j], sides[1][b, j]))
-            reached = [cb for cb, rb in at_sides if rb == worst]
-            reached += list(c[(res == worst) & (rows == b) & (cells == j)])
-            where = (b0 + int(b) + 1, int(cols[j]), float(min(reached)))
-    return _report("cell_entropy", worst, tol, where)
+    audit = AuditStream(lambda u0: [_CellEntropy(u0, weights, flux, cs)], weights.n_terms)
+    return _fed(audit, trajectory)[0]
 
 
 class _CellEntropy(_Check):
-    """:func:`check_entropy` on blocks of B + 1 states, with u^0's constants."""
+    """The two stages of :func:`check_entropy` over the stream's blocks, with
+    u^0's constants unless given; ``counts`` tallies the audit's work."""
 
     name = "cell_entropy"
 
-    def __init__(self, u0: GridState, weights: QuadratureWeights, flux: TwoPointFlux):
-        self.weights, self.flux = weights, flux
+    def __init__(self, u0: GridState, weights: QuadratureWeights, flux: TwoPointFlux,
+                 constants=None):
+        _check_pair(u0, weights)
+        self.weights, self.flux, self.n = weights, flux, u0.n_cells
         self.tol = _entropy_tolerance(u0)
-        finite = np.all(np.isfinite(u0.values))  # if not, the stream fails it
-        self.constants = kruzhkov_constants(u0) if finite else None
-        self.size = _block_steps(u0.n_cells, weights.n_terms) + 1
-        self.block, self.start = [u0], 0
+        if constants is None and np.all(np.isfinite(u0.values)):  # if not, the stream fails it
+            constants = kruzhkov_constants(u0)
+        if constants is not None:
+            cs = np.sort(constants)
+            self.cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
+        self.batch, self.load = [], 0
+        self.counts = dict.fromkeys(
+            ("entropy_blocks", "entropy_batches", "side_residuals", "straddle_residuals",
+             "stencil_values"), 0)
 
-    def observe(self, n: int, state: GridState) -> None:
-        self.block.append(state)
-        if len(self.block) == self.size:
-            self._flush()
+    def observe(self, first: int, values: np.ndarray, ext: np.ndarray, times: np.ndarray):
+        dt = np.diff(times)
+        if not np.all(dt > 0.0):
+            raise ValueError("states are not one step apart (need increasing times)")
+        self.counts["entropy_blocks"] += 1
+        work = self._gather(first, ext, dt)  # its scratch arrays are freed before a batch runs
+        if work is None:
+            return
+        piece, load = work
+        if self.batch and self.load + load > _BLOCK_VALUES:
+            self._evaluate()
+        self.batch.append(piece)
+        self.load += load
+        if self.load >= _BLOCK_VALUES:  # a block this large runs alone, in place
+            self._evaluate()
 
-    def _flush(self) -> None:
-        if len(self.block) > 1 and self.constants is not None:
-            rep = check_entropy(self.block, self.weights, self.flux, self.constants)
-            if rep.violation > self.worst:  # strict: the earliest step keeps a tie
-                step, *rest = rep.location
-                self.worst, self.where = rep.violation, (self.start + step, *rest)
-        self.start += len(self.block) - 1
-        self.block = self.block[-1:]
+    def _gather(self, first: int, ext: np.ndarray, dt: np.ndarray) -> tuple | None:
+        """The dense stage: the block's active items, with their side constants,
+        straddle triples and the stencil values that S_j and the q-sums read."""
+        n, pad, cs = self.n, self.weights.n_terms, self.cs
+        flat, width = ext.ravel(), ext.shape[1]
+        # stencil k reads flat[k : k + 2R + 1]; step first + i + 1 reads the stencils
+        # that start at columns 0..n-1 of row i, and the others straddle two rows
+        span = flat.size - width  # the rows u^first .. u^{first+B-1}
+        size = span - 2 * pad
+        lo, hi = _window_extrema(flat[:span], 2 * pad + 1)
+        u0, u1 = flat[pad : pad + size], flat[pad + width : pad + width + size]
+        # a flat stencil that the step left unchanged has residual 0 at every c
+        key = np.flatnonzero((lo != hi) | (u0 != u1))
+        row, cell = np.divmod(key, width)
+        inside = cell < n
+        if not inside.any():
+            return None
+        key, row = key[inside], row[inside]
+        ids = (first + 1 + row) * n + cell[inside]  # step * n + cell of each active item
+        lo, hi = lo[key], hi[key]
+        below = np.searchsorted(cs, lo, side="right") - 1  # the largest constant <= the stencil min
+        above = np.searchsorted(cs, hi)  # the smallest one >= the stencil max
+        has_s = lo != hi  # S_j is exactly 0 on a flat stencil
+        pos_s, mark_s = _stencil_runs(key[has_s], pad)
+        # the straddling (constant, item) triples, below < i < above for constant cs[i],
+        # built from each item's range of constants and ordered by constant, then item
+        count = above - below - 1
+        some = np.flatnonzero(count > 0)
+        count = count[some]
+        it = np.repeat(some, count)
+        i = np.arange(it.size) + np.repeat(below[some] + 1 - (np.cumsum(count) - count), count)
+        i, it = np.divmod(np.sort(i * key.size + it), key.size)
+        # each keyed into a copy of the rows per constant, constant i's at i * span
+        pos_q, mark_q = _stencil_runs(i * span + key[it], pad)
+        piece = (ids, dt[row], u0[key], u1[key], below, above, has_s, flat[pos_s], mark_s,
+                 ids[it], i, flat[pos_q % span], pos_q // span, mark_q)
+        return piece, ids.size + pos_s.size + pos_q.size + it.size
+
+    def _evaluate(self) -> None:
+        """The sparse stage: the sums, the residuals and the fold, once per batch."""
+        if not self.batch:
+            return
+        batch, self.batch, self.load = self.batch, [], 0
+        # a lone block is evaluated in place, a longer batch joined field by field
+        fields = batch[0] if len(batch) == 1 else [np.concatenate(f) for f in zip(*batch)]
+        del batch  # so the pieces' arrays go once they are joined
+        (ids, dt, u0, u1, below, above, has_s, vals_s, mark_s,
+         ids_q, ic, vals_q, ic_v, mark_q) = fields
+        pad, weights, flux, cs = self.weights.n_terms, self.weights, self.flux, self.cs
+        it, c, res = np.searchsorted(ids, ids_q), cs[ic], np.empty(0)
+        if vals_q.size:  # the straddle triples' residuals
+            q = _q_sums(vals_q, cs[ic_v], weights, flux)
+            res = _excess(u0[it], u1[it], c) + dt[it] * q[mark_q[: q.size]]
+        s = np.zeros(ids.size)  # S_j, exactly 0 on a flat stencil
+        if vals_s.size:
+            sums = _flux_sum(*flux.additive_halves(vals_s, pad), weights)
+            s[has_s] = sums[mark_s[: sums.size]]
+        ds = dt * s
+        c_lo, c_hi = cs[np.maximum(below, 0)], cs[np.minimum(above, cs.size - 1)]
+        sides = (  # each item's residual at its two side constants
+            np.where(below >= 0, _excess(u0, u1, c_lo) + ds, -np.inf),
+            np.where(above < cs.size, _excess(u0, u1, c_hi) - ds, -np.inf),
+        )
+        counts = self.counts
+        counts["entropy_batches"] += 1
+        counts["side_residuals"] += int(np.count_nonzero(below >= 0))
+        counts["side_residuals"] += int(np.count_nonzero(above < cs.size))
+        counts["straddle_residuals"] += res.size
+        counts["stencil_values"] += vals_s.size + vals_q.size
+        best = np.maximum(*sides)
+        top = max(float(best.max()), float(res.max(initial=-np.inf)))
+        if top > self.worst:  # strict: an earlier batch keeps a tie
+            self.worst = top
+            # the earliest (step, cell) that reaches it, and its smallest constant there
+            hit = min(ids[best == top].min(initial=ids[-1]),
+                      ids_q[res == top].min(initial=ids[-1]))
+            mine = ids == hit
+            reached = np.concatenate((c_lo[mine & (sides[0] == top)],
+                                      c_hi[mine & (sides[1] == top)],
+                                      c[(ids_q == hit) & (res == top)]))
+            self.where = (*divmod(int(hit), self.n), float(reached.min()))
 
     def result(self) -> tuple:
-        self._flush()
+        self._evaluate()
         return super().result()
 
 
@@ -527,9 +619,13 @@ def audit_stream(weights: QuadratureWeights, flux: TwoPointFlux) -> AuditStream:
     """The audit bundle of :func:`audit_trajectory` as a ``run`` observer.
 
     Pass it as ``run(..., observer=audit)``, then ``audit.finish()`` returns the
-    reports that ``audit_trajectory`` gives on the stored trajectory.
+    reports that ``audit_trajectory`` gives on the stored trajectory.  The
+    stream keeps one block of B + 1 extended rows and the entropy audit's
+    pending batch; ``audit.counts`` then holds the entropy audit's work:
+    blocks and batches run, side and straddle residuals evaluated, and the
+    stencil values its sums read.
     """
-    return AuditStream(lambda u0: _bundle(u0, weights, flux))
+    return AuditStream(lambda u0: _bundle(u0, weights, flux), weights.n_terms)
 
 
 def audit_trajectory(

@@ -176,19 +176,20 @@ class TwoPointFlux:
         pair within reach, A_i > 0 and B_j > 0, needs the max.  The nearest
         such pair joins the last entry of a run of positive A to the first
         entry of a run of positive B, so only run ends and run starts are
-        compared.
+        compared, and none when one half has no positive entry (one-signed data).
         """
         left, right, op = self._split()
         a, b = left(values), right(values)
-        if op is not np.add:
-            pos_a, pos_b = a > 0.0, b > 0.0
-            ends = (pos_a[:-1] > pos_a[1:]).nonzero()[0]
-            starts = (pos_b[1:] > pos_b[:-1]).nonzero()[0] + 1
-            nxt = starts.searchsorted(ends, side="right")  # the first start right of each end
-            has = nxt < starts.size
-            if (starts[nxt[has]] - ends[has] <= reach).any():
-                return a, b, op
-        return a, b, np.add
+        if op is np.add:
+            return a, b, op
+        pos_a, pos_b = a > 0.0, b > 0.0
+        if not (pos_a.any() and pos_b.any()):
+            return a, b, np.add
+        ends = (pos_a[:-1] > pos_a[1:]).nonzero()[0]
+        starts = (pos_b[1:] > pos_b[:-1]).nonzero()[0] + 1
+        nxt = starts.searchsorted(ends, side="right")  # the first start right of each end
+        has = nxt < starts.size
+        return a, b, op if (starts[nxt[has]] - ends[has] <= reach).any() else np.add
 
     # -- entropy flux -------------------------------------------------------
 

@@ -94,17 +94,6 @@ class GridState:
         idx = np.arange(-pad, self.n_cells + pad)
         return self.values.take(idx, mode="wrap" if self.boundary == "periodic" else "clip")
 
-    def reconstruct(self, x):
-        """Piecewise-constant field value at position(s) x."""
-        x = np.asarray(x, dtype=float)
-        j = np.floor((x - self.x0) / self.dx).astype(int)
-        if self.boundary == "periodic":
-            j = np.mod(j, self.n_cells)
-        else:
-            j = np.clip(j, 0, self.n_cells - 1)
-        out = self.values[j]
-        return float(out) if out.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class SchemeConfig:

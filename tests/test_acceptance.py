@@ -29,7 +29,7 @@ from horizonflux import (
     step_conservative_form,
 )
 from horizonflux.cli import main as cli_main
-from testutil import random_state, random_step_profile, weights_for_r
+from testutil import random_state, random_step_profile, reconstruct, weights_for_r
 
 GODUNOV = make_flux("godunov", make_local_flux("burgers"))
 
@@ -277,7 +277,7 @@ def test_criterion_09_joint_local_limit():
     final = run(config, fan_problem.u0, x0=fan_problem.domain[0], dx=dx,
                 n_cells=int(round((fan_problem.domain[1] - fan_problem.domain[0]) / dx)),
                 boundary=fan_problem.boundary, breakpoints=(0.0,))[-1]
-    midpoint = abs(float(final.reconstruct(0.0)))
+    midpoint = abs(float(reconstruct(final, 0.0)))
     ok = (shock_dec and fan_dec and midpoint <= 0.05
           and shock.invariants_pass() and fan.invariants_pass())
     _verdict(9, "joint local limit: errors vs exact shrink, no expansion shock",

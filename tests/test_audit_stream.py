@@ -31,6 +31,7 @@ from horizonflux import (
     step,
     total_variation,
 )
+from horizonflux import diagnostics
 from horizonflux.diagnostics import _block_steps
 from horizonflux.harness import _build_flux, _run_level
 from flux_oracles import reference_entropy_matrix
@@ -95,7 +96,7 @@ def three_jumps(x):
 @pytest.mark.parametrize("r", [1, 4, 16, 64])
 def test_streamed_audit_matches_the_stored_run(r, boundary):
     blocks = 3
-    n = 8192 // blocks - 2 * r  # B = 3 steps per entropy block
+    n = diagnostics._BLOCK_VALUES // blocks - 2 * r  # B = 3 steps per block
     dx = 1.0 / n
     assert _block_steps(n, r) == blocks
     dt = 0.2 * dx
@@ -237,3 +238,128 @@ def test_audited_level_does_not_hold_its_trajectory():
         tracemalloc.stop()
     assert len(snaps) == 9 and all(rep.passed for rep in reports)
     assert peak < 0.5 * trajectory_bytes, (peak, trajectory_bytes)
+
+
+@pytest.mark.parametrize("pad", [0, 1, 51])
+def test_row_sums_match_the_one_dimensional_sums(pad):
+    """The stream's TVD and conservation checks sum the rows of its block buffer at
+    once; numpy sums each contiguous row pairwise as ``np.sum`` does a 1-D array,
+    so the reports keep the per-state floats bit for bit."""
+    rng = np.random.default_rng(pad)
+    for n in (1, 7, 128, 1000, 4099):
+        ext = rng.standard_normal((5, n + 2 * pad)) * 10.0 ** rng.uniform(-3, 3, (5, 1))
+        rows = ext[:, pad : pad + n]
+        variation = np.abs(np.diff(rows, axis=1)).sum(axis=1)
+        for row, mass, tv in zip(rows, rows.sum(axis=1), variation):
+            assert mass == np.sum(row)
+            assert tv == np.sum(np.abs(np.diff(row)))
+
+
+@pytest.mark.parametrize("budget, blocks, batches", [(8192, 1, 1), (400, 4, 2)])
+def test_entropy_work_counters(budget, blocks, batches, monkeypatch):
+    """Five copies of one state, a 1 at cell 3 among n = 300 zeros, with R = 1.  Each
+    step has three active items, cells 2, 3 and 4, whose stencils span [0, 1]: each
+    has both side constants, and 13 of the 17 default constants (0.05 ... 0.95)
+    straddle it.  Their stencils are one run of 5 values, read once by S_j and once
+    per straddling constant.  At a budget of 400, B = 400 // 302 = 1 step per block
+    and a block's work is 3 items + 70 values + 39 triples = 112, so the first
+    batch holds three blocks and ``finish`` runs the fourth."""
+    monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", budget)
+    n = 300
+    dx = 1.0 / n
+    weights = weights_for_r(1, dx)
+    values = np.zeros(n)
+    values[3] = 1.0
+    audit = audit_stream(weights, GODUNOV)
+    for k in range(5):
+        audit(GridState(dx=dx, x0=0.0, values=values, boundary="constant_extension",
+                        time=k * 0.1 * dx))
+    audit.finish()
+    assert audit.counts == {"entropy_blocks": blocks, "entropy_batches": batches,
+                            "side_residuals": 4 * 6, "straddle_residuals": 4 * 39,
+                            "stencil_values": 4 * (5 + 13 * 5)}
+
+
+def narrow_bump_run(n=2000, r=2, steps=101):
+    """Godunov over Burgers from a flat state with one narrow bump (u > 0): about 40
+    of the 2,000 cells per step are active, so one batch of the entropy audit spans
+    about ten blocks of B = 4 steps.  Constant extension keeps the far cells flat."""
+    dx = 1.0 / n
+    weights = weights_for_r(r, dx)
+    values = np.full(n, 0.2)
+    values[40:43] = 0.8
+    trajectory = [GridState(dx=dx, x0=0.0, values=values, boundary="constant_extension")]
+    for _ in range(steps):
+        trajectory.append(step(trajectory[-1], weights, GODUNOV, 0.3 * dx))
+    return trajectory, weights
+
+
+def audited_batches(trajectory, weights, monkeypatch):
+    """The reports of a streamed audit and the (first, last) step of each batch
+    its entropy check evaluated, in order."""
+    n, evaluate, batches = trajectory[0].n_cells, diagnostics._CellEntropy._evaluate, []
+
+    def recording(check):
+        if check.batch:  # each piece starts with its items' ids, step * n + cell, in order
+            batches.append((int(check.batch[0][0][0]) // n, int(check.batch[-1][0][-1]) // n))
+        evaluate(check)
+
+    monkeypatch.setattr(diagnostics._CellEntropy, "_evaluate", recording)
+    audit = audit_stream(weights, GODUNOV)
+    for state in trajectory:
+        audit(state)
+    return audit.finish(), batches
+
+
+@pytest.mark.parametrize("where", ["first_block", "after_a_batch", "end_of_a_batch", "last_block"])
+def test_violation_planted_around_a_batch(where, monkeypatch):
+    """A violation in the first block of the first batch, in the block just after a
+    batch is evaluated, in the block that closes a batch, and in the last block,
+    which only ``finish`` evaluates: the stream reports what the stored run's
+    audits and the oracle do, at the oracle's location."""
+    trajectory, weights = narrow_bump_run()
+    blocks = _block_steps(trajectory[0].n_cells, weights.n_terms)
+    clean, batches = audited_batches(trajectory, weights, monkeypatch)
+    assert all(rep.passed for rep in clean)
+    assert max(last - first for first, last in batches) >= 3 * blocks  # a batch spans blocks
+    planted = {"first_block": 1, "after_a_batch": batches[1][0],
+               "end_of_a_batch": batches[1][1], "last_block": len(trajectory) - 1}[where]
+    cell = 1500  # flat in every state
+    trajectory[planted].values[cell] += 0.05
+    streamed, batches = audited_batches(trajectory, weights, monkeypatch)
+    first, last = {"first_block": batches[0], "after_a_batch": batches[1],
+                   "end_of_a_batch": batches[1], "last_block": batches[-1]}[where]
+    assert planted in (first, last) and (first - 1) % blocks == 0
+    if where == "last_block":
+        assert (len(trajectory) - 1) % blocks != 0  # a part block, flushed by finish
+    assert streamed == audit_trajectory(trajectory, weights, GODUNOV)
+    assert streamed == reference_audit(trajectory, weights, GODUNOV)
+    report = streamed[-1]
+    constants = kruzhkov_constants(trajectory[0])
+    worst, at = _oracle_location(trajectory, weights, GODUNOV, constants)
+    tol = 16 * np.finfo(float).eps * 2.0
+    assert not report.passed
+    assert report.location[:2] == at[:2] == (planted, cell)
+    assert abs(report.violation - worst) <= tol
+    # every constant at or below the flat 0.2 reaches 0.05 in real arithmetic, so
+    # the oracle's own argmax pins c only up to round-off
+    step_n, j, c = report.location
+    residual = reference_entropy_matrix(trajectory[step_n - 1], trajectory[step_n], weights,
+                                        GODUNOV, [c])[0, j]
+    assert abs(residual - worst) <= tol
+
+
+def test_a_nonfinite_state_while_a_batch_is_pending(monkeypatch):
+    trajectory, weights = narrow_bump_run()
+    blocks = _block_steps(trajectory[0].n_cells, weights.n_terms)
+    _, batches = audited_batches(trajectory, weights, monkeypatch)
+    first, last = batches[1]
+    bad = first + blocks + 3  # in the batch's second block, its first still pending
+    assert bad < last
+    trajectory[bad].values[1500] = np.nan
+    streamed, batches = audited_batches(trajectory, weights, monkeypatch)
+    assert batches[-1] == (first, first + blocks - 1)  # the pending block, run by finish
+    assert streamed == audit_trajectory(trajectory, weights, GODUNOV)
+    for report in streamed:
+        assert not report.passed and report.violation == np.inf
+        assert report.location == (bad, 1500)

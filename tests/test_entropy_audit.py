@@ -248,7 +248,7 @@ def _draw_run(data):
     local = _local_for(family, data.draw)
     boundary = data.draw(st.sampled_from(BOUNDARY_MODES), label="boundary")
     profile = data.draw(st.sampled_from(PROFILE_NAMES), label="profile")
-    r = data.draw(st.integers(1, 64), label="r")
+    r = data.draw(st.integers(1, 256), label="r")
     n = data.draw(st.integers(8, 40), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     dx = 1.0 / n

@@ -25,7 +25,8 @@ from horizonflux import (
 )
 from horizonflux import solver
 from flux_oracles import reference_rate
-from testutil import every_flux, random_state, random_step_profile, weights_for_r
+from testutil import (every_flux, random_state, random_step_profile, reconstruct,
+                      weights_for_r)
 
 GODUNOV = make_flux("godunov", make_local_flux("burgers"))
 
@@ -274,6 +275,26 @@ def test_godunov_transonic_test_matches_a_search_over_all_pairs():
         np.testing.assert_array_equal(op(a[:-1], b[1:]), GODUNOV.g(values[:-1], values[1:]))
 
 
+@pytest.mark.parametrize("reach", [1, 4, 64, 256])
+def test_godunov_transonic_test_on_one_signed_and_mixed_data(reach):
+    """One-signed data (u >= 0 or u <= 0) leaves one half 0 throughout and takes +
+    without the run-end search; on mixed data the op still matches a search over
+    every pair within reach, and the halves are A and B themselves."""
+    rng = np.random.default_rng(reach)
+    local = GODUNOV.local
+    for _ in range(50):
+        values = rng.uniform(-1.0, 1.0, int(rng.integers(1, 600)))
+        values[rng.random(values.size) < 0.2] = 0.0
+        for data in (np.abs(values), -np.abs(values), values):
+            a, b, op = GODUNOV.additive_halves(data, reach)
+            pos_a, pos_b = local.split_plus(data) > 0.0, local.split_minus(data) > 0.0
+            shifts = range(1, min(reach, data.size - 1) + 1)
+            transonic = any((pos_a[:-k] & pos_b[k:]).any() for k in shifts)
+            assert (op is np.maximum) == transonic
+            np.testing.assert_array_equal(a, local.split_plus(data))
+            np.testing.assert_array_equal(b, local.split_minus(data))
+
+
 # -- CFL ------------------------------------------------------------------------
 
 
@@ -391,12 +412,12 @@ def test_advection_error_first_order_and_shrinking():
 def test_reconstruct_cells_and_edges():
     state = GridState(dx=0.5, x0=0.0, values=np.array([1.0, 2.0, 3.0]),
                       boundary="constant_extension")
-    assert state.reconstruct(0.25) == 1.0  # midpoint of cell 0
-    assert state.reconstruct(0.5) == 2.0  # edge belongs to the right cell
-    assert state.reconstruct(5.0) == 3.0  # beyond the domain: edge value
-    assert state.reconstruct(-3.0) == 1.0
+    assert reconstruct(state, 0.25) == 1.0  # midpoint of cell 0
+    assert reconstruct(state, 0.5) == 2.0  # edge belongs to the right cell
+    assert reconstruct(state, 5.0) == 3.0  # beyond the domain: edge value
+    assert reconstruct(state, -3.0) == 1.0
     periodic = GridState(dx=0.5, x0=0.0, values=np.array([1.0, 2.0, 3.0]))
-    assert periodic.reconstruct(1.75) == 1.0  # wraps past the right end
+    assert reconstruct(periodic, 1.75) == 1.0  # wraps past the right end
 
 
 def test_reconstruct_is_bounded_by_initial_range():
@@ -405,7 +426,7 @@ def test_reconstruct_is_bounded_by_initial_range():
     weights = weights_for_r(3, 1 / 64)
     out = step(state, weights, GODUNOV, 0.2 / 64)
     x = rng.uniform(-1.0, 2.0, 500)
-    vals = out.reconstruct(x)
+    vals = reconstruct(out, x)
     assert np.all(vals <= np.max(state.values) + 1e-12)
     assert np.all(vals >= np.min(state.values) - 1e-12)
 

@@ -25,6 +25,20 @@ def random_step_profile(rng, n=256, dx=1 / 256, boundary="periodic", box=(-1.0, 
     return GridState(dx=dx, x0=0.0, values=values, boundary=boundary)
 
 
+def reconstruct(state, x):
+    """Piecewise-constant field value of ``state`` at position(s) x: cell j holds
+    [x0 + j dx, x0 + (j+1) dx), and positions off the grid read a ghost per the
+    boundary mode (the nearest edge value, or a wrap on periodic grids)."""
+    x = np.asarray(x, dtype=float)
+    j = np.floor((x - state.x0) / state.dx).astype(int)
+    if state.boundary == "periodic":
+        j = np.mod(j, state.n_cells)
+    else:
+        j = np.clip(j, 0, state.n_cells - 1)
+    out = state.values[j]
+    return float(out) if out.ndim == 0 else out
+
+
 def weights_for_r(r, dx, profile="uniform"):
     """Quadrature weights whose term count is exactly max(r, 1)."""
     delta = (r + 0.5) * dx if r >= 1 else 0.5 * dx
