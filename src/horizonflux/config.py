@@ -1,11 +1,13 @@
 """Plain-text run configuration: INI-style sections validated into a RunConfig.
 
 A config names the kernel, the flux family, a benchmark problem, the grid
-spacing, and the time-stepping parameters.  Validation happens at load time,
-including the monotonicity bound on the mesh ratio over the problem's data
-box, so a config that parses is a config that runs.  ``[time] enforce_cfl =
-false`` lifts that bound for ``run`` and ``check`` only; ``study`` always
-enforces it and exits 1 when a level's mesh ratio breaks it.
+spacing, and the time-stepping parameters.  Validation happens at load time:
+the library builds the kernel and the flux (its errors prefixed with their
+config section) and checks the monotonicity bound on the mesh ratio over the
+problem's data box, so a config that parses is a config that runs, whatever
+``[time] enforce_cfl`` says.  ``enforce_cfl = false`` lifts only that bound,
+for ``run`` and ``check``; ``study`` always enforces it and exits 1 when a
+level's mesh ratio breaks it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .fluxes import FLUX_FAMILIES
 from .harness import DEFAULT_OUTPUT_TIMES, _build_flux, _level_geometry
-from .kernels import PROFILE_NAMES
+from .kernels import Kernel
 from .reference import Problem, get_problem
 from .solver import BOUNDARY_MODES, validate_cfl
 
@@ -170,19 +171,19 @@ def _one_of(value, choices, what: str, valid: str) -> None:
         raise ValueError(f"unknown {what} {value!r}; {valid}: " + ", ".join(choices))
 
 
+def _keyed(prefix: str, build, *args):
+    """``build(*args)``, with ``prefix`` (the config section) leading its ValueError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{prefix} {exc}") from None
+
+
 def _validate(v: dict[str, object]) -> RunConfig:
-    base = get_problem(v["problem"])
-    _one_of(v["profile"], PROFILE_NAMES, "kernel profile", "valid profiles")
-    family, lf_lambda = v["flux_family"], v["lf_lambda"]
-    _one_of(family, FLUX_FAMILIES, "flux family", "valid families")
-    if family == "lax_friedrichs":
-        if lf_lambda is None:
-            raise ValueError("lax_friedrichs requires [flux] lf_lambda")
-        _positive("[flux] lf_lambda", lf_lambda)
-    elif lf_lambda is not None:
-        raise ValueError(f"[flux] lf_lambda only applies to lax_friedrichs, not {family!r}")
-    for name, label in (("delta", "[kernel] delta"), ("dx", "[grid] dx"),
-                        ("mesh_ratio", "[time] mesh_ratio")):
+    base = _keyed("[problem]", get_problem, v["problem"])
+    _keyed("[kernel]", Kernel, v["delta"], v["profile"])
+    flux = _keyed("[flux]", _build_flux, base, v["flux_family"], v["lf_lambda"])
+    for name, label in (("dx", "[grid] dx"), ("mesh_ratio", "[time] mesh_ratio")):
         _positive(label, v[name])
 
     # unset geometry comes from the named problem
@@ -198,10 +199,7 @@ def _validate(v: dict[str, object]) -> RunConfig:
         raise ValueError(
             f"[problem] x_left must be less than x_right, got ({x_left}, {x_right})"
         )
-    try:
-        _level_geometry((x_left, x_right), v["dx"])
-    except ValueError as exc:
-        raise ValueError(f"[grid] {exc}") from None
+    _keyed("[grid]", _level_geometry, (x_left, x_right), v["dx"])
     if v["window_left"] is None:
         v["window_left"] = max(base.window[0], x_left)
     if v["window_right"] is None:
@@ -231,7 +229,7 @@ def _validate(v: dict[str, object]) -> RunConfig:
     cfg = RunConfig(**v)
     if cfg.enforce_cfl:
         # reject an over-large mesh ratio now, naming the computed bound
-        validate_cfl(cfg.build_flux(), cfg.mesh_ratio, *base.data_box)
+        validate_cfl(flux, cfg.mesh_ratio, *base.data_box)
     return cfg
 
 

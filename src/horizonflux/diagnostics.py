@@ -67,30 +67,22 @@ class InvariantReport:
         }
 
 
-def _nonfinite(n, *states) -> tuple | None:
-    """(n, the first non-finite cell of any of ``states``), or None if all are finite."""
-    finite = [np.isfinite(s.values) for s in states]
-    if all(f.all() for f in finite):
-        return None
-    return n, min(int(np.argmin(f)) for f in finite if not f.all())
+def _worst(excess: np.ndarray, first: int) -> tuple[float, tuple | None]:
+    """The largest entry of ``excess`` (one row per step, from step ``first`` on;
+    2-D if by cell), clamped at 0, and its (step, *cell), or None if no entry is
+    positive.  Its first occurrence counts, so a tie keeps the earliest step,
+    then the lowest cell."""
+    i = int(np.argmax(excess))
+    if not excess.flat[i] > 0.0:
+        return 0.0, None
+    step, *cell = np.unravel_index(i, excess.shape)
+    return float(excess.flat[i]), (first + int(step), *(int(j) for j in cell))
 
 
-def _first_nonfinite(*trajectories) -> tuple | None:
-    for n, states in enumerate(zip(*trajectories)):
-        bad = _nonfinite(n, *states)
-        if bad is not None:
-            return bad
-    return None
-
-
-def _first(*trajectories: Sequence[GridState]) -> GridState:
-    """u^0 of the first trajectory.  The trajectories must be equally long and,
-    like a streamed audit, hold at least one state."""
-    if len({len(t) for t in trajectories}) > 1:
-        raise ValueError("trajectories have different lengths")
-    if len(trajectories[0]) == 0:
-        raise ValueError("the audit saw no state")
-    return trajectories[0][0]
+def _first_bad(finite: np.ndarray, first: int) -> tuple | None:
+    """The first (step, cell) where the rows ``finite`` (one per step, from step
+    ``first`` on) are False, or None if they are all True."""
+    return _worst(~finite, first)[1]
 
 
 def _report(name, violation, tolerance, location, bad=None) -> InvariantReport:
@@ -110,17 +102,21 @@ def _report(name, violation, tolerance, location, bad=None) -> InvariantReport:
 # -- norms -------------------------------------------------------------------
 
 
+def _tv_rows(u: np.ndarray, periodic: bool) -> np.ndarray:
+    """sum_j |u_{j+1} - u_j| along the last axis, plus |u_0 - u_{n-1}| if periodic."""
+    tv = np.abs(np.diff(u, axis=-1)).sum(axis=-1)
+    if periodic:
+        tv += np.abs(u[..., 0] - u[..., -1])
+    return tv
+
+
 def total_variation(state: GridState) -> float:
     """sum_j |u_{j+1} - u_j| (no dx factor); wraps around on periodic grids.
 
     With constant extension the ghost differences vanish, so only interior
     jumps contribute.
     """
-    u = state.values
-    tv = float(np.sum(np.abs(np.diff(u))))
-    if state.boundary == "periodic":
-        tv += abs(float(u[0] - u[-1]))
-    return tv
+    return float(_tv_rows(state.values, state.boundary == "periodic"))
 
 
 def _same_grid(a: GridState, b: GridState) -> None:
@@ -150,14 +146,10 @@ class _Check:
     worst, where = 0.0, None
 
     def _fold(self, first: int, excess: np.ndarray) -> None:
-        """Keep the largest entry of ``excess`` (one row per step, from step
-        ``first`` on; 2-D if by cell) if it beats the worst so far.  Its first
-        occurrence counts, so a tie keeps the earliest step, then the lowest cell."""
-        i = int(np.argmax(excess))
-        if excess.flat[i] > self.worst:
-            self.worst = float(excess.flat[i])
-            step, *cell = np.unravel_index(i, excess.shape)
-            self.where = (first + int(step), *(int(j) for j in cell))
+        """Keep the :func:`_worst` of ``excess`` if it beats the worst so far."""
+        worst, where = _worst(excess, first)
+        if worst > self.worst:
+            self.worst, self.where = worst, where
 
     def result(self) -> tuple:
         return self.name, self.worst, self.tol, self.where
@@ -184,10 +176,7 @@ class _TotalVariation(_Check):
         self.periodic = u0.boundary == "periodic"
 
     def observe(self, first: int, values: np.ndarray, *_) -> None:
-        u = values[1:]
-        tv = np.abs(np.diff(u, axis=1)).sum(axis=1)  # row by row, as total_variation sums
-        if self.periodic:
-            tv += np.abs(u[:, 0] - u[:, -1])
+        tv = _tv_rows(values[1:], self.periodic)  # row by row, as total_variation sums
         self._fold(first + 1, np.diff(tv, prepend=self.last))
         self.last = tv[-1]
 
@@ -238,7 +227,7 @@ class AuditStream:
                 self._flush()
 
     def _start(self, u0: GridState) -> None:
-        self._bad = _nonfinite(0, u0)
+        self._bad = _first_bad(np.isfinite(u0.values[None]), 0)
         with np.errstate(invalid="ignore" if self._bad else None):  # a non-finite u^0
             self._checks = self._make_checks(u0)  # fails every check, whatever its tolerance
         n, pad = u0.n_cells, self._pad
@@ -254,10 +243,8 @@ class AuditStream:
         rows, pad, n = self._rows, self._pad, self._u0.n_cells
         ext = self._ext[:rows]
         values = ext[:, pad : pad + n]
-        finite = np.isfinite(values[1:])
-        if not finite.all():
-            row = int(np.argmin(finite.all(axis=1)))
-            self._bad = (self._first + 1 + row, int(np.argmin(finite[row])))
+        self._bad = _first_bad(np.isfinite(values[1:]), self._first + 1)
+        if self._bad is not None:
             return
         for check in self._checks:
             check.observe(self._first, values, ext, self._times[:rows])
@@ -303,41 +290,46 @@ def check_conservation(trajectory: Sequence[GridState]) -> InvariantReport:
     return _fed(AuditStream(lambda u0: [_Conservation(u0)]), trajectory)[0]
 
 
+def _paired(
+    traj_a: Sequence[GridState], traj_b: Sequence[GridState]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two runs' values as rows, one per step.  The runs must be equally
+    long and hold at least one state, each on the grid of the first run's u^0."""
+    if len(traj_a) != len(traj_b):
+        raise ValueError("trajectories have different lengths")
+    if len(traj_a) == 0:
+        raise ValueError("the audit saw no state")
+    for state in (*traj_a, *traj_b):
+        _same_grid(traj_a[0], state)
+    return np.stack([s.values for s in traj_a]), np.stack([s.values for s in traj_b])
+
+
 def check_l1_contraction(
     traj_a: Sequence[GridState], traj_b: Sequence[GridState]
 ) -> InvariantReport:
     """The discrete L1 distance of two runs must be non-increasing in time."""
-    _first(traj_a, traj_b)
-    bad = _first_nonfinite(traj_a, traj_b)
+    u, v = _paired(traj_a, traj_b)
+    bad = _first_bad(np.isfinite(u) & np.isfinite(v), 0)
     if bad is not None:  # fails outright, before any inf - inf
         return _report("l1_contraction", np.inf, np.inf, None, bad)
-    dists = [l1_distance(a, b) for a, b in zip(traj_a, traj_b)]
-    tol = 1e-12 * (1.0 + dists[0])
-    worst, where = 0.0, None
-    for n in range(len(dists) - 1):
-        growth = dists[n + 1] - dists[n]
-        if growth > worst:
-            worst, where = growth, (n + 1,)
-    return _report("l1_contraction", worst, tol, where)
+    # row by row, each with its own dx, as l1_distance sums
+    dists = np.array([a.dx for a in traj_a]) * np.abs(u - v).sum(axis=-1)
+    worst, where = _worst(np.diff(dists, prepend=dists[0]), 0)
+    return _report("l1_contraction", worst, 1e-12 * (1.0 + dists[0]), where)
 
 
 def check_ordering(
     traj_a: Sequence[GridState], traj_b: Sequence[GridState]
 ) -> InvariantReport:
     """If u0 <= v0 componentwise, the ordering must persist at every step."""
-    u0, v0 = _first(traj_a, traj_b).values, traj_b[0].values
-    tol = 1e-12 * (1.0 + max(float(np.max(np.abs(u0))), float(np.max(np.abs(v0)))))
-    bad = _first_nonfinite(traj_a, traj_b)
+    u, v = _paired(traj_a, traj_b)
+    tol = 1e-12 * (1.0 + max(float(np.max(np.abs(u[0]))), float(np.max(np.abs(v[0])))))
+    bad = _first_bad(np.isfinite(u) & np.isfinite(v), 0)
     if bad is not None:  # fails outright, before any inf - inf
         return _report("monotone_ordering", np.inf, tol, None, bad)
-    if np.any(u0 > v0 + tol):
+    if np.any(u[0] > v[0] + tol):
         raise ValueError("initial data not ordered: need u0 <= v0")
-    worst, where = 0.0, None
-    for n, (a, b) in enumerate(zip(traj_a, traj_b)):
-        excess = a.values - b.values
-        j = int(np.argmax(excess))
-        if excess[j] > worst:
-            worst, where = float(excess[j]), (n, j)
+    worst, where = _worst(u - v, 0)
     return _report("monotone_ordering", worst, tol, where)
 
 
@@ -495,11 +487,8 @@ class _CellEntropy(_Check):
         _check_pair(u0, weights)
         self.weights, self.flux, self.n = weights, flux, u0.n_cells
         self.tol = _entropy_tolerance(u0)
-        if constants is None and np.all(np.isfinite(u0.values)):  # if not, the stream fails it
-            constants = kruzhkov_constants(u0)
-        if constants is not None:
-            cs = np.sort(constants)
-            self.cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
+        cs = np.sort(kruzhkov_constants(u0) if constants is None else constants)
+        self.cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
         self.batch, self.load = [], 0
         self.counts = dict.fromkeys(
             ("entropy_blocks", "entropy_batches", "side_residuals", "straddle_residuals",

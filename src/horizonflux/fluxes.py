@@ -243,7 +243,7 @@ def make_flux(
         )
     if family == "lax_friedrichs":
         if lf_lambda is None or not (math.isfinite(lf_lambda) and lf_lambda > 0.0):
-            raise ValueError("lax_friedrichs needs a positive lf_lambda parameter")
+            raise ValueError(f"lf_lambda must be positive and finite, got {lf_lambda}")
     elif lf_lambda is not None:
         raise ValueError(f"lf_lambda only applies to lax_friedrichs, not {family!r}")
     if family == "upwind_linear" and local.name != "linear_advection":

@@ -67,9 +67,13 @@ def test_bad_values_rejected():
         parse_config_text(MINIMAL.replace("delta = 0.05", "delta = -1"))
     with pytest.raises(ValueError, match="expects a float"):
         parse_config_text(MINIMAL.replace("dx = 0.03125", "dx = tiny"))
+    with pytest.raises(ValueError, match="malformed config"):
+        parse_config_text("[kernel\ndelta = 0.05\n")
 
 
 PROBLEM = "name = burgers_shock"
+TIME = "mesh_ratio = 0.9"
+RELAXED = MINIMAL.replace(TIME, TIME + "\nenforce_cfl = false")
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -84,8 +88,29 @@ PROBLEM = "name = burgers_shock"
     ("dx = 0.03125", "dx = 0.3", r"\[grid\] dx=0.3 does not tile the domain \[-2.0, 3.0\]"),
     ("family = godunov", "family = lax_friedrichs\nlf_lambda = -1",
      r"\[flux\] lf_lambda must be positive and finite"),
+    # the flux is built at load whether or not the CFL bound is enforced
+    (MINIMAL, RELAXED.replace("family = godunov", "family = upwind_linear"),
+     r"\[flux\] upwind_linear requires the linear_advection local flux"),
+    (TIME, TIME + "\nenforce_cfl = maybe", r"\[time\] enforce_cfl expects a bool, got 'maybe'"),
+    (PROBLEM, PROBLEM + "\nT = -1", r"\[problem\] T must be nonnegative, got -1.0"),
+    (TIME, TIME + "\n\n[study]\nlevels = 1", r"\[study\] levels must be at least 2, got 1"),
+    (TIME, TIME + "\n\n[study]\noutput_times = 1",
+     r"\[study\] output_times must be at least 2, got 1"),
+    ("family = godunov", "family = lax_friedrichs",
+     r"\[flux\] lf_lambda must be positive and finite, got None"),
+    ("family = godunov", "family = godunov\nlf_lambda = 0.5",
+     r"\[flux\] lf_lambda only applies to lax_friedrichs, not 'godunov'"),
+    ("dx = 0.03125", "dx = 0", r"\[grid\] dx must be positive and finite, got 0.0"),
+    ("delta = 0.05", "delta = -1", r"\[kernel\] horizon delta must be positive and finite"),
+    ("delta = 0.05", "delta = 0.05\nprofile = cosine",
+     r"\[kernel\] unknown kernel profile 'cosine'; valid profiles"),
+    (PROBLEM, "name = kdv", r"\[problem\] unknown problem 'kdv'; valid problems"),
 ], ids=["x_right_inf", "x_left_minus_inf", "reversed_domain", "reversed_window",
-        "window_outside", "dx_off_the_tiling", "negative_lf_lambda"])
+        "window_outside", "dx_off_the_tiling", "negative_lf_lambda",
+        "upwind_linear_on_burgers_without_cfl", "enforce_cfl_not_a_bool", "negative_T",
+        "one_level", "one_output_time", "lax_friedrichs_without_lf_lambda",
+        "lf_lambda_on_godunov", "zero_dx", "negative_delta", "unknown_profile",
+        "unknown_problem"])
 def test_bad_values_name_their_key(old, new, message):
     with pytest.raises(ValueError, match=message):
         parse_config_text(MINIMAL.replace(old, new))

@@ -22,6 +22,7 @@ from horizonflux import (
     step,
     total_variation,
 )
+from horizonflux import diagnostics
 from testutil import every_flux, random_state, weights_for_r
 
 GODUNOV = make_flux("godunov", make_local_flux("burgers"))
@@ -148,6 +149,58 @@ def test_ordering_preserved_and_validated():
     assert check_ordering(traj_lo, traj_hi).passed
     with pytest.raises(ValueError, match="ordered"):
         check_ordering(traj_hi, traj_lo)
+
+
+def _run(rows, dx=0.5):
+    return [GridState(dx=dx, x0=0.0, values=np.array(v, dtype=float), time=0.1 * i)
+            for i, v in enumerate(rows)]
+
+
+TWO_RUN_CHECKS = {"l1_contraction": check_l1_contraction, "ordering": check_ordering}
+
+
+@pytest.mark.parametrize("check", TWO_RUN_CHECKS.values(), ids=TWO_RUN_CHECKS.keys())
+def test_two_run_checks_share_one_input_rule_and_tie_rule(check):
+    zeros = _run([[0.0] * 4] * 2)
+    for other in (_run([[0.0]] * 2), _run([[0.0] * 4] * 2, dx=0.25)):
+        for pair in ((zeros, other), (other, zeros)):
+            with pytest.raises(ValueError, match="states live on different grids"):
+                check(*pair)
+    with pytest.raises(ValueError, match="different grids"):  # a later state off the grid
+        check(zeros, zeros[:1] + _run([[0.0] * 4], dx=0.25))
+    with pytest.raises(ValueError, match="different lengths"):
+        check(zeros, zeros[:1])
+    # distances 0, 1, 0, 1 and the excess 1 at (1, 1), (1, 3), (3, 0) and (3, 1):
+    # a tie keeps the earliest step, then the lowest cell
+    a = _run([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 0, 0]])
+    report = check(a, _run([[0.0] * 4] * 4))
+    assert not report.passed and report.violation == 1.0
+    assert report.location == {check_l1_contraction: (1,), check_ordering: (1, 1)}[check]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "constant_extension"])
+@pytest.mark.parametrize("n", [7, 8, 9, 127, 128, 129, 2560])
+def test_row_reductions_equal_the_one_state_norms(n, boundary):
+    """The block and two-run checks sum rows; each row is the float that
+    total_variation or l1_distance gives for its state, bit for bit."""
+    rng = np.random.default_rng(n)
+    dx = 1.0 / n
+    zero = GridState(dx=dx, x0=0.0, values=np.zeros(n), boundary=boundary)
+    weights = weights_for_r(3, dx)
+    # the first of each pair sits within round-off of the grid: each distance takes its dx
+    states = [GridState(dx=dx * (1.0 + 1e-13 * (k % 2 == 0)), x0=0.0,
+                        values=rng.uniform(-1.0, 1.0, n), boundary=boundary, time=0.1)
+              for k in range(6)]
+    block = np.stack([s.extended(3) for s in states])[:, 3 : 3 + n]  # rows as the stream holds them
+    rows = diagnostics._tv_rows(block, boundary == "periodic")
+    assert list(rows) == [total_variation(s) for s in states]
+    for a, b in zip(states[::2], states[1::2]):
+        # from a zero state each violation is the later state's norm itself
+        assert check_tvd([zero, a]).violation == total_variation(a)
+        assert audit_trajectory([zero, a], weights, GODUNOV)[1].violation == total_variation(a)
+        assert check_l1_contraction([zero, a], [zero, b]).violation == l1_distance(a, b)
+        assert check_l1_contraction([a, zero], [b, zero]).tolerance == 1e-12 * (
+            1.0 + l1_distance(a, b))
 
 
 # -- cell entropy -------------------------------------------------------------------
