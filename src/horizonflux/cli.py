@@ -96,7 +96,7 @@ def _cmd_run(args) -> int:
     targets = np.linspace(0.0, cfg.final_time, cfg.output_times)
     trajectory, *_ = _run_level(
         cfg.resolved_problem(), cfg.build_flux(), cfg.profile, cfg.delta, cfg.dx,
-        cfg.mesh_ratio, cfg.final_time, targets, False, cfg.enforce_cfl,
+        cfg.mesh_ratio, targets, False, cfg.enforce_cfl,
     )
     out = Path(cfg.out_dir) / "solution.csv"
     write_solution_csv(trajectory, out)
@@ -108,7 +108,7 @@ def _cmd_check(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     _, _, reports, _ = _run_level(
         cfg.resolved_problem(), cfg.build_flux(), cfg.profile, cfg.delta, cfg.dx,
-        cfg.mesh_ratio, cfg.final_time, (), True, cfg.enforce_cfl,
+        cfg.mesh_ratio, (), True, cfg.enforce_cfl,
     )
     out = Path(cfg.out_dir) / "invariants.json"
     write_check_json(reports, out, config_echo=_config_echo(cfg))
@@ -127,8 +127,7 @@ def _cmd_study(args) -> int:
     horizon = cfg.delta if fixed else cfg.coupling
     report = (refine_fixed_delta if fixed else refine_joint_limit)(
         cfg.resolved_problem(), cfg.flux_family, horizon, cfg.dx, cfg.levels, cfg.mesh_ratio,
-        profile=cfg.profile, lf_lambda=cfg.lf_lambda, final_time=cfg.final_time,
-        window=(cfg.window_left, cfg.window_right), n_output_times=cfg.output_times,
+        profile=cfg.profile, lf_lambda=cfg.lf_lambda, n_output_times=cfg.output_times,
         workers=args.workers,
     )
     out_dir = Path(cfg.out_dir)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fluxes import TwoPointFlux
 from .kernels import QuadratureWeights
-from .solver import GridState, _check_pair, _flux_sum, _stencil_sum
+from .solver import GridState, _check_pair
 
 # The entropy audit works over blocks of B = max(1, _BLOCK_VALUES // (n + 2R))
 # steps (n cells, R = n_terms): about 64 KiB of u^n values per block.
@@ -120,7 +120,9 @@ def total_variation(state: GridState) -> float:
 
 
 def _same_grid(a: GridState, b: GridState) -> None:
-    if a.n_cells != b.n_cells or abs(a.dx - b.dx) > 1e-12 * a.dx:
+    """Same cells, spacing, left edge and boundary mode, or a ValueError."""
+    if (a.n_cells != b.n_cells or a.boundary != b.boundary
+            or abs(a.dx - b.dx) > 1e-12 * a.dx or abs(a.x0 - b.x0) > 1e-12 * a.dx):
         raise ValueError("states live on different grids")
 
 
@@ -220,7 +222,7 @@ class AuditStream:
             self._start(state)
         elif self._bad is None:  # no check observes from the first non-finite state on
             _same_grid(self._u0, state)
-            state.values.take(self._ghosts, mode=self._mode, out=self._ext[self._rows])
+            state.extended(self._pad, out=self._ext[self._rows])
             self._times[self._rows] = state.time
             self._rows += 1
             if self._rows == len(self._ext):
@@ -233,10 +235,8 @@ class AuditStream:
         n, pad = u0.n_cells, self._pad
         self._u0, self._first, self._rows = u0, 0, 1
         self._ext = np.empty((_block_steps(n, pad) + 1, n + 2 * pad))
-        self._ext[0] = u0.extended(pad)
+        u0.extended(pad, out=self._ext[0])
         self._times = np.full(len(self._ext), u0.time)
-        self._ghosts = np.arange(-pad, n + pad)
-        self._mode = "wrap" if u0.boundary == "periodic" else "clip"
 
     def _flush(self) -> None:
         """Reduce the states of the block, then start the next one from its last."""
@@ -399,23 +399,6 @@ def _stencil_runs(keys: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
     return positions, starts
 
 
-def _q_sums(vals: np.ndarray, c, weights: QuadratureWeights, flux: TwoPointFlux) -> np.ndarray:
-    """sum_k W_k [q(v_j, v_{j+k}; c) - q(v_{j-k}, v_j; c)] over the 1-D ``vals``,
-    whose R = n_terms entries at each end are ghosts.
-
-    q(a, b; c) = g(a v c, b v c) - g(a ^ c, b ^ c), ``c`` per entry of ``vals``.
-    Where g = A + B on the pairs of v v c and of v ^ c, q(a, b; c) = α(a) + β(b)
-    with α = A(v v c) - A(v ^ c), β = B(v v c) - B(v ^ c); else the k-loop.
-    """
-    pad = weights.n_terms
-    a_hi, b_hi, op_hi = flux.additive_halves(np.maximum(vals, c), pad)
-    a_lo, b_lo, op_lo = flux.additive_halves(np.minimum(vals, c), pad)
-    if op_hi is np.add and op_lo is np.add:
-        return _flux_sum(a_hi - a_lo, b_hi - b_lo, np.add, weights)
-    pair = lambda k: op_hi(a_hi[:-k], b_hi[k:]) - op_lo(a_lo[:-k], b_lo[k:])
-    return _stencil_sum(pair, weights, vals.size - 2 * pad)
-
-
 def check_entropy(
     trajectory: Sequence[GridState],
     weights: QuadratureWeights,
@@ -459,10 +442,10 @@ def check_entropy(
     values that S_j (non-flat stencils only) and the triples' q-sums read,
     each gathered into one 1-D array (stencils keyed by where they start in the
     rows, one copy of the rows per constant for the q-sums).  A sparse stage
-    runs once per batch of blocks: one flux sum over each gathered array (two
-    correlations of split halves as in ``step``, or the k-loop for Godunov with
-    a transonic pair in reach, see :func:`_q_sums`), the residuals, and the
-    fold of the worst one into the running maximum.  A batch runs before its
+    runs once per batch of blocks: one :meth:`TwoPointFlux.stencil_sum` over
+    each gathered array (two correlations of split halves as in ``step``, or
+    the k-loop for Godunov with a transonic pair in reach), the residuals, and
+    the fold of the worst one into the running maximum.  A batch runs before its
     active items, gathered values and triples would pass 8192, and at the
     end; a block that reaches 8192 by itself runs alone, in place, so the
     sparse stage's arrays hold about 8192 values unless one block's work is
@@ -558,14 +541,14 @@ class _CellEntropy(_Check):
         del batch  # so the pieces' arrays go once they are joined
         (ids, dt, u0, u1, below, above, has_s, vals_s, mark_s,
          ids_q, ic, vals_q, ic_v, mark_q) = fields
-        pad, weights, flux, cs = self.weights.n_terms, self.weights, self.flux, self.cs
+        w, flux, cs = self.weights.weights, self.flux, self.cs
         it, c, res = np.searchsorted(ids, ids_q), cs[ic], np.empty(0)
         if vals_q.size:  # the straddle triples' residuals
-            q = _q_sums(vals_q, cs[ic_v], weights, flux)
+            q = flux.stencil_sum(vals_q, w, cs[ic_v])
             res = _excess(u0[it], u1[it], c) + dt[it] * q[mark_q[: q.size]]
         s = np.zeros(ids.size)  # S_j, exactly 0 on a flat stencil
         if vals_s.size:
-            sums = _flux_sum(*flux.additive_halves(vals_s, pad), weights)
+            sums = flux.stencil_sum(vals_s, w)
             s[has_s] = sums[mark_s[: sums.size]]
         ds = dt * s
         c_lo, c_hi = cs[np.maximum(below, 0)], cs[np.minimum(above, cs.size - 1)]

@@ -148,9 +148,6 @@ class TwoPointFlux:
         left, right, op = self._split()
         return _ret(op(left(a), right(b)))
 
-    def f(self, u):
-        return _ret(self.local.f(u))
-
     def shifted_pair_evaluator(self, values: np.ndarray) -> Callable[[int], np.ndarray]:
         """Evaluator ev(k) = g(values[..., :-k], values[..., k:]) with shared setup.
 
@@ -190,6 +187,45 @@ class TwoPointFlux:
         nxt = starts.searchsorted(ends, side="right")  # the first start right of each end
         has = nxt < starts.size
         return a, b, op if (starts[nxt[has]] - ends[has] <= reach).any() else np.add
+
+    def stencil_sum(self, ext: np.ndarray, w: np.ndarray, c=None) -> np.ndarray:
+        """sum_k w_k [p(u_j, u_{j+k}) - p(u_{j-k}, u_j)] over the cells of the 1-D
+        ``ext``, whose R = w.size entries at each end are ghosts.
+
+        p is g, or with ``c`` (a scalar or one per entry of ``ext``) the entropy
+        flux q(·, ·; c) of :meth:`q`.  Where :meth:`additive_halves` finds
+        g = A + B on every pair within R (for q, on ext v c and on ext ^ c, so
+        that q(a, b; c) = α(a) + β(b) with α = A(ext v c) - A(ext ^ c) and
+        β = B(ext v c) - B(ext ^ c)), the sum is two correlations: with
+        dA_i = A_{i+1} - A_i and tail sums T_l = sum_{k>l} w_k it is
+        sum_{l<R} T_l (dB_{j+l} + dA_{j-l-1}), so a flat stencil gives exactly 0.
+        Otherwise k runs upward with elementwise ops, so the order is fixed by
+        the data alone.
+        """
+        pad = w.size
+        n = ext.size - 2 * pad
+        if c is None:
+            a, b, op = self.additive_halves(ext, pad)
+            additive = op is np.add
+            pair = lambda k: op(a[:-k], b[k:])
+        else:
+            a_hi, b_hi, op_hi = self.additive_halves(np.maximum(ext, c), pad)
+            a_lo, b_lo, op_lo = self.additive_halves(np.minimum(ext, c), pad)
+            additive = op_hi is np.add and op_lo is np.add
+            if additive:
+                a, b = a_hi - a_lo, b_hi - b_lo
+            pair = lambda k: op_hi(a_hi[:-k], b_hi[k:]) - op_lo(a_lo[:-k], b_lo[k:])
+        if additive:
+            tail = w[::-1].cumsum()[::-1]
+            return (
+                np.correlate(b[pad + 1 :] - b[pad:-1], tail, "valid")
+                + np.correlate(a[1 : n + pad] - a[: n + pad - 1], tail[::-1], "valid")
+            )
+        acc = np.zeros(n)
+        for k, wk in enumerate(w, 1):
+            pk = pair(k)
+            acc += (pk[pad : pad + n] - pk[pad - k : pad - k + n]) * wk
+        return acc
 
     # -- entropy flux -------------------------------------------------------
 

@@ -167,12 +167,12 @@ def _run_level(
     delta: float,
     dx: float,
     mesh_ratio: float,
-    final_time: float,
     targets,
     audit: bool,
     enforce_cfl: bool = True,
 ) -> tuple[list[GridState], float, list[InvariantReport], int]:
-    """Run one grid; return its snapshots at ``targets``, wall time, audits and n_cells.
+    """Run one grid to ``problem.final_time``; return its snapshots at ``targets``,
+    wall time, audits and n_cells.
 
     Every study level and the CLI's run and check reach ``run`` through here.
     ``run`` keeps only the snapshots; an audited run streams every state
@@ -181,7 +181,7 @@ def _run_level(
     x0, n_cells = _level_geometry(problem.domain, dx)
     kernel = Kernel(delta=delta, profile=profile)
     config = SchemeConfig(
-        kernel=kernel, flux=flux, mesh_ratio=mesh_ratio, final_time=final_time
+        kernel=kernel, flux=flux, mesh_ratio=mesh_ratio, final_time=problem.final_time
     )
     started = time.perf_counter()
     stream = audit_stream(compute_weights(kernel, dx), flux) if audit else None
@@ -208,8 +208,7 @@ def _exact_errors(snapshots, problem: Problem, window) -> list[float]:
 def _refine(
     problem: Problem, flux_family: str, dx0: float, n_levels: int, mesh_ratio: float, *,
     regime: str, measure_name: str, measure, delta_of, echo: dict, profile: str = "uniform",
-    lf_lambda: float | None = None, final_time: float | None = None,
-    window: tuple[float, float] | None = None, n_output_times: int = DEFAULT_OUTPUT_TIMES,
+    lf_lambda: float | None = None, n_output_times: int = DEFAULT_OUTPUT_TIMES,
     workers: int = 1,
 ) -> StudyReport:
     """The driver of both regimes: level m has dx0 / 2**m and horizon ``delta_of(dx)``.
@@ -219,20 +218,17 @@ def _refine(
     options here; every level is audited.
     """
     flux = _build_flux(problem, flux_family, lf_lambda)
-    t_end = problem.final_time if final_time is None else float(final_time)
-    win = problem.window if window is None else window
-    targets = np.linspace(0.0, t_end, n_output_times)
+    targets = np.linspace(0.0, problem.final_time, n_output_times)
     dxs = [dx0 / 2**m for m in range(n_levels)]
     args = [
-        (problem, flux, profile, delta_of(dx), dx, mesh_ratio, t_end, targets, True)
-        for dx in dxs
+        (problem, flux, profile, delta_of(dx), dx, mesh_ratio, targets, True) for dx in dxs
     ]
     if workers <= 1:
         results = [_run_level(*a) for a in args]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda a: _run_level(*a), args))
-    measures = measure([snaps for snaps, *_ in results], problem, win)
+    measures = measure([snaps for snaps, *_ in results], problem, problem.window)
     records = [
         LevelRecord(
             level=m,
@@ -248,8 +244,8 @@ def _refine(
     ]
     echo = dict(
         flux_family=flux_family, lf_lambda=lf_lambda, profile=profile, **echo, dx0=dx0,
-        n_levels=n_levels, mesh_ratio=mesh_ratio, final_time=t_end, window=list(win),
-        n_output_times=n_output_times,
+        n_levels=n_levels, mesh_ratio=mesh_ratio, final_time=problem.final_time,
+        window=list(problem.window), n_output_times=n_output_times,
     )
     measured = [v for v in measures if v is not None]
     return StudyReport(regime, problem.name, measure_name, records, eoc(measured), echo)
@@ -270,7 +266,8 @@ def refine_fixed_delta(
     the sup over stored output times of the windowed L1 distance between the
     two nested fields; a convergent scheme drives it down monotonically.
     ``options`` are the keyword options of :func:`_refine` (profile, lf_lambda,
-    final_time, window, n_output_times, workers).
+    n_output_times, workers); the final time and the measuring window are the
+    problem's own.
     """
     if n_levels < 2:
         raise ValueError("fixed-delta study needs at least 2 levels")

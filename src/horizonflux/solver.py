@@ -10,9 +10,9 @@ sum), which certifies discrete conservation and is used as a cross-check.
 
 ``step`` takes the sum over k as two correlations whenever g(a, b) splits as
 A(a) + B(b) on the stencils, and as a left-to-right loop over k otherwise (see
-:func:`step`).  Either order is fixed by the data alone, so on one machine and
-numpy build runs are bit-reproducible regardless of how callers parallelize
-independent runs.
+:meth:`~horizonflux.fluxes.TwoPointFlux.stencil_sum`).  Either order is fixed
+by the data alone, so on one machine and numpy build runs are bit-reproducible
+regardless of how callers parallelize independent runs.
 """
 
 from __future__ import annotations
@@ -87,12 +87,12 @@ class GridState:
     def centers(self) -> np.ndarray:
         return self.x0 + (np.arange(self.n_cells) + 0.5) * self.dx
 
-    def extended(self, pad: int) -> np.ndarray:
-        """Values with ``pad`` ghost cells on each side per the boundary mode."""
-        if pad == 0:
-            return self.values.copy()
+    def extended(self, pad: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Values with ``pad`` ghost cells on each side per the boundary mode, a new
+        array or written into ``out``."""
         idx = np.arange(-pad, self.n_cells + pad)
-        return self.values.take(idx, mode="wrap" if self.boundary == "periodic" else "clip")
+        mode = "wrap" if self.boundary == "periodic" else "clip"
+        return self.values.take(idx, mode=mode, out=out)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,6 @@ def cell_average_init(
     n_cells: int,
     boundary: str = "periodic",
     breakpoints: Sequence[float] | None = None,
-    time: float = 0.0,
 ) -> GridState:
     """Initialize a grid with exact-or-Gauss cell averages of ``u0``.
 
@@ -172,7 +171,7 @@ def cell_average_init(
 
     if not np.all(np.isfinite(avg)):
         raise ValueError("initial data produced non-finite cell averages")
-    return GridState(dx=dx, x0=x0, values=avg, boundary=boundary, time=time)
+    return GridState(dx=dx, x0=x0, values=avg, boundary=boundary)
 
 
 def validate_cfl(
@@ -201,35 +200,6 @@ def _check_pair(state: GridState, weights: QuadratureWeights) -> None:
         )
 
 
-def _stencil_sum(pair, weights: QuadratureWeights, n: int) -> np.ndarray:
-    """sum_k W_k [p(u_j, u_{j+k}) - p(u_{j-k}, u_j)] over n cells, where ``pair(k)[i]``
-    is p(ext[i], ext[i+k]) over n_terms ghost cells per side.  k runs upward
-    with elementwise ops, so cell partitioning is moot.
-    """
-    pad, acc = weights.n_terms, np.zeros(n)
-    for k, w in enumerate(weights.weights, 1):
-        pk = pair(k)
-        acc += (pk[pad : pad + n] - pk[pad - k : pad - k + n]) * w
-    return acc
-
-
-def _flux_sum(a: np.ndarray, b: np.ndarray, op, weights: QuadratureWeights) -> np.ndarray:
-    """sum_k W_k [(A_j ⊕ B_{j+k}) - (A_{j-k} ⊕ B_j)] over the extended halves of
-    :meth:`TwoPointFlux.additive_halves`: the k-loop unless ⊕ is +, else two
-    correlations.  With dA_i = A_{i+1} - A_i and tail sums T_l = sum_{k>l} W_k
-    it is sum_{l<R} T_l (dB_{j+l} + dA_{j-l-1}), so a flat stencil gives exactly 0.
-    """
-    pad = weights.n_terms
-    n = a.size - 2 * pad
-    if op is not np.add:
-        return _stencil_sum(lambda k: op(a[:-k], b[k:]), weights, n)
-    tail = weights.weights[::-1].cumsum()[::-1]
-    return (
-        np.correlate(b[pad + 1 :] - b[pad:-1], tail, "valid")
-        + np.correlate(a[1 : n + pad] - a[: n + pad - 1], tail[::-1], "valid")
-    )
-
-
 def step(
     state: GridState, weights: QuadratureWeights, flux: TwoPointFlux, dt: float
 ) -> GridState:
@@ -240,17 +210,16 @@ def step(
     transonic pair within R cells, see :meth:`TwoPointFlux.additive_halves`),
     the flux sum is two correlations with R weights: O(n_cells * R) arithmetic
     in a fixed number of numpy calls.  Otherwise it takes R elementwise passes
-    over the cells.
+    over the cells.  Both are :meth:`TwoPointFlux.stencil_sum`.
     """
     _check_pair(state, weights)
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     ext = state.extended(weights.n_terms)
-    acc = _flux_sum(*flux.additive_halves(ext, weights.n_terms), weights)
     return GridState(
         dx=state.dx,
         x0=state.x0,
-        values=state.values - dt * acc,
+        values=state.values - dt * flux.stencil_sum(ext, weights.weights),
         boundary=state.boundary,
         time=state.time + dt,
     )

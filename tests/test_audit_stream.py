@@ -231,8 +231,8 @@ def test_audited_level_does_not_hold_its_trajectory():
     targets = np.linspace(0.0, problem.final_time, 9)
     tracemalloc.start()
     try:
-        snaps, _, reports, _ = _run_level(problem, flux, "uniform", 2 * dx, dx, 0.9,
-                                          problem.final_time, targets, True)
+        snaps, _, reports, _ = _run_level(problem, flux, "uniform", 2 * dx, dx, 0.9, targets,
+                                          True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -151,9 +151,9 @@ def test_ordering_preserved_and_validated():
         check_ordering(traj_hi, traj_lo)
 
 
-def _run(rows, dx=0.5):
-    return [GridState(dx=dx, x0=0.0, values=np.array(v, dtype=float), time=0.1 * i)
-            for i, v in enumerate(rows)]
+def _run(rows, dx=0.5, x0=0.0, boundary="periodic"):
+    return [GridState(dx=dx, x0=x0, values=np.array(v, dtype=float), boundary=boundary,
+                      time=0.1 * i) for i, v in enumerate(rows)]
 
 
 TWO_RUN_CHECKS = {"l1_contraction": check_l1_contraction, "ordering": check_ordering}
@@ -162,10 +162,16 @@ TWO_RUN_CHECKS = {"l1_contraction": check_l1_contraction, "ordering": check_orde
 @pytest.mark.parametrize("check", TWO_RUN_CHECKS.values(), ids=TWO_RUN_CHECKS.keys())
 def test_two_run_checks_share_one_input_rule_and_tie_rule(check):
     zeros = _run([[0.0] * 4] * 2)
-    for other in (_run([[0.0]] * 2), _run([[0.0] * 4] * 2, dx=0.25)):
+    for other in (_run([[0.0]] * 2), _run([[0.0] * 4] * 2, dx=0.25),
+                  _run([[0.0] * 4] * 2, x0=0.5),
+                  _run([[0.0] * 4] * 2, boundary="constant_extension")):
         for pair in ((zeros, other), (other, zeros)):
             with pytest.raises(ValueError, match="states live on different grids"):
                 check(*pair)
+        # the streamed checks hold every later state to u^0's grid alike
+        for streamed in (check_tvd, check_conservation):
+            with pytest.raises(ValueError, match="states live on different grids"):
+                streamed(zeros[:1] + other[1:])
     with pytest.raises(ValueError, match="different grids"):  # a later state off the grid
         check(zeros, zeros[:1] + _run([[0.0] * 4], dx=0.25))
     with pytest.raises(ValueError, match="different lengths"):

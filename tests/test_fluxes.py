@@ -118,7 +118,7 @@ def test_upwind_linear_picks_the_upwind_side():
 def test_consistency_with_local_flux(u):
     for local_name in ("burgers", "cubic", "linear_advection"):
         for flux in all_fluxes(local_name, speed=1.5):
-            assert abs(flux.g(u, u) - flux.f(u)) <= 1e-12
+            assert abs(flux.g(u, u) - flux.local.f(u)) <= 1e-12
 
 
 def test_monotonicity_randomized():
@@ -157,7 +157,7 @@ def test_entropy_flux_consistent_with_kruzhkov_form(u, c):
     sgn = 1.0 if u >= c else -1.0
     for local_name in ("burgers", "cubic", "linear_advection"):
         for flux in all_fluxes(local_name, speed=-0.8):
-            expected = sgn * (flux.f(u) - flux.f(c))
+            expected = sgn * (flux.local.f(u) - flux.local.f(c))
             assert abs(flux.q(u, u, c) - expected) <= 1e-12
 
 

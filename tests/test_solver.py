@@ -13,6 +13,7 @@ from horizonflux import (
     Kernel,
     RiemannData,
     SchemeConfig,
+    TwoPointFlux,
     cell_average_init,
     compute_weights,
     make_flux,
@@ -23,8 +24,7 @@ from horizonflux import (
     validate_cfl,
     wide_numerical_flux,
 )
-from horizonflux import solver
-from flux_oracles import reference_rate
+from flux_oracles import entropy_bound, reference_rate
 from testutil import (every_flux, random_state, random_step_profile, reconstruct,
                       weights_for_r)
 
@@ -164,7 +164,7 @@ def test_wide_flux_is_consistent_on_constants():
     state = GridState(dx=0.125, x0=-1.0, values=np.full(16, -0.6), boundary="periodic")
     weights = weights_for_r(5, 0.125)
     edges = wide_numerical_flux(state, weights, GODUNOV)
-    np.testing.assert_allclose(edges, GODUNOV.f(-0.6), atol=1e-14)
+    np.testing.assert_allclose(edges, GODUNOV.local.f(-0.6), atol=1e-14)
     out = step_conservative_form(state, weights, GODUNOV, 0.05)
     np.testing.assert_allclose(out.values, state.values, atol=1e-15)
 
@@ -225,13 +225,21 @@ def test_godunov_loop_path_is_the_k_loop_oracle_bit_for_bit(r, boundary, monkeyp
 
 
 def _takes_the_loop(state, weights, flux, monkeypatch):
-    """Whether ``step`` sums over k pair by pair, in ``solver._stencil_sum``."""
-    calls = []
-    loop = solver._stencil_sum
+    """Whether ``step`` sums over k pair by pair: the op that ``additive_halves``
+    hands ``stencil_sum``, the one thing its path turns on, is not +."""
+    ops = []
+    halves = TwoPointFlux.additive_halves
+
+    def spy(self, values, reach):
+        out = halves(self, values, reach)
+        ops.append(out[2])
+        return out
+
     with monkeypatch.context() as m:
-        m.setattr(solver, "_stencil_sum", lambda *args: calls.append(1) or loop(*args))
+        m.setattr(TwoPointFlux, "additive_halves", spy)
         step(state, weights, flux, 0.2 * state.dx)
-    return bool(calls)
+    (op,) = ops
+    return op is not np.add
 
 
 @pytest.mark.parametrize("case, boundary, loop", [
@@ -260,6 +268,67 @@ def test_godunov_takes_the_loop_only_on_a_transonic_pair_within_reach(
     weights = weights_for_r(r, dx)
     assert _takes_the_loop(state, weights, GODUNOV, monkeypatch) == loop
     assert_matches_oracle(state, weights, GODUNOV, 0.2 * dx)
+
+
+def _q_loop(flux, ext, w, c):
+    """sum_k w_k [q(u_j, u_{j+k}; c) - q(u_{j-k}, u_j; c)] along the last axis of
+    ``ext`` by a loop over k on ``flux.q``."""
+    pad = w.size
+    n = ext.shape[-1] - 2 * pad
+    acc = 0.0
+    for k in range(1, pad + 1):
+        qk = flux.q(ext[..., :-k], ext[..., k:], c)
+        acc = acc + (qk[..., pad : pad + n] - qk[..., pad - k : pad - k + n]) * w[k - 1]
+    return acc
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+@pytest.mark.parametrize("r", [1, 4, 16, 64, 256])
+def test_stencil_sum_matches_the_k_loops_of_g_and_q(r, boundary):
+    """p = g is the step's rate (``==`` on the transonic loop path); p = q, with
+    one c or with c per entry (constant over each gathered stencil, as the
+    entropy audit hands it over), is a k-loop of ``flux.q``; a flat stencil
+    sums to exactly 0 on either path.  Sums are compared as dt * sum, the term
+    that ``step`` and the audit's residuals add."""
+    n, dx = 64, 1.0 / 64
+    dt = 0.4 * dx
+    weights = weights_for_r(r, dx)
+    w, pad = weights.weights, weights.n_terms
+    width = 2 * pad + 1
+    rng = np.random.default_rng(3000 + r + len(boundary))
+    states = _step_data(rng, n, dx, boundary)
+    ext = np.stack([state.extended(pad) for state in states])
+    flat = [[np.ptp(row[j : j + width]) == 0.0 for j in range(n)] for row in ext]
+    cs = rng.uniform(-1.1, 1.1, 2)
+    # six cells' stencils per state, one after the other, each with its own constant per entry
+    stencils = np.stack([row[j : j + width]
+                         for row in ext for j in rng.choice(n, 6, replace=False)])
+    c_cell = rng.choice(cs, (len(stencils), 1))
+    c_each = np.repeat(c_cell, width, axis=1).ravel()
+    q_atol = max(entropy_bound(state) for state in states)
+    level = np.full(width + 2, 0.3)
+    for flux in every_flux():
+        label = f"{flux.family} over {flux.local.name}"
+        q_want = _q_loop(flux, ext[:, None], w, cs[:, None])  # (state, c, cell)
+        for state, row, q_row, flat_cells in zip(states, ext, q_want, flat):
+            got = flux.stencil_sum(row, w)
+            want = reference_rate(state, weights, flux)
+            if flux.additive_halves(row, pad)[2] is np.add:
+                np.testing.assert_allclose(dt * got, dt * want, rtol=0.0, atol=STEP_ATOL,
+                                           err_msg=label)
+            else:
+                np.testing.assert_array_equal(got, want, err_msg=label)
+            assert not got[flat_cells].any(), label
+            for c, want in zip(cs, q_row):
+                got = flux.stencil_sum(row, w, c)
+                np.testing.assert_allclose(dt * got, dt * want, rtol=0.0, atol=q_atol,
+                                           err_msg=label)
+                assert not got[flat_cells].any(), label
+        got = flux.stencil_sum(stencils.ravel(), w, c_each)[::width]
+        want = _q_loop(flux, stencils, w, c_cell)[:, 0]
+        np.testing.assert_allclose(dt * got, dt * want, rtol=0.0, atol=q_atol, err_msg=label)
+        for c in (None, cs[0], np.full(level.size, cs[0])):
+            assert not flux.stencil_sum(level, w, c).any(), label
 
 
 def test_godunov_transonic_test_matches_a_search_over_all_pairs():
@@ -437,6 +506,14 @@ def test_extended_ghost_reads():
     np.testing.assert_array_equal(state.extended(2), [1, 1, 1, 2, 3, 3, 3])
     wrap = GridState(dx=1.0, x0=0.0, values=np.array([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(wrap.extended(4), [3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1])
+    for grid in (state, wrap):
+        plain = grid.extended(0)  # a copy, not a view of the values
+        np.testing.assert_array_equal(plain, grid.values)
+        assert not np.shares_memory(plain, grid.values)
+        rows = np.zeros((2, 7))
+        row = rows[1]
+        assert grid.extended(2, out=row) is row
+        np.testing.assert_array_equal(rows, [np.zeros(7), grid.extended(2)])
 
 
 # -- discrete invariants under stepping --------------------------------------------
