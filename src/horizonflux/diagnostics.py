@@ -19,7 +19,7 @@ from .fluxes import TwoPointFlux
 from .kernels import QuadratureWeights
 from .solver import GridState, _check_pair
 
-# The entropy audit works over blocks of B = max(1, _BLOCK_VALUES // (n + 2R))
+# The audit stream works over blocks of B = max(1, _BLOCK_VALUES // (n + 2R))
 # steps (n cells, R = n_terms): about 64 KiB of u^n values per block.
 _BLOCK_VALUES = 8192
 
@@ -205,10 +205,10 @@ class AuditStream:
     preallocated block of B + 1 rows (B = max(1, 8192 // (n + 2 pad)) steps);
     when the block is full every check reduces it at once, and its last row
     starts the next block.  Nothing else is kept but the checks' running
-    reductions and the entropy audit's pending batch, so a run audits in
-    O(B n) memory.  :meth:`finish` returns the reports; the first non-finite
-    (step, cell) seen fails every one of them.  ``counts`` holds the entropy
-    audit's work counters.  Built by :func:`audit_stream`.
+    reductions, so a run audits in O(B n) memory.  :meth:`finish` returns the
+    reports; the first non-finite (step, cell) seen fails every one of them.
+    ``counts`` holds the entropy audit's work counters.  Built by
+    :func:`audit_stream`.
     """
 
     def __init__(self, make_checks, pad: int = 0):
@@ -435,24 +435,20 @@ def check_entropy(
     the other cells, the active (step, cell) items, are probed.
 
     The trajectory is fed through :class:`AuditStream`, as ``run`` feeds
-    :func:`audit_stream`, so both paths run the same two stages.  A dense stage
-    runs once per block of B = max(1, 8192 // (n + 2R)) steps (n cells): the
-    stencil extrema of the block's extended rows, the active items, their side
-    constants and straddling (item, constant) triples, and the runs of stencil
-    values that S_j (non-flat stencils only) and the triples' q-sums read,
-    each gathered into one 1-D array (stencils keyed by where they start in the
-    rows, one copy of the rows per constant for the q-sums).  A sparse stage
-    runs once per batch of blocks: one :meth:`TwoPointFlux.stencil_sum` over
-    each gathered array (two correlations of split halves as in ``step``, or
-    the k-loop for Godunov with a transonic pair in reach), the residuals, and
-    the fold of the worst one into the running maximum.  A batch runs before its
-    active items, gathered values and triples would pass 8192, and at the
-    end; a block that reaches 8192 by itself runs alone, in place, so the
-    sparse stage's arrays hold about 8192 values unless one block's work is
-    larger, and mostly inactive blocks share the sparse stage's numpy calls.
-    ``AuditStream.counts`` tallies this work.  In floating point the
-    reduction may miss the full matrix's maximum by round-off.  Ties go to the
-    earliest step, then the lowest cell, then the smallest constant.
+    :func:`audit_stream`, so both paths run the same stage, once per block of
+    B = max(1, 8192 // (n + 2R)) steps (n cells): the stencil extrema of the
+    block's extended rows, the active items, their side constants and
+    straddling (item, constant) triples, and the runs of stencil values that
+    S_j (non-flat stencils only) and the triples' q-sums read, each gathered
+    into one 1-D array (stencils keyed by where they start in the rows, one
+    copy of the rows per constant for the q-sums); then one
+    :meth:`TwoPointFlux.stencil_sum` over each gathered array (two
+    correlations of split halves as in ``step``, or the k-loop for Godunov
+    with a transonic pair in reach), the residuals, and the fold of the worst
+    one into the running maximum.  ``AuditStream.counts`` tallies this work.
+    In floating point the reduction may miss the full matrix's maximum by
+    round-off.  Ties go to the earliest step, then the lowest cell, then the
+    smallest constant.
     """
     cs = None if constants is None else _as_constants(constants)
     audit = AuditStream(lambda u0: [_CellEntropy(u0, weights, flux, cs)], weights.n_terms)
@@ -460,8 +456,9 @@ def check_entropy(
 
 
 class _CellEntropy(_Check):
-    """The two stages of :func:`check_entropy` over the stream's blocks, with
-    u^0's constants unless given; ``counts`` tallies the audit's work."""
+    """:func:`check_entropy` over the stream's blocks, one block per
+    :meth:`observe`, with u^0's constants unless given; ``counts`` tallies the
+    audit's work."""
 
     name = "cell_entropy"
 
@@ -472,31 +469,16 @@ class _CellEntropy(_Check):
         self.tol = _entropy_tolerance(u0)
         cs = np.sort(kruzhkov_constants(u0) if constants is None else constants)
         self.cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
-        self.batch, self.load = [], 0
         self.counts = dict.fromkeys(
-            ("entropy_blocks", "entropy_batches", "side_residuals", "straddle_residuals",
-             "stencil_values"), 0)
+            ("entropy_blocks", "side_residuals", "straddle_residuals", "stencil_values"), 0)
 
     def observe(self, first: int, values: np.ndarray, ext: np.ndarray, times: np.ndarray):
         dt = np.diff(times)
         if not np.all(dt > 0.0):
             raise ValueError("states are not one step apart (need increasing times)")
         self.counts["entropy_blocks"] += 1
-        work = self._gather(first, ext, dt)  # its scratch arrays are freed before a batch runs
-        if work is None:
-            return
-        piece, load = work
-        if self.batch and self.load + load > _BLOCK_VALUES:
-            self._evaluate()
-        self.batch.append(piece)
-        self.load += load
-        if self.load >= _BLOCK_VALUES:  # a block this large runs alone, in place
-            self._evaluate()
-
-    def _gather(self, first: int, ext: np.ndarray, dt: np.ndarray) -> tuple | None:
-        """The dense stage: the block's active items, with their side constants,
-        straddle triples and the stencil values that S_j and the q-sums read."""
-        n, pad, cs = self.n, self.weights.n_terms, self.cs
+        n, pad, cs, flux = self.n, self.weights.n_terms, self.cs, self.flux
+        w = self.weights.weights
         flat, width = ext.ravel(), ext.shape[1]
         # stencil k reads flat[k : k + 2R + 1]; step first + i + 1 reads the stencils
         # that start at columns 0..n-1 of row i, and the others straddle two rows
@@ -509,14 +491,18 @@ class _CellEntropy(_Check):
         row, cell = np.divmod(key, width)
         inside = cell < n
         if not inside.any():
-            return None
+            return
         key, row = key[inside], row[inside]
         ids = (first + 1 + row) * n + cell[inside]  # step * n + cell of each active item
-        lo, hi = lo[key], hi[key]
+        dt, u0, u1, lo, hi = dt[row], u0[key], u1[key], lo[key], hi[key]
         below = np.searchsorted(cs, lo, side="right") - 1  # the largest constant <= the stencil min
         above = np.searchsorted(cs, hi)  # the smallest one >= the stencil max
         has_s = lo != hi  # S_j is exactly 0 on a flat stencil
+        s = np.zeros(ids.size)
         pos_s, mark_s = _stencil_runs(key[has_s], pad)
+        if pos_s.size:
+            sums = flux.stencil_sum(flat[pos_s], w)
+            s[has_s] = sums[mark_s[: sums.size]]
         # the straddling (constant, item) triples, below < i < above for constant cs[i],
         # built from each item's range of constants and ordered by constant, then item
         count = above - below - 1
@@ -527,29 +513,10 @@ class _CellEntropy(_Check):
         i, it = np.divmod(np.sort(i * key.size + it), key.size)
         # each keyed into a copy of the rows per constant, constant i's at i * span
         pos_q, mark_q = _stencil_runs(i * span + key[it], pad)
-        piece = (ids, dt[row], u0[key], u1[key], below, above, has_s, flat[pos_s], mark_s,
-                 ids[it], i, flat[pos_q % span], pos_q // span, mark_q)
-        return piece, ids.size + pos_s.size + pos_q.size + it.size
-
-    def _evaluate(self) -> None:
-        """The sparse stage: the sums, the residuals and the fold, once per batch."""
-        if not self.batch:
-            return
-        batch, self.batch, self.load = self.batch, [], 0
-        # a lone block is evaluated in place, a longer batch joined field by field
-        fields = batch[0] if len(batch) == 1 else [np.concatenate(f) for f in zip(*batch)]
-        del batch  # so the pieces' arrays go once they are joined
-        (ids, dt, u0, u1, below, above, has_s, vals_s, mark_s,
-         ids_q, ic, vals_q, ic_v, mark_q) = fields
-        w, flux, cs = self.weights.weights, self.flux, self.cs
-        it, c, res = np.searchsorted(ids, ids_q), cs[ic], np.empty(0)
-        if vals_q.size:  # the straddle triples' residuals
-            q = flux.stencil_sum(vals_q, w, cs[ic_v])
+        c, res = cs[i], np.empty(0)
+        if pos_q.size:  # the straddle triples' residuals
+            q = flux.stencil_sum(flat[pos_q % span], w, cs[pos_q // span])
             res = _excess(u0[it], u1[it], c) + dt[it] * q[mark_q[: q.size]]
-        s = np.zeros(ids.size)  # S_j, exactly 0 on a flat stencil
-        if vals_s.size:
-            sums = flux.stencil_sum(vals_s, w)
-            s[has_s] = sums[mark_s[: sums.size]]
         ds = dt * s
         c_lo, c_hi = cs[np.maximum(below, 0)], cs[np.minimum(above, cs.size - 1)]
         sides = (  # each item's residual at its two side constants
@@ -557,27 +524,23 @@ class _CellEntropy(_Check):
             np.where(above < cs.size, _excess(u0, u1, c_hi) - ds, -np.inf),
         )
         counts = self.counts
-        counts["entropy_batches"] += 1
         counts["side_residuals"] += int(np.count_nonzero(below >= 0))
         counts["side_residuals"] += int(np.count_nonzero(above < cs.size))
         counts["straddle_residuals"] += res.size
-        counts["stencil_values"] += vals_s.size + vals_q.size
+        counts["stencil_values"] += pos_s.size + pos_q.size
         best = np.maximum(*sides)
         top = max(float(best.max()), float(res.max(initial=-np.inf)))
-        if top > self.worst:  # strict: an earlier batch keeps a tie
+        if top > self.worst:  # strict: an earlier block keeps a tie
             self.worst = top
             # the earliest (step, cell) that reaches it, and its smallest constant there
+            ids_q = ids[it]
             hit = min(ids[best == top].min(initial=ids[-1]),
                       ids_q[res == top].min(initial=ids[-1]))
             mine = ids == hit
             reached = np.concatenate((c_lo[mine & (sides[0] == top)],
                                       c_hi[mine & (sides[1] == top)],
                                       c[(ids_q == hit) & (res == top)]))
-            self.where = (*divmod(int(hit), self.n), float(reached.min()))
-
-    def result(self) -> tuple:
-        self._evaluate()
-        return super().result()
+            self.where = (*divmod(int(hit), n), float(reached.min()))
 
 
 def _bundle(u0: GridState, weights: QuadratureWeights, flux: TwoPointFlux) -> list:
@@ -592,10 +555,9 @@ def audit_stream(weights: QuadratureWeights, flux: TwoPointFlux) -> AuditStream:
 
     Pass it as ``run(..., observer=audit)``, then ``audit.finish()`` returns the
     reports that ``audit_trajectory`` gives on the stored trajectory.  The
-    stream keeps one block of B + 1 extended rows and the entropy audit's
-    pending batch; ``audit.counts`` then holds the entropy audit's work:
-    blocks and batches run, side and straddle residuals evaluated, and the
-    stencil values its sums read.
+    stream keeps one block of B + 1 extended rows; ``audit.counts`` then holds
+    the entropy audit's work: blocks run, side and straddle residuals
+    evaluated, and the stencil values its sums read.
     """
     return AuditStream(lambda u0: _bundle(u0, weights, flux), weights.n_terms)
 

@@ -18,6 +18,7 @@ regardless of how callers parallelize independent runs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -71,6 +72,8 @@ class GridState:
             )
         if not (math.isfinite(self.dx) and self.dx > 0.0):
             raise ValueError(f"dx must be positive and finite, got {self.dx}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.size == 0:
             raise ValueError("values must be a nonempty 1-D array")
@@ -134,8 +137,14 @@ def cell_average_init(
     data in particular) is averaged exactly no matter how the jumps sit
     relative to cell edges.
     """
+    try:
+        n_cells = operator.index(n_cells)
+    except TypeError:
+        raise ValueError(f"n_cells must be an integer, got {n_cells!r}") from None
     if n_cells <= 0:
         raise ValueError(f"n_cells must be positive, got {n_cells}")
+    # the grid first, so dx, x0 and the boundary are checked before any averaging
+    grid = GridState(dx=dx, x0=x0, values=np.empty(n_cells), boundary=boundary)
     fn = u0
     probe = np.array([x0 + 0.5 * dx, x0 + 1.5 * dx])
     try:
@@ -145,8 +154,7 @@ def cell_average_init(
     except Exception:
         fn = np.vectorize(u0, otypes=[float])
 
-    centers = x0 + (np.arange(n_cells) + 0.5) * dx
-    nodes = centers[:, None] + (0.5 * dx) * _GL_NODES[None, :]
+    nodes = grid.centers[:, None] + (0.5 * dx) * _GL_NODES[None, :]
     avg = np.asarray(fn(nodes), dtype=float) @ (0.5 * _GL_WEIGHTS)
 
     if breakpoints is None:
@@ -171,7 +179,8 @@ def cell_average_init(
 
     if not np.all(np.isfinite(avg)):
         raise ValueError("initial data produced non-finite cell averages")
-    return GridState(dx=dx, x0=x0, values=avg, boundary=boundary)
+    grid.values = avg
+    return grid
 
 
 def validate_cfl(

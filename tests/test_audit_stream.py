@@ -255,15 +255,14 @@ def test_row_sums_match_the_one_dimensional_sums(pad):
             assert tv == np.sum(np.abs(np.diff(row)))
 
 
-@pytest.mark.parametrize("budget, blocks, batches", [(8192, 1, 1), (400, 4, 2)])
-def test_entropy_work_counters(budget, blocks, batches, monkeypatch):
+@pytest.mark.parametrize("budget, blocks", [(8192, 1), (400, 4)])
+def test_entropy_work_counters(budget, blocks, monkeypatch):
     """Five copies of one state, a 1 at cell 3 among n = 300 zeros, with R = 1.  Each
     step has three active items, cells 2, 3 and 4, whose stencils span [0, 1]: each
     has both side constants, and 13 of the 17 default constants (0.05 ... 0.95)
     straddle it.  Their stencils are one run of 5 values, read once by S_j and once
-    per straddling constant.  At a budget of 400, B = 400 // 302 = 1 step per block
-    and a block's work is 3 items + 70 values + 39 triples = 112, so the first
-    batch holds three blocks and ``finish`` runs the fourth."""
+    per straddling constant.  At a budget of 400, B = 400 // 302 = 1 step per block,
+    so the four steps take four blocks; the work does not depend on the blocks."""
     monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", budget)
     n = 300
     dx = 1.0 / n
@@ -275,15 +274,14 @@ def test_entropy_work_counters(budget, blocks, batches, monkeypatch):
         audit(GridState(dx=dx, x0=0.0, values=values, boundary="constant_extension",
                         time=k * 0.1 * dx))
     audit.finish()
-    assert audit.counts == {"entropy_blocks": blocks, "entropy_batches": batches,
-                            "side_residuals": 4 * 6, "straddle_residuals": 4 * 39,
-                            "stencil_values": 4 * (5 + 13 * 5)}
+    assert audit.counts == {"entropy_blocks": blocks, "side_residuals": 4 * 6,
+                            "straddle_residuals": 4 * 39, "stencil_values": 4 * (5 + 13 * 5)}
 
 
 def narrow_bump_run(n=2000, r=2, steps=101):
     """Godunov over Burgers from a flat state with one narrow bump (u > 0): about 40
-    of the 2,000 cells per step are active, so one batch of the entropy audit spans
-    about ten blocks of B = 4 steps.  Constant extension keeps the far cells flat."""
+    of the 2,000 cells per step are active, in blocks of B = 4 steps, and the last
+    block is a part block.  Constant extension keeps the far cells flat."""
     dx = 1.0 / n
     weights = weights_for_r(r, dx)
     values = np.full(n, 0.2)
@@ -294,44 +292,28 @@ def narrow_bump_run(n=2000, r=2, steps=101):
     return trajectory, weights
 
 
-def audited_batches(trajectory, weights, monkeypatch):
-    """The reports of a streamed audit and the (first, last) step of each batch
-    its entropy check evaluated, in order."""
-    n, evaluate, batches = trajectory[0].n_cells, diagnostics._CellEntropy._evaluate, []
-
-    def recording(check):
-        if check.batch:  # each piece starts with its items' ids, step * n + cell, in order
-            batches.append((int(check.batch[0][0][0]) // n, int(check.batch[-1][0][-1]) // n))
-        evaluate(check)
-
-    monkeypatch.setattr(diagnostics._CellEntropy, "_evaluate", recording)
+def streamed_audit(trajectory, weights):
     audit = audit_stream(weights, GODUNOV)
     for state in trajectory:
         audit(state)
-    return audit.finish(), batches
+    return audit.finish(), audit.counts["entropy_blocks"]
 
 
-@pytest.mark.parametrize("where", ["first_block", "after_a_batch", "end_of_a_batch", "last_block"])
-def test_violation_planted_around_a_batch(where, monkeypatch):
-    """A violation in the first block of the first batch, in the block just after a
-    batch is evaluated, in the block that closes a batch, and in the last block,
-    which only ``finish`` evaluates: the stream reports what the stored run's
-    audits and the oracle do, at the oracle's location."""
+@pytest.mark.parametrize("where", ["first_block", "last_block"])
+def test_violation_planted_in_the_first_or_last_block(where):
+    """A violation in the first block, and in the last, a part block that only
+    ``finish`` flushes: the stream reports what the stored run's audits and the
+    oracle do, at the oracle's location."""
     trajectory, weights = narrow_bump_run()
     blocks = _block_steps(trajectory[0].n_cells, weights.n_terms)
-    clean, batches = audited_batches(trajectory, weights, monkeypatch)
+    clean, _ = streamed_audit(trajectory, weights)
     assert all(rep.passed for rep in clean)
-    assert max(last - first for first, last in batches) >= 3 * blocks  # a batch spans blocks
-    planted = {"first_block": 1, "after_a_batch": batches[1][0],
-               "end_of_a_batch": batches[1][1], "last_block": len(trajectory) - 1}[where]
-    cell = 1500  # flat in every state
-    trajectory[planted].values[cell] += 0.05
-    streamed, batches = audited_batches(trajectory, weights, monkeypatch)
-    first, last = {"first_block": batches[0], "after_a_batch": batches[1],
-                   "end_of_a_batch": batches[1], "last_block": batches[-1]}[where]
-    assert planted in (first, last) and (first - 1) % blocks == 0
+    planted = {"first_block": 1, "last_block": len(trajectory) - 1}[where]
     if where == "last_block":
         assert (len(trajectory) - 1) % blocks != 0  # a part block, flushed by finish
+    cell = 1500  # flat in every state
+    trajectory[planted].values[cell] += 0.05
+    streamed, _ = streamed_audit(trajectory, weights)
     assert streamed == audit_trajectory(trajectory, weights, GODUNOV)
     assert streamed == reference_audit(trajectory, weights, GODUNOV)
     report = streamed[-1]
@@ -349,16 +331,15 @@ def test_violation_planted_around_a_batch(where, monkeypatch):
     assert abs(residual - worst) <= tol
 
 
-def test_a_nonfinite_state_while_a_batch_is_pending(monkeypatch):
+def test_a_nonfinite_state_inside_the_third_block():
+    """A NaN inside the third block fails every audit at its (step, cell); the
+    entropy audit has run the two blocks before it and no other."""
     trajectory, weights = narrow_bump_run()
     blocks = _block_steps(trajectory[0].n_cells, weights.n_terms)
-    _, batches = audited_batches(trajectory, weights, monkeypatch)
-    first, last = batches[1]
-    bad = first + blocks + 3  # in the batch's second block, its first still pending
-    assert bad < last
+    bad = 2 * blocks + 2  # the third block holds steps 2B + 1 .. 3B
     trajectory[bad].values[1500] = np.nan
-    streamed, batches = audited_batches(trajectory, weights, monkeypatch)
-    assert batches[-1] == (first, first + blocks - 1)  # the pending block, run by finish
+    streamed, entropy_blocks = streamed_audit(trajectory, weights)
+    assert entropy_blocks == 2
     assert streamed == audit_trajectory(trajectory, weights, GODUNOV)
     for report in streamed:
         assert not report.passed and report.violation == np.inf

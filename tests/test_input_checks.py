@@ -4,6 +4,7 @@ import pytest
 from horizonflux import (
     GridState,
     Kernel,
+    RiemannData,
     SchemeConfig,
     cell_average_init,
     compute_weights,
@@ -34,11 +35,20 @@ BAD_INPUTS = {
     "grid_zero_dx": (lambda: GridState(0.0, 0.0, np.zeros(4)), "dx must be positive"),
     "grid_negative_dx": (lambda: GridState(-0.25, 0.0, np.zeros(4)), "dx must be positive"),
     "grid_2d_values": (lambda: GridState(0.25, 0.0, np.zeros((2, 2))), "1-D array"),
+    "grid_nan_x0": (lambda: GridState(0.25, np.nan, np.zeros(4)), "x0 must be finite"),
     "scheme_zero_mesh_ratio": (lambda: _scheme(mesh_ratio=0.0), "mesh_ratio must be positive"),
     "scheme_negative_final_time": (lambda: _scheme(final_time=-1.0),
                                    "final_time must be nonnegative"),
     "cell_average_no_cells": (lambda: cell_average_init(np.sin, dx=0.25, x0=0.0, n_cells=0),
                               "n_cells must be positive"),
+    "cell_average_fractional_cells": (
+        lambda: cell_average_init(np.sin, dx=0.25, x0=0.0, n_cells=2.5),
+        "n_cells must be an integer"),
+    "cell_average_nan_dx": (lambda: cell_average_init(np.sin, dx=np.nan, x0=0.0, n_cells=4),
+                            "dx must be positive and finite"),
+    "cell_average_nan_x0": (
+        lambda: cell_average_init(RiemannData(1.0, 0.0), dx=0.25, x0=np.nan, n_cells=4),
+        "x0 must be finite"),
     "step_zero_dt": (lambda: step(STATE, weights_for_r(1, 0.25), GODUNOV, 0.0),
                      "dt must be positive"),
     "conservative_step_negative_dt": (
