@@ -45,10 +45,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_override_flags(sub) -> None:
+def _add_override_flags(sub, *skip: str) -> None:
     for flag, dotted in _OVERRIDE_FLAGS.items():
-        section, key = dotted.split(".")
-        sub.add_argument(f"--{flag}", help=f"override [{section}] {key}")
+        if flag not in skip:
+            section, key = dotted.split(".")
+            sub.add_argument(f"--{flag}", help=f"override [{section}] {key}")
 
 
 def _overrides(args) -> dict[str, str]:
@@ -66,7 +67,7 @@ def build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="run a single simulation, write solution CSV")
     p_run.add_argument("--config", required=True, help="path to the config file")
-    _add_override_flags(p_run)
+    _add_override_flags(p_run, "levels")
 
     p_study = sub.add_parser("study", help="run a grid-refinement study")
     p_study.add_argument("--config", required=True)
@@ -77,12 +78,13 @@ def build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="run and audit every invariant")
     p_check.add_argument("--config", required=True)
-    _add_override_flags(p_check)
+    _add_override_flags(p_check, "levels")
 
     p_weights = sub.add_parser("weights", help="print the W_k table for (kernel, dx)")
-    p_weights.add_argument("--config", help="optional config supplying kernel and dx")
-    p_weights.add_argument("--profile", help="kernel profile (default uniform)")
-    _add_override_flags(p_weights)
+    p_weights.add_argument("--delta", required=True, help="kernel horizon")
+    p_weights.add_argument("--dx", required=True, help="cell width")
+    p_weights.add_argument("--profile", default="uniform", help="kernel profile (default uniform)")
+    p_weights.add_argument("--out", help="directory for weights.csv")
 
     return parser
 
@@ -157,20 +159,11 @@ def _float_flag(args, flag: str) -> float:
 
 
 def _cmd_weights(args) -> int:
-    if args.config is not None:
-        cfg = parse_config(args.config, _overrides(args))
-        profile = args.profile or cfg.profile
-        delta, dx, out_dir = cfg.delta, cfg.dx, cfg.out_dir
-    else:
-        if args.delta is None or args.dx is None:
-            raise ValueError("weights needs --config or both --delta and --dx")
-        profile = args.profile or "uniform"
-        delta, dx = _float_flag(args, "delta"), _float_flag(args, "dx")
-        out_dir = args.out
-    weights = compute_weights(Kernel(delta=delta, profile=profile), dx)
+    delta, dx = _float_flag(args, "delta"), _float_flag(args, "dx")
+    weights = compute_weights(Kernel(delta=delta, profile=args.profile), dx)
     sys.stdout.write(weights_table(weights))
-    if out_dir is not None:
-        path = Path(out_dir) / "weights.csv"
+    if args.out is not None:
+        path = Path(args.out) / "weights.csv"
         write_weights_csv(weights, path)
         print(f"wrote {path}")
     return 0

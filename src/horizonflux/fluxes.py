@@ -246,7 +246,7 @@ class TwoPointFlux:
 
         Closed form from the exact range of f' over the box.
         """
-        if b1 > b2:
+        if not b1 <= b2:
             raise ValueError(f"need b1 <= b2, got ({b1}, {b2})")
         dmin, dmax = self.local.df_bounds(b1, b2)
         if self.family == "lax_friedrichs":

@@ -26,7 +26,7 @@ import numpy as np
 from .diagnostics import InvariantReport, audit_stream
 from .fluxes import make_flux, make_local_flux
 from .kernels import Kernel, compute_weights
-from .reference import Problem, l1_error
+from .reference import Problem, _checked_window, l1_error
 from .solver import GridState, SchemeConfig, run
 
 __all__ = [
@@ -73,8 +73,8 @@ def nested_l1_distance(
         raise ValueError("grids do not nest: left edges differ")
     if coarse.n_cells * factor != fine.n_cells:
         raise ValueError("grids do not nest: spans differ")
+    a, b = _checked_window(fine, window)
     refined = np.repeat(coarse.values, factor)
-    a, b = window
     edges = fine.x0 + fine.dx * np.arange(fine.n_cells + 1)
     overlap = np.clip(np.minimum(edges[1:], b) - np.maximum(edges[:-1], a), 0.0, None)
     return float(np.sum(overlap * np.abs(refined - fine.values)))

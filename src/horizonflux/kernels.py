@@ -1,10 +1,10 @@
 """Finite-horizon interaction kernels and their cell-mass quadrature weights.
 
-A kernel is a one-sided probability density w(h) = rho(h/delta)/delta supported
-on [0, delta], where rho is a named unit-mass profile on [0, 1].  Profiles ship
-with closed-form antiderivatives, so partial masses (and therefore the
-quadrature weights built from them) are exact to round-off.  No numeric
-quadrature of the kernel happens anywhere in the package.
+A kernel is a one-sided unit-mass weight w(h) = rho(h/delta)/delta supported
+on [0, delta], where rho is a named unit-mass profile on [0, 1].  Each profile
+is given by its closed-form antiderivative alone, so partial masses (and
+therefore the quadrature weights built from them) are exact to round-off.  No
+numeric quadrature of the kernel happens anywhere in the package.
 """
 
 from __future__ import annotations
@@ -22,39 +22,12 @@ __all__ = [
 ]
 
 
-def _rho_uniform(s):
-    return np.ones_like(np.asarray(s, dtype=float))
-
-
-def _cdf_uniform(s):
-    return np.asarray(s, dtype=float)
-
-
-def _rho_triangular(s):
-    s = np.asarray(s, dtype=float)
-    return 2.0 * (1.0 - s)
-
-
-def _cdf_triangular(s):
-    s = np.asarray(s, dtype=float)
-    return s * (2.0 - s)
-
-
-def _rho_quadratic(s):
-    s = np.asarray(s, dtype=float)
-    return 1.5 * (1.0 - s * s)
-
-
-def _cdf_quadratic(s):
-    s = np.asarray(s, dtype=float)
-    return 0.5 * s * (3.0 - s * s)
-
-
-# name -> (density rho on [0,1], antiderivative R with R(0)=0, R(1)=1)
+# name -> antiderivative R of the profile rho on [0,1], R(0)=0, R(1)=1; each
+# takes the clipped float array s = h/delta
 _PROFILES = {
-    "uniform": (_rho_uniform, _cdf_uniform),
-    "triangular": (_rho_triangular, _cdf_triangular),
-    "quadratic": (_rho_quadratic, _cdf_quadratic),
+    "uniform": lambda s: s,
+    "triangular": lambda s: s * (2.0 - s),
+    "quadratic": lambda s: 0.5 * s * (3.0 - s * s),
 }
 
 PROFILE_NAMES = tuple(sorted(_PROFILES))
@@ -65,7 +38,7 @@ class Kernel:
     """One-sided interaction kernel w(h) = rho(h/delta)/delta on [0, delta].
 
     ``delta`` is the horizon: the maximum pairwise interaction distance.
-    The density integrates to one over [0, delta] by construction.
+    The kernel integrates to one over [0, delta] by construction.
     """
 
     delta: float
@@ -80,20 +53,10 @@ class Kernel:
                 + ", ".join(PROFILE_NAMES)
             )
 
-    def density(self, h):
-        """Evaluate w(h); zero outside [0, delta]."""
-        h = np.asarray(h, dtype=float)
-        rho, _ = _PROFILES[self.profile]
-        inside = (h >= 0.0) & (h <= self.delta)
-        s = np.clip(h / self.delta, 0.0, 1.0)
-        vals = np.where(inside, rho(s) / self.delta, 0.0)
-        return float(vals) if vals.ndim == 0 else vals
-
     def cumulative(self, h):
         """Exact mass on [0, h], clamped to the support; vectorized."""
-        _, cdf = _PROFILES[self.profile]
         s = np.clip(np.asarray(h, dtype=float) / self.delta, 0.0, 1.0)
-        out = cdf(s)
+        out = _PROFILES[self.profile](s)
         return float(out) if out.ndim == 0 else out
 
 

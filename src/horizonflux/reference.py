@@ -116,14 +116,8 @@ class AdvectionExact:
 # -- exact windowed L1 error ---------------------------------------------------
 
 
-def l1_error(state: GridState, exact, window: tuple[float, float]) -> float:
-    """Windowed L1 distance between the grid field and an exact solution.
-
-    Integrates |u_grid - exact| over ``window`` at the state's own time: the
-    cells are split at the exact solution's breakpoints, affine pieces (shocks,
-    fans, shifted jumps) integrate in closed form, anything else by 5-point
-    Gauss, and the pieces are summed left to right.  ``exact`` takes arrays.
-    """
+def _checked_window(state: GridState, window) -> tuple[float, float]:
+    """The window as floats (a, b) with a < b, inside the grid up to 1e-9 dx."""
     a, b = float(window[0]), float(window[1])
     if not a < b:
         raise ValueError(f"window must satisfy a < b, got ({a}, {b})")
@@ -133,6 +127,18 @@ def l1_error(state: GridState, exact, window: tuple[float, float]) -> float:
             f"window [{a}, {b}] outside the grid domain "
             f"[{state.x0}, {state.x_right}]"
         )
+    return a, b
+
+
+def l1_error(state: GridState, exact, window: tuple[float, float]) -> float:
+    """Windowed L1 distance between the grid field and an exact solution.
+
+    Integrates |u_grid - exact| over ``window`` at the state's own time: the
+    cells are split at the exact solution's breakpoints, affine pieces (shocks,
+    fans, shifted jumps) integrate in closed form, anything else by 5-point
+    Gauss, and the pieces are summed left to right.  ``exact`` takes arrays.
+    """
+    a, b = _checked_window(state, window)
     t = state.time
     j0 = max(int(math.floor((a - state.x0) / state.dx)), 0)
     j1 = min(int(math.ceil((b - state.x0) / state.dx)), state.n_cells)

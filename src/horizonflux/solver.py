@@ -189,7 +189,7 @@ def validate_cfl(
     """Reject mesh ratios with mesh_ratio * (L1 + L2) > 1 on the data box."""
     l1, l2 = flux.lipschitz_box_bound(box_lo, box_hi)
     total = l1 + l2
-    if mesh_ratio * total > 1.0 + 1e-12:
+    if not mesh_ratio * total <= 1.0 + 1e-12:
         bound = math.inf if total == 0.0 else 1.0 / total
         raise CflViolationError(
             f"mesh ratio {mesh_ratio:g} violates (dt/dx)*(L1+L2) <= 1 on data box "
@@ -222,8 +222,8 @@ def step(
     over the cells.  Both are :meth:`TwoPointFlux.stencil_sum`.
     """
     _check_pair(state, weights)
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     ext = state.extended(weights.n_terms)
     return GridState(
         dx=state.dx,
@@ -264,8 +264,8 @@ def step_conservative_form(
     state: GridState, weights: QuadratureWeights, flux: TwoPointFlux, dt: float
 ) -> GridState:
     """The same update as :func:`step`, computed through the wide edge flux."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     f_edges = wide_numerical_flux(state, weights, flux)
     lam = dt / state.dx
     return GridState(

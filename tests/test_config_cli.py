@@ -317,6 +317,32 @@ def test_weights_names_a_flag_that_is_not_a_number(flag, argv, capsys):
     assert f"{flag} expects a float, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("run", ["--levels", "2"]),
+    ("check", ["--levels", "2"]),
+    ("weights", ["--config", "x.cfg"]),
+    ("weights", ["--flux", "godunov"]),
+    ("weights", ["--T", "1"]),
+    ("weights", ["--levels", "2"]),
+], ids=["run-levels", "check-levels", "weights-config", "weights-flux", "weights-T",
+        "weights-levels"])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    cfg = write_config(tmp_path)
+    base = ["--delta", "0.1", "--dx", "0.05"] if command == "weights" else ["--config", cfg]
+    with pytest.raises(SystemExit) as exited:
+        main([command, *base, *flag, "--out", str(tmp_path / "o")])
+    assert exited.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_weights_requires_delta(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["weights", "--dx", "1.0"])
+    assert exited.value.code == 1
+    assert "the following arguments are required: --delta" in capsys.readouterr().err
+
+
 def test_cli_flag_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = main(["run", "--config", cfg, "--dx", "0.0625", "--T", "0.25",

@@ -16,11 +16,13 @@ from horizonflux import (
     refine_joint_limit,
     step,
     step_conservative_form,
+    validate_cfl,
 )
 from testutil import weights_for_r
 
 GODUNOV = make_flux("godunov", make_local_flux("burgers"))
 STATE = GridState(dx=0.25, x0=0.0, values=np.zeros(4))
+COARSE = GridState(dx=0.5, x0=0.0, values=np.zeros(2))  # nests onto STATE
 SHOCK = get_problem("burgers_shock")
 
 
@@ -54,6 +56,17 @@ BAD_INPUTS = {
     "conservative_step_negative_dt": (
         lambda: step_conservative_form(STATE, weights_for_r(1, 0.25), GODUNOV, -0.1),
         "dt must be positive"),
+    "step_inf_dt": (lambda: step(STATE, weights_for_r(1, 0.25), GODUNOV, np.inf),
+                    "dt must be positive and finite, got inf"),
+    "conservative_step_inf_dt": (
+        lambda: step_conservative_form(STATE, weights_for_r(1, 0.25), GODUNOV, np.inf),
+        "dt must be positive and finite, got inf"),
+    "cfl_nan_mesh_ratio": (lambda: validate_cfl(GODUNOV, np.nan, 0.0, 1.0),
+                           "mesh ratio nan violates"),
+    "cfl_nan_box": (lambda: validate_cfl(GODUNOV, 0.9, np.nan, 1.0),
+                    r"need b1 <= b2, got \(nan, 1.0\)"),
+    "bound_nan_box": (lambda: GODUNOV.lipschitz_box_bound(np.nan, 1.0),
+                      r"need b1 <= b2, got \(nan, 1.0\)"),
     "weights_zero_dx": (lambda: compute_weights(Kernel(0.5), 0.0), "dx must be positive"),
     "advection_nan_speed": (lambda: make_local_flux("linear_advection", speed=np.nan),
                             "advection speed must be finite"),
@@ -67,6 +80,12 @@ BAD_INPUTS = {
     "nested_unequal_spans": (
         lambda: nested_l1_distance(GridState(0.5, 0.0, np.zeros(3)), STATE, (0.0, 1.0)),
         "spans differ"),
+    "nested_reversed_window": (lambda: nested_l1_distance(COARSE, STATE, (1.0, 0.0)),
+                               r"window must satisfy a < b, got \(1.0, 0.0\)"),
+    "nested_nan_window": (lambda: nested_l1_distance(COARSE, STATE, (np.nan, 1.0)),
+                          r"window must satisfy a < b, got \(nan, 1.0\)"),
+    "nested_window_outside": (lambda: nested_l1_distance(COARSE, STATE, (-3.0, 4.0)),
+                              r"window \[-3.0, 4.0\] outside the grid domain \[0.0, 1.0\]"),
 }
 
 

@@ -1,0 +1,26 @@
+"""The README's examples run as written: every ``ini`` block is a valid config
+and every ``python`` block executes."""
+
+import re
+from pathlib import Path
+
+from horizonflux.config import parse_config_text
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def blocks(language):
+    found = re.findall(r"^```(\w*)\n(.*?)^```", README, flags=re.M | re.S)
+    texts = [text for lang, text in found if lang == language]
+    assert texts, f"README has no {language} block"
+    return texts
+
+
+def test_every_ini_block_parses():
+    for text in blocks("ini"):
+        parse_config_text(text)
+
+
+def test_every_python_block_runs():
+    for text in blocks("python"):
+        exec(compile(text, "README.md", "exec"), {"__name__": "readme"})
