@@ -1,13 +1,15 @@
 """Plain-text run configuration: INI-style sections validated into a RunConfig.
 
 A config names the kernel, the flux family, a benchmark problem, the grid
-spacing, and the time-stepping parameters.  Validation happens at load time:
-the library builds the kernel and the flux (its errors prefixed with their
-config section) and checks the monotonicity bound on the mesh ratio over the
-problem's data box, so a config that parses is a config that runs, whatever
-``[time] enforce_cfl`` says.  ``enforce_cfl = false`` lifts only that bound,
-for ``run`` and ``check``; ``study`` always enforces it and exits 1 when a
-level's mesh ratio breaks it.
+spacing, and the time-stepping parameters.  The problem runs on its own
+domain, window and boundary mode; ``[problem] T`` overrides only its final
+time.  Validation happens at load time: the library builds the kernel and the
+flux (its errors prefixed with their config section), checks that ``[grid]
+dx`` tiles the problem's domain at every study level, and checks the
+monotonicity bound on the mesh ratio over the problem's data box, so a config
+that parses is a config that runs, whatever ``[time] enforce_cfl`` says.
+``enforce_cfl = false`` lifts only that bound, for ``run`` and ``check``;
+``study`` always enforces it and exits 1 when a level's mesh ratio breaks it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 from .harness import DEFAULT_OUTPUT_TIMES, _build_flux, _level_geometry
 from .kernels import Kernel
 from .reference import Problem, get_problem
-from .solver import BOUNDARY_MODES, validate_cfl
+from .solver import validate_cfl
 
 __all__ = ["RunConfig", "config_to_text", "parse_config", "parse_config_text"]
 
@@ -34,12 +36,7 @@ _FIELDS = (
     ("flux_family", "flux", "family", "str", _REQUIRED),
     ("lf_lambda", "flux", "lf_lambda", "float", None),
     ("problem", "problem", "name", "str", _REQUIRED),
-    ("x_left", "problem", "x_left", "float", None),
-    ("x_right", "problem", "x_right", "float", None),
-    ("window_left", "problem", "window_left", "float", None),
-    ("window_right", "problem", "window_right", "float", None),
     ("final_time", "problem", "T", "float", None),
-    ("boundary", "problem", "boundary", "str", None),
     ("dx", "grid", "dx", "float", _REQUIRED),
     ("mesh_ratio", "time", "mesh_ratio", "float", _REQUIRED),
     ("enforce_cfl", "time", "enforce_cfl", "bool", True),
@@ -62,12 +59,7 @@ class RunConfig:
     flux_family: str
     lf_lambda: float | None
     problem: str
-    x_left: float
-    x_right: float
-    window_left: float
-    window_right: float
     final_time: float
-    boundary: str
     dx: float
     mesh_ratio: float
     enforce_cfl: bool
@@ -78,14 +70,8 @@ class RunConfig:
     out_dir: str
 
     def resolved_problem(self) -> Problem:
-        """The named problem with the config's geometry overrides applied."""
-        return replace(
-            get_problem(self.problem),
-            domain=(self.x_left, self.x_right),
-            window=(self.window_left, self.window_right),
-            boundary=self.boundary,
-            final_time=self.final_time,
-        )
+        """The named problem, run to the config's final time."""
+        return replace(get_problem(self.problem), final_time=self.final_time)
 
     def build_flux(self):
         return _build_flux(get_problem(self.problem), self.flux_family, self.lf_lambda)
@@ -166,11 +152,6 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _one_of(value, choices, what: str, valid: str) -> None:
-    if value not in choices:
-        raise ValueError(f"unknown {what} {value!r}; {valid}: " + ", ".join(choices))
-
-
 def _keyed(prefix: str, build, *args):
     """``build(*args)``, with ``prefix`` (the config section) leading its ValueError."""
     try:
@@ -186,42 +167,21 @@ def _validate(v: dict[str, object]) -> RunConfig:
     for name, label in (("dx", "[grid] dx"), ("mesh_ratio", "[time] mesh_ratio")):
         _positive(label, v[name])
 
-    # unset geometry comes from the named problem
-    for name, default in (("x_left", base.domain[0]), ("x_right", base.domain[1]),
-                          ("final_time", base.final_time), ("boundary", base.boundary)):
-        if v[name] is None:
-            v[name] = default
-    x_left, x_right = v["x_left"], v["x_right"]
-    for key in ("x_left", "x_right"):
-        if not math.isfinite(v[key]):
-            raise ValueError(f"[problem] {key} must be finite, got {v[key]}")
-    if not x_left < x_right:
-        raise ValueError(
-            f"[problem] x_left must be less than x_right, got ({x_left}, {x_right})"
-        )
-    _keyed("[grid]", _level_geometry, (x_left, x_right), v["dx"])
-    if v["window_left"] is None:
-        v["window_left"] = max(base.window[0], x_left)
-    if v["window_right"] is None:
-        v["window_right"] = min(base.window[1], x_right)
-    window_left, window_right = v["window_left"], v["window_right"]
-    if not window_left < window_right:
-        raise ValueError(
-            f"[problem] window_left must be less than window_right, "
-            f"got ({window_left}, {window_right})"
-        )
-    if window_left < x_left - 1e-12 or window_right > x_right + 1e-12:
-        raise ValueError(
-            f"[problem] window_left and window_right must lie inside the domain "
-            f"[{x_left}, {x_right}], got ({window_left}, {window_right})"
-        )
+    if v["final_time"] is None:
+        v["final_time"] = base.final_time
     if not (math.isfinite(v["final_time"]) and v["final_time"] >= 0.0):
         raise ValueError(f"[problem] T must be nonnegative, got {v['final_time']}")
-    _one_of(v["boundary"], BOUNDARY_MODES, "boundary", "valid modes")
 
-    _one_of(v["regime"], _REGIMES, "study regime", "valid")
+    if v["regime"] not in _REGIMES:
+        raise ValueError(f"unknown study regime {v['regime']!r}; valid: " + ", ".join(_REGIMES))
     if v["levels"] < 2:
         raise ValueError(f"[study] levels must be at least 2, got {v['levels']}")
+    # halving dx doubles a tiling defect below 1e-9, so level 0 and the finest
+    # level bound every level's
+    dx, levels = v["dx"], v["levels"]
+    _keyed("[grid]", _level_geometry, base.domain, dx)
+    _keyed(f"[grid] dx={dx} at the finest of [study] levels = {levels}:",
+           _level_geometry, base.domain, math.ldexp(dx, 1 - levels))
     _positive("[study] coupling", v["coupling"])
     if v["output_times"] < 2:
         raise ValueError(f"[study] output_times must be at least 2, got {v['output_times']}")

@@ -54,7 +54,6 @@ class LocalFlux:
 
     name: str
     f: Callable
-    df: Callable
     df_bounds: Callable[[float, float], tuple[float, float]]
     split_plus: Callable
     split_minus: Callable
@@ -67,7 +66,6 @@ def make_local_flux(name: str, speed: float = 1.0) -> LocalFlux:
         return LocalFlux(
             name="burgers",
             f=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
-            df=lambda u: np.asarray(u, dtype=float) + 0.0,
             df_bounds=lambda lo, hi: (lo, hi),
             split_plus=lambda u: 0.5 * np.maximum(np.asarray(u, dtype=float), 0.0) ** 2,
             split_minus=lambda u: 0.5 * np.minimum(np.asarray(u, dtype=float), 0.0) ** 2,
@@ -82,7 +80,6 @@ def make_local_flux(name: str, speed: float = 1.0) -> LocalFlux:
         return LocalFlux(
             name="cubic",
             f=lambda u: np.asarray(u, dtype=float) ** 3 / 3.0,
-            df=lambda u: np.asarray(u, dtype=float) ** 2,
             df_bounds=_df_bounds,
             split_plus=lambda u: np.asarray(u, dtype=float) ** 3 / 3.0,
             split_minus=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
@@ -97,7 +94,6 @@ def make_local_flux(name: str, speed: float = 1.0) -> LocalFlux:
         return LocalFlux(
             name="linear_advection",
             f=ramp,
-            df=lambda u: np.full_like(np.asarray(u, dtype=float), a),
             df_bounds=lambda lo, hi: (a, a),
             split_plus=ramp if a >= 0.0 else zero,
             split_minus=zero if a >= 0.0 else ramp,

@@ -153,7 +153,7 @@ def _build_flux(problem: Problem, family: str, lf_lambda: float | None):
 
 def _level_geometry(domain: tuple[float, float], dx: float) -> tuple[float, int]:
     a, b = domain
-    cells = (b - a) / dx
+    cells = (b - a) / dx if dx > 0.0 else math.inf
     n = int(round(cells)) if math.isfinite(cells) else 0
     if n < 1 or abs(cells - n) > 1e-9:
         raise ValueError(f"dx={dx} does not tile the domain [{a}, {b}]")
@@ -217,9 +217,13 @@ def _refine(
     keyword defaults are those of both public studies, which forward their
     options here; every level is audited.
     """
+    if not isinstance(n_output_times, (int, np.integer)) or n_output_times < 2:
+        raise ValueError(f"n_output_times must be at least 2, got {n_output_times}")
     flux = _build_flux(problem, flux_family, lf_lambda)
     targets = np.linspace(0.0, problem.final_time, n_output_times)
-    dxs = [dx0 / 2**m for m in range(n_levels)]
+    dxs = [math.ldexp(dx0, -m) for m in range(n_levels)]
+    for dx in dxs:  # every level must tile before the first one runs
+        _level_geometry(problem.domain, dx)
     args = [
         (problem, flux, profile, delta_of(dx), dx, mesh_ratio, targets, True) for dx in dxs
     ]
@@ -297,8 +301,8 @@ def refine_joint_limit(
         raise ValueError("joint-limit study needs at least 1 level")
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact local solution")
-    if coupling <= 0.0:
-        raise ValueError(f"coupling must be positive, got {coupling}")
+    if not (math.isfinite(coupling) and coupling > 0.0):
+        raise ValueError(f"coupling must be positive and finite, got {coupling}")
     return _refine(
         problem, flux_family, dx0, n_levels, mesh_ratio,
         regime="joint_limit", measure_name="l1_error_vs_exact",

@@ -4,10 +4,11 @@ Each family is evaluated here from its textbook definition rather than from
 the split pair the package uses: Godunov by an explicit search for the
 interval extremum of f over the critical points of f, the other families by
 their direct formulas.  ``reference_rate`` sums the step's flux differences
-over k in a plain loop.  ``partials`` gives the one-sided partial derivatives
-of each family in closed form.  ``reference_entropy_matrix`` takes the full
-q-sum of the cell entropy residual at every (c, j), with no lattice identity,
-and ``assert_entropy_matches_oracle`` pins ``check_entropy``'s report to it.
+over k in a plain loop.  ``derivative`` gives f' of each local flux and
+``partials`` the one-sided partial derivatives of each family, both in closed
+form.  ``reference_entropy_matrix`` takes the full q-sum of the cell entropy
+residual at every (c, j), with no lattice identity, and
+``assert_entropy_matches_oracle`` pins ``check_entropy``'s report to it.
 """
 
 import numpy as np
@@ -23,7 +24,17 @@ INTERIOR_EXTREMA = {"burgers": (0.0,), "cubic": (), "linear_advection": ()}
 
 
 def _speed(local):
-    return float(local.df(0.0))
+    return float(local.f(1.0))  # linear_advection: f(u) = speed * u
+
+
+def derivative(local, u):
+    """f'(u) of a built-in local flux in closed form."""
+    u = np.asarray(u, dtype=float)
+    if local.name == "burgers":
+        return u + 0.0
+    if local.name == "cubic":
+        return u**2
+    return np.full_like(u, _speed(local))
 
 
 def godunov_extremum(local, a, b):
@@ -79,7 +90,7 @@ def partials(flux, a, b):
     """(g1, g2) = (dg/da, dg/db); one-sided values on kink sets."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    df = flux.local.df
+    df = lambda u: derivative(flux.local, u)
     if flux.family == "godunov":
         # one-sided on kink sets (a = b, sonic points); the active side is
         # where the interval extremum is attained, and clamping by the

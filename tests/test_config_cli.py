@@ -36,11 +36,12 @@ mesh_ratio = 0.9
 
 def test_minimal_config_gets_defaults():
     cfg = parse_config_text(MINIMAL)
+    problem = cfg.resolved_problem()
     assert cfg.profile == "uniform"
-    assert cfg.boundary == "constant_extension"
-    assert (cfg.x_left, cfg.x_right) == (-2.0, 3.0)
-    assert (cfg.window_left, cfg.window_right) == (-0.5, 1.5)
-    assert cfg.final_time == 0.5
+    assert problem.boundary == "constant_extension"
+    assert problem.domain == (-2.0, 3.0)
+    assert problem.window == (-0.5, 1.5)
+    assert cfg.final_time == problem.final_time == 0.5
     assert cfg.out_dir == "out"
 
 
@@ -74,18 +75,39 @@ def test_bad_values_rejected():
 PROBLEM = "name = burgers_shock"
 TIME = "mesh_ratio = 0.9"
 RELAXED = MINIMAL.replace(TIME, TIME + "\nenforce_cfl = false")
+# a config runs its named problem: no key redefines the problem's geometry
+REMOVED_KEYS = ("x_left", "x_right", "window_left", "window_right", "boundary")
+# tiles [0, 1] at level 0 within 1e-9, but not once halved: the defect doubles
+OFF_AT_LEVEL_1 = """
+[kernel]
+delta = 0.66666666646
+
+[flux]
+family = upwind_linear
+
+[problem]
+name = advect_bump
+
+[grid]
+dx = 0.33333333323333335
+
+[time]
+mesh_ratio = 0.9
+
+[study]
+regime = joint_limit
+levels = 3
+"""
 
 
 @pytest.mark.parametrize("old, new, message", [
-    (PROBLEM, PROBLEM + "\nx_right = inf", r"\[problem\] x_right must be finite, got inf"),
-    (PROBLEM, PROBLEM + "\nx_left = -inf", r"\[problem\] x_left must be finite, got -inf"),
-    (PROBLEM, PROBLEM + "\nx_left = 1\nx_right = 0",
-     r"\[problem\] x_left must be less than x_right"),
-    (PROBLEM, PROBLEM + "\nwindow_left = 1\nwindow_right = 0",
-     r"\[problem\] window_left must be less than window_right"),
-    (PROBLEM, PROBLEM + "\nwindow_left = -5",
-     r"\[problem\] window_left and window_right must lie inside the domain \[-2.0, 3.0\]"),
+    *[(PROBLEM, PROBLEM + f"\n{key} = 0",
+       rf"unknown key '{key}' in section \[problem\]; valid keys: T, name$")
+      for key in REMOVED_KEYS],
     ("dx = 0.03125", "dx = 0.3", r"\[grid\] dx=0.3 does not tile the domain \[-2.0, 3.0\]"),
+    (MINIMAL, OFF_AT_LEVEL_1,
+     r"\[grid\] dx=0.33333333323333336 at the finest of \[study\] levels = 3: "
+     r"dx=0.08333333330833334 does not tile the domain \[0.0, 1.0\]"),
     ("family = godunov", "family = lax_friedrichs\nlf_lambda = -1",
      r"\[flux\] lf_lambda must be positive and finite"),
     # the flux is built at load whether or not the CFL bound is enforced
@@ -105,8 +127,8 @@ RELAXED = MINIMAL.replace(TIME, TIME + "\nenforce_cfl = false")
     ("delta = 0.05", "delta = 0.05\nprofile = cosine",
      r"\[kernel\] unknown kernel profile 'cosine'; valid profiles"),
     (PROBLEM, "name = kdv", r"\[problem\] unknown problem 'kdv'; valid problems"),
-], ids=["x_right_inf", "x_left_minus_inf", "reversed_domain", "reversed_window",
-        "window_outside", "dx_off_the_tiling", "negative_lf_lambda",
+], ids=[*(f"removed_key_{key}" for key in REMOVED_KEYS), "dx_off_the_tiling",
+        "dx_off_the_tiling_at_the_finest_level", "negative_lf_lambda",
         "upwind_linear_on_burgers_without_cfl", "enforce_cfl_not_a_bool", "negative_T",
         "one_level", "one_output_time", "lax_friedrichs_without_lf_lambda",
         "lf_lambda_on_godunov", "zero_dx", "negative_delta", "unknown_profile",
@@ -296,7 +318,7 @@ def test_cli_usage_error_exits_1(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=env,
     )
     assert bad.returncode == 1
-    assert "[problem] x_right must be finite" in bad.stderr
+    assert "unknown key 'x_right' in section [problem]" in bad.stderr
     assert "Traceback" not in bad.stderr
     for workers in ("0", "-2"):
         bad = subprocess.run(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from horizonflux import harness
 from horizonflux import (
     GridState,
     Kernel,
@@ -24,6 +25,7 @@ GODUNOV = make_flux("godunov", make_local_flux("burgers"))
 STATE = GridState(dx=0.25, x0=0.0, values=np.zeros(4))
 COARSE = GridState(dx=0.5, x0=0.0, values=np.zeros(2))  # nests onto STATE
 SHOCK = get_problem("burgers_shock")
+BUMP = get_problem("advect_bump")
 
 
 def _scheme(mesh_ratio=0.5, final_time=0.1):
@@ -77,6 +79,29 @@ BAD_INPUTS = {
     "joint_limit_zero_coupling": (
         lambda: refine_joint_limit(SHOCK, "godunov", 0.0, 0.25, 2, 0.9),
         "coupling must be positive"),
+    # 1100 halvings take the cell count past the float range; no level may run
+    "fixed_delta_levels_past_the_float_range": (
+        lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 1100, 0.9),
+        r"dx=\S+ does not tile the domain \[-2.0, 3.0\]"),
+    "joint_limit_nan_coupling": (
+        lambda: refine_joint_limit(SHOCK, "godunov", np.nan, 0.25, 2, 0.9),
+        "coupling must be positive and finite, got nan"),
+    "joint_limit_inf_coupling": (
+        lambda: refine_joint_limit(SHOCK, "godunov", np.inf, 0.25, 2, 0.9),
+        "coupling must be positive and finite, got inf"),
+    # one output time compares only the t = 0 snapshots, so the study would pass on nothing
+    "study_one_output_time": (
+        lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 2, 0.9, n_output_times=1),
+        "n_output_times must be at least 2, got 1"),
+    "study_no_output_time": (
+        lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 2, 0.9, n_output_times=0),
+        "n_output_times must be at least 2, got 0"),
+    "study_negative_output_times": (
+        lambda: refine_joint_limit(SHOCK, "godunov", 2.0, 1 / 16, 2, 0.9, n_output_times=-3),
+        "n_output_times must be at least 2, got -3"),
+    "study_fractional_output_times": (
+        lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 2, 0.9, n_output_times=2.5),
+        r"n_output_times must be at least 2, got 2.5"),
     "nested_unequal_spans": (
         lambda: nested_l1_distance(GridState(0.5, 0.0, np.zeros(3)), STATE, (0.0, 1.0)),
         "spans differ"),
@@ -93,3 +118,12 @@ BAD_INPUTS = {
 def test_library_rejects_bad_input(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_study_checks_every_level_before_it_runs_one(monkeypatch):
+    # dx tiles [0, 1] at level 0 within 1e-9; halving doubles the defect past it
+    ran = []
+    monkeypatch.setattr(harness, "_run_level", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match=r"dx=0.16666666661666668 does not tile the domain"):
+        refine_joint_limit(BUMP, "upwind_linear", 2.0, 0.33333333323333335, 3, 0.9)
+    assert ran == []

@@ -4,7 +4,7 @@ and every ``python`` block executes."""
 import re
 from pathlib import Path
 
-from horizonflux.config import parse_config_text
+from horizonflux.config import config_to_text, parse_config_text
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -19,6 +19,12 @@ def blocks(language):
 def test_every_ini_block_parses():
     for text in blocks("ini"):
         parse_config_text(text)
+
+
+def test_the_full_ini_block_sets_every_key_in_canonical_form():
+    # the one block with an [output] section; a missing or removed key breaks the round trip
+    (full,) = [text for text in blocks("ini") if "[output]" in text]
+    assert config_to_text(parse_config_text(full)) == full + "\n"  # ends with a blank line
 
 
 def test_every_python_block_runs():
