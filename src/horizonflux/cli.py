@@ -160,7 +160,11 @@ def _float_flag(args, flag: str) -> float:
 
 def _cmd_weights(args) -> int:
     delta, dx = _float_flag(args, "delta"), _float_flag(args, "dx")
-    weights = compute_weights(Kernel(delta=delta, profile=args.profile), dx)
+    kernel = Kernel(delta=delta, profile=args.profile)
+    try:
+        weights = compute_weights(kernel, dx)
+    except ValueError as exc:
+        raise ValueError(f"--delta {args.delta} / --dx {args.dx}: {exc}") from None
     sys.stdout.write(weights_table(weights))
     if args.out is not None:
         path = Path(args.out) / "weights.csv"

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .harness import DEFAULT_OUTPUT_TIMES, _build_flux, _level_geometry
-from .kernels import Kernel
+from .kernels import Kernel, _fits
 from .reference import Problem, get_problem
 from .solver import validate_cfl
 
@@ -179,7 +179,12 @@ def _validate(v: dict[str, object]) -> RunConfig:
     # halving dx doubles a tiling defect below 1e-9, so level 0 and the finest
     # level bound every level's
     dx, levels = v["dx"], v["levels"]
-    _keyed("[grid]", _level_geometry, base.domain, dx)
+    _, n = _keyed("[grid]", _level_geometry, base.domain, dx)
+    # the r + 1 kernel edges and the n + 2R cells of an extended row, before either exists
+    ratio, sizes = v["delta"] / dx, "[kernel] delta / [grid] dx:"
+    _keyed(sizes, _fits, ratio + 1.0, f"r = floor({ratio:.6g}) needs r + 1 edges")
+    ghosts = 2 * max(math.floor(ratio), 1)
+    _keyed(sizes, _fits, n + ghosts, f"n = {n} cells with 2R = {ghosts} ghosts")
     _keyed(f"[grid] dx={dx} at the finest of [study] levels = {levels}:",
            _level_geometry, base.domain, math.ldexp(dx, 1 - levels))
     _positive("[study] coupling", v["coupling"])

@@ -171,18 +171,24 @@ class TwoPointFlux:
         entry of a run of positive B, so only run ends and run starts are
         compared, and none when one half has no positive entry (one-signed data).
         """
+        return self._halves(values, reach)[:3]
+
+    def _halves(self, values: np.ndarray, reach: int):
+        """:meth:`additive_halves` and, for A and for B, whether the transonic test
+        found that half exactly 0: no positive entry, and no NaN either."""
         left, right, op = self._split()
         a, b = left(values), right(values)
         if op is np.add:
-            return a, b, op
+            return a, b, op, False, False
         pos_a, pos_b = a > 0.0, b > 0.0
-        if not (pos_a.any() and pos_b.any()):
-            return a, b, np.add
+        some_a, some_b = pos_a.any(), pos_b.any()
+        if not (some_a and some_b):  # a NaN is truthy, so ``.any()`` finds it
+            return a, b, np.add, not (some_a or a.any()), not (some_b or b.any())
         ends = (pos_a[:-1] > pos_a[1:]).nonzero()[0]
         starts = (pos_b[1:] > pos_b[:-1]).nonzero()[0] + 1
         nxt = starts.searchsorted(ends, side="right")  # the first start right of each end
         has = nxt < starts.size
-        return a, b, op if (starts[nxt[has]] - ends[has] <= reach).any() else np.add
+        return a, b, op if (starts[nxt[has]] - ends[has] <= reach).any() else np.add, False, False
 
     def stencil_sum(self, ext: np.ndarray, w: np.ndarray, c=None) -> np.ndarray:
         """sum_k w_k [p(u_j, u_{j+k}) - p(u_{j-k}, u_j)] over the cells of the 1-D
@@ -195,28 +201,32 @@ class TwoPointFlux:
         β = B(ext v c) - B(ext ^ c)), the sum is two correlations: with
         dA_i = A_{i+1} - A_i and tail sums T_l = sum_{k>l} w_k it is
         sum_{l<R} T_l (dB_{j+l} + dA_{j-l-1}), so a flat stencil gives exactly 0.
-        Otherwise k runs upward with elementwise ops, so the order is fixed by
-        the data alone.
+        A half that Godunov's transonic test found exactly 0 (B on data >= 0, A
+        on data <= 0; for q, on both ext v c and ext ^ c) correlates to +0.0
+        everywhere, so its correlation is not taken.  Otherwise k runs upward
+        with elementwise ops, so the order is fixed by the data alone.
         """
         pad = w.size
         n = ext.size - 2 * pad
         if c is None:
-            a, b, op = self.additive_halves(ext, pad)
+            a, b, op, zero_a, zero_b = self._halves(ext, pad)
             additive = op is np.add
             pair = lambda k: op(a[:-k], b[k:])
         else:
-            a_hi, b_hi, op_hi = self.additive_halves(np.maximum(ext, c), pad)
-            a_lo, b_lo, op_lo = self.additive_halves(np.minimum(ext, c), pad)
+            a_hi, b_hi, op_hi, zero_a, zero_b = self._halves(np.maximum(ext, c), pad)
+            a_lo, b_lo, op_lo, lo_zero_a, lo_zero_b = self._halves(np.minimum(ext, c), pad)
             additive = op_hi is np.add and op_lo is np.add
+            zero_a, zero_b = zero_a and lo_zero_a, zero_b and lo_zero_b
             if additive:
                 a, b = a_hi - a_lo, b_hi - b_lo
             pair = lambda k: op_hi(a_hi[:-k], b_hi[k:]) - op_lo(a_lo[:-k], b_lo[k:])
         if additive:
-            tail = w[::-1].cumsum()[::-1]
-            return (
-                np.correlate(b[pad + 1 :] - b[pad:-1], tail, "valid")
-                + np.correlate(a[1 : n + pad] - a[: n + pad - 1], tail[::-1], "valid")
-            )
+            if zero_a and zero_b:
+                return np.zeros(n)
+            tail, m = w[::-1].cumsum()[::-1], n + pad
+            right = 0.0 if zero_b else np.correlate(b[pad + 1 :] - b[pad:-1], tail, "valid")
+            left = 0.0 if zero_a else np.correlate(a[1:m] - a[: m - 1], tail[::-1], "valid")
+            return right + left  # a skipped half's +0.0 turns a -0.0 into +0.0, as the sum did
         acc = np.zeros(n)
         for k, wk in enumerate(w, 1):
             pk = pair(k)

@@ -17,6 +17,7 @@ distances carry no interpolation error.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -205,6 +206,13 @@ def _exact_errors(snapshots, problem: Problem, window) -> list[float]:
     return [max(l1_error(s, problem.exact, window) for s in level) for level in snapshots]
 
 
+def _level_count(n_levels) -> int:
+    try:
+        return operator.index(n_levels)
+    except TypeError:
+        raise ValueError(f"n_levels must be an integer, got {n_levels!r}") from None
+
+
 def _refine(
     problem: Problem, flux_family: str, dx0: float, n_levels: int, mesh_ratio: float, *,
     regime: str, measure_name: str, measure, delta_of, echo: dict, profile: str = "uniform",
@@ -273,7 +281,7 @@ def refine_fixed_delta(
     n_output_times, workers); the final time and the measuring window are the
     problem's own.
     """
-    if n_levels < 2:
+    if _level_count(n_levels) < 2:
         raise ValueError("fixed-delta study needs at least 2 levels")
     return _refine(
         problem, flux_family, dx0, n_levels, mesh_ratio,
@@ -297,7 +305,7 @@ def refine_joint_limit(
     L1 error against the problem's exact local entropy solution.  ``options``
     are those of :func:`refine_fixed_delta`.
     """
-    if n_levels < 1:
+    if _level_count(n_levels) < 1:
         raise ValueError("joint-limit study needs at least 1 level")
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact local solution")

@@ -10,6 +10,7 @@ numeric quadrature of the kernel happens anywhere in the package.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,18 @@ class QuadratureWeights:
         return abs(self.dx * float(np.dot(k, self.weights)) - 1.0)
 
 
+def _fits(count: float, what: str) -> None:
+    """Reject ``what``, ``count`` float64 values, before it is allocated when it
+    needs more bytes than the machine's physical memory."""
+    need = 8.0 * count
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: numpy's allocation decides
+        return
+    if not need <= have:
+        raise ValueError(f"{what}: {need:.4g} bytes, more than the {have:.4g} of physical memory")
+
+
 def compute_weights(kernel: Kernel, dx: float) -> QuadratureWeights:
     """Cell masses of the kernel, averaged over the jump length k*dx.
 
@@ -94,7 +107,9 @@ def compute_weights(kernel: Kernel, dx: float) -> QuadratureWeights:
     """
     if not (math.isfinite(dx) and dx > 0.0):
         raise ValueError(f"dx must be positive and finite, got {dx}")
-    r = int(math.floor(kernel.delta / dx))
+    ratio = kernel.delta / dx
+    _fits(ratio + 1.0, f"r = floor(delta / dx) = floor({ratio:.6g}) needs r + 1 edges")
+    r = int(math.floor(ratio))
     n = max(r, 1)
     edges = np.arange(n + 1, dtype=float) * dx
     cumulative = kernel.cumulative(edges)

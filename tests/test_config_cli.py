@@ -365,6 +365,31 @@ def test_weights_requires_delta(capsys):
     assert "the following arguments are required: --delta" in capsys.readouterr().err
 
 
+# Sizes are compared with physical memory before anything is allocated, so no test
+# here asks for the memory.  dx = 2**-50 tiles the shock's domain [-2, 3] into
+# 5 * 2**50 cells; delta = 1 puts 2**50 cells in the horizon, delta = dx one.
+@pytest.mark.parametrize("delta, what", [
+    ("1", "r = floor(1.1259e+15) needs r + 1 edges: 9.007e+15 bytes"),
+    (repr(2.0**-50), "n = 5629499534213120 cells with 2R = 2 ghosts: 4.504e+16 bytes"),
+], ids=["edges", "cells"])
+def test_check_names_delta_and_dx_for_sizes_past_physical_memory(tmp_path, delta, what, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(MINIMAL.replace("delta = 0.05", f"delta = {delta}")
+                   .replace("dx = 0.03125", f"dx = {2.0**-50!r}"))
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [kernel] delta / [grid] dx: {what}"), err
+    assert "of physical memory" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_weights_names_its_flags_for_edges_past_physical_memory(capsys):
+    assert main(["weights", "--delta", "1", "--dx", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --delta 1 / --dx 1e-300: r = floor(delta / dx) = "
+                          "floor(1e+300) needs r + 1 edges: 8e+300 bytes"), err
+
+
 def test_cli_flag_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = main(["run", "--config", cfg, "--dx", "0.0625", "--T", "0.25",

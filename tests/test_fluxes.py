@@ -246,3 +246,81 @@ def test_monotone_on_flags_bad_lax_friedrichs():
     assert lf.monotone_on(-1.0, 1.0)
     assert not lf.monotone_on(-3.0, 3.0)
     assert make_flux("godunov", make_local_flux("burgers")).monotone_on(-9.0, 9.0)
+
+
+# -- the stencil sum's zero halves ------------------------------------------------
+
+
+def _two_correlations(flux, ext, w, c=None):
+    """sum_k w_k [p(u_j, u_{j+k}) - p(u_{j-k}, u_j)] as the correlations of both
+    split halves, whatever their values (additive data only)."""
+    pad = w.size
+    n = ext.size - 2 * pad
+    if c is None:
+        a, b, op = flux.additive_halves(ext, pad)
+        assert op is np.add
+    else:
+        a_hi, b_hi, op_hi = flux.additive_halves(np.maximum(ext, c), pad)
+        a_lo, b_lo, op_lo = flux.additive_halves(np.minimum(ext, c), pad)
+        assert op_hi is np.add and op_lo is np.add
+        a, b = a_hi - a_lo, b_hi - b_lo
+    tail = w[::-1].cumsum()[::-1]
+    return (np.correlate(b[pad + 1:] - b[pad:-1], tail, "valid")
+            + np.correlate(a[1:n + pad] - a[:n + pad - 1], tail[::-1], "valid"))
+
+
+def _one_signed_rows(rng, size):
+    """Burgers data >= 0 with flat runs, exact zeros and -0.0, and its negative."""
+    u = np.where(rng.random(size) < 0.3, 0.0, rng.uniform(0.0, 1.0, size))
+    u[: size // 4] = 0.5
+    u[rng.choice(size, 3, replace=False)] = -0.0
+    return u, -u
+
+
+@pytest.mark.parametrize("family", ["godunov", "engquist_osher"])
+@pytest.mark.parametrize("r", [1, 4, 16])
+def test_stencil_sum_skips_a_zero_half_bit_for_bit(family, r):
+    """On one-signed Burgers data one split half is exactly 0 (both on u = 0 with
+    c = 0).  Godunov's transonic test finds it and ``stencil_sum`` takes one
+    correlation (none); the sum is the two-correlation sum bit for bit, the sign
+    of a zero included, for p = g and for p = q with a scalar c or one c per
+    entry."""
+    flux = make_flux(family, make_local_flux("burgers"))
+    rng = np.random.default_rng(50 + r)
+    w = rng.uniform(0.1, 1.0, r)
+    size = 6 * r + 40
+    for ext in (*_one_signed_rows(rng, size), np.zeros(size)):
+        # of the data's sign, so that ext v c and ext ^ c stay one-signed
+        per_entry = np.copysign(rng.choice([0.0, 0.2, 0.7], size), ext.sum())
+        for c in (None, 0.0, 0.3, -0.3, per_entry):
+            got, want = flux.stencil_sum(ext, w, c), _two_correlations(flux, ext, w, c)
+            assert np.array_equal(got, want), c
+            assert np.array_equal(np.signbit(got), np.signbit(want)), c
+
+
+@pytest.mark.parametrize("family, nan, calls", [
+    ("godunov", False, 1), ("godunov", True, 2), ("engquist_osher", False, 2),
+])
+def test_stencil_sum_skips_only_a_half_known_to_be_zero(family, nan, calls, monkeypatch):
+    """Only Godunov's transonic test knows a half is 0, and a NaN in that half
+    keeps its correlation, so every output the two correlations make NaN stays NaN."""
+    flux = make_flux(family, make_local_flux("burgers"))
+    rng = np.random.default_rng(7)
+    w = rng.uniform(0.1, 1.0, 4)
+    for ext in _one_signed_rows(rng, 60):
+        if nan:
+            ext[30] = np.nan
+        count = []
+        correlate = np.correlate
+
+        def counted(*args):
+            count.append(1)
+            return correlate(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "correlate", counted)
+            got = flux.stencil_sum(ext, w)
+        want = _two_correlations(flux, ext, w)
+        assert len(count) == calls
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(want).any() == nan

@@ -70,12 +70,22 @@ BAD_INPUTS = {
     "bound_nan_box": (lambda: GODUNOV.lipschitz_box_bound(np.nan, 1.0),
                       r"need b1 <= b2, got \(nan, 1.0\)"),
     "weights_zero_dx": (lambda: compute_weights(Kernel(0.5), 0.0), "dx must be positive"),
+    # compared with physical memory before the r + 1 edges are allocated
+    "weights_past_physical_memory": (
+        lambda: compute_weights(Kernel(1.0), 1e-300),
+        r"r = floor\(delta / dx\) = floor\(1e\+300\) needs r \+ 1 edges: 8e\+300 bytes"),
     "advection_nan_speed": (lambda: make_local_flux("linear_advection", speed=np.nan),
                             "advection speed must be finite"),
     "fixed_delta_one_level": (lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 0.25, 1, 0.9),
                               "at least 2 levels"),
     "joint_limit_no_level": (lambda: refine_joint_limit(SHOCK, "godunov", 2.0, 0.25, 0, 0.9),
                              "at least 1 level"),
+    "fixed_delta_fractional_levels": (
+        lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 2.5, 0.9),
+        "n_levels must be an integer, got 2.5"),
+    "joint_limit_nan_levels": (
+        lambda: refine_joint_limit(SHOCK, "godunov", 2.0, 1 / 16, np.nan, 0.9),
+        "n_levels must be an integer, got nan"),
     "joint_limit_zero_coupling": (
         lambda: refine_joint_limit(SHOCK, "godunov", 0.0, 0.25, 2, 0.9),
         "coupling must be positive"),

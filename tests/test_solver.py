@@ -225,10 +225,11 @@ def test_godunov_loop_path_is_the_k_loop_oracle_bit_for_bit(r, boundary, monkeyp
 
 
 def _takes_the_loop(state, weights, flux, monkeypatch):
-    """Whether ``step`` sums over k pair by pair: the op that ``additive_halves``
-    hands ``stencil_sum``, the one thing its path turns on, is not +."""
+    """Whether ``step`` sums over k pair by pair: the op that ``_halves`` (the
+    body of ``additive_halves``) hands ``stencil_sum``, the one thing its path
+    turns on, is not +."""
     ops = []
-    halves = TwoPointFlux.additive_halves
+    halves = TwoPointFlux._halves
 
     def spy(self, values, reach):
         out = halves(self, values, reach)
@@ -236,7 +237,7 @@ def _takes_the_loop(state, weights, flux, monkeypatch):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(TwoPointFlux, "additive_halves", spy)
+        m.setattr(TwoPointFlux, "_halves", spy)
         step(state, weights, flux, 0.2 * state.dx)
     (op,) = ops
     return op is not np.add
@@ -268,6 +269,108 @@ def test_godunov_takes_the_loop_only_on_a_transonic_pair_within_reach(
     weights = weights_for_r(r, dx)
     assert _takes_the_loop(state, weights, GODUNOV, monkeypatch) == loop
     assert_matches_oracle(state, weights, GODUNOV, 0.2 * dx)
+
+
+def _full_row_step(state, weights, flux, dt):
+    """u - dt * (the sum over the whole extended row): the windowed step's oracle."""
+    ext = state.extended(weights.n_terms)
+    return state.values - dt * flux.stencil_sum(ext, weights.weights)
+
+
+def _window_data(rng, n, dx, boundary):
+    """Constant, one seeded jump, jumps at cell 0 and cell n - 1 (read through
+    the ghosts), a jump across the periodic wrap, two far-apart spikes, rough
+    data, and Burgers data that is >= 0 and <= 0."""
+    def grid(values):
+        return GridState(dx=dx, x0=0.0, values=values, boundary=boundary)
+
+    jump = np.full(n, 0.6)
+    jump[rng.integers(1, n):] = -0.4
+    edges = np.full(n, 0.2)
+    edges[0], edges[-1] = -0.7, 0.9
+    wrap = np.full(n, 0.5)
+    wrap[n - 3:] = -0.5  # periodic: a second jump between cell n - 1 and cell 0
+    spikes = np.zeros(n)
+    spikes[[n // 8, 7 * n // 8]] = rng.uniform(-1.0, 1.0, 2)
+    rough = rng.uniform(-1.0, 1.0, n)
+    one_signed = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 1.0, n))
+    one_signed[: n // 3] = 0.0  # a flat run as well
+    return [grid(v) for v in (np.full(n, 0.3), jump, edges, wrap, spikes, rough,
+                              one_signed, -one_signed)]
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+@pytest.mark.parametrize("r", [1, 4, 16, 64, 256])
+def test_windowed_step_is_the_full_row_step_bit_for_bit(r, boundary):
+    """``step`` sums only the cells whose stencil reaches a change; every value,
+    the sign of a zero included, is that of the sum over the whole row, also
+    where the horizon is wider than the grid (n = 24)."""
+    rng = np.random.default_rng(4000 + r + len(boundary))
+    for n in (24, max(64, 6 * r)):
+        dx = 1.0 / n
+        dt = 0.4 * dx
+        states = _window_data(rng, n, dx, boundary)
+        for profile in PROFILE_NAMES:
+            weights = weights_for_r(r, dx, profile)
+            for flux in every_flux():
+                for i, state in enumerate(states):
+                    got = step(state, weights, flux, dt).values
+                    want = _full_row_step(state, weights, flux, dt)
+                    label = f"{flux.family} over {flux.local.name}, {profile}, n={n}, data {i}"
+                    assert np.array_equal(got, want), label
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), label
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+@pytest.mark.parametrize("r", [1, 4, 64])
+def test_windowed_step_leaves_the_same_cells_non_finite(r, boundary):
+    """A NaN differs from itself, so it is summed like a jump; a flat +-inf
+    plateau, whose full-row sum is inf - inf = NaN, keeps its inf."""
+    n = 6 * r + 16
+    dx = 1.0 / n
+    weights = weights_for_r(r, dx)
+    rows = []
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.full(n, 0.25)
+        values[n // 2] = bad
+        rows.append(values)
+        plateau = np.full(n, -0.5)
+        plateau[n // 3 : 2 * n // 3] = bad
+        rows.append(plateau)
+    for flux in every_flux():
+        for values in rows:
+            state = GridState(dx=dx, x0=0.0, values=values, boundary=boundary)
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = step(state, weights, flux, 0.4 * dx).values
+                want = _full_row_step(state, weights, flux, 0.4 * dx)
+            finite = np.isfinite(want)
+            np.testing.assert_array_equal(np.isfinite(got), finite, err_msg=flux.family)
+            assert np.array_equal(got[finite], want[finite]), flux.family
+
+
+@pytest.mark.parametrize("r", [1, 4, 16, 64])
+def test_windowed_step_hands_the_halves_only_the_varying_span(r, monkeypatch):
+    """One interior jump: the 2R cells whose stencil holds it read 4R values; a
+    constant state hands the halves nothing."""
+    n = 8 * r + 8
+    dx = 1.0 / n
+    weights = weights_for_r(r, dx)
+    sizes = []
+    halves = TwoPointFlux._halves
+
+    def counted(self, values, reach):
+        sizes.append(values.size)
+        return halves(self, values, reach)
+
+    jump = np.where(np.arange(n) < n // 2, 0.8, -0.3)
+    for flux in every_flux():
+        for values, want in ((jump, [4 * r]), (np.full(n, 0.4), [])):
+            state = GridState(dx=dx, x0=0.0, values=values, boundary="constant_extension")
+            sizes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(TwoPointFlux, "_halves", counted)
+                step(state, weights, flux, 0.4 * dx)
+            assert sizes == want, flux.family
 
 
 def _q_loop(flux, ext, w, c):
