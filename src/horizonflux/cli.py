@@ -1,7 +1,7 @@
 """Command-line front end: run, study, check, and weights subcommands.
 
 Exit codes: 0 on success, 2 when an invariant check or study criterion fails,
-1 on usage or configuration errors.
+1 on usage or configuration errors and when a run runs out of memory.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ _OVERRIDE_FLAGS = {
     "levels": "study.levels",
     "out": "output.dir",
 }
+
+# the config keys that size a run's arrays
+_SIZE_KEYS = "[grid] dx / [kernel] delta / [study] levels"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,6 +191,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # past what the size guard could foresee
+        keys = "--delta / --dx" if args.command == "weights" else _SIZE_KEYS
+        print(f"error: out of memory ({exc}); lower the sizes set by {keys}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         # a run that lost finiteness is a failed invariant, not a usage error

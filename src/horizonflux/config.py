@@ -5,7 +5,8 @@ spacing, and the time-stepping parameters.  The problem runs on its own
 domain, window and boundary mode; ``[problem] T`` overrides only its final
 time.  Validation happens at load time: the library builds the kernel and the
 flux (its errors prefixed with their config section), checks that ``[grid]
-dx`` tiles the problem's domain at every study level, and checks the
+dx`` tiles the problem's domain at every study level and that each level's
+arrays fit in memory (:func:`kernels._fits`), and checks the
 monotonicity bound on the mesh ratio over the problem's data box, so a config
 that parses is a config that runs, whatever ``[time] enforce_cfl`` says.
 ``enforce_cfl = false`` lifts only that bound, for ``run`` and ``check``;
@@ -18,8 +19,8 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .harness import DEFAULT_OUTPUT_TIMES, _build_flux, _level_geometry
-from .kernels import Kernel, _fits
+from .harness import DEFAULT_OUTPUT_TIMES, _build_flux, _level_fits, _level_geometry
+from .kernels import Kernel
 from .reference import Problem, get_problem
 from .solver import validate_cfl
 
@@ -176,18 +177,20 @@ def _validate(v: dict[str, object]) -> RunConfig:
         raise ValueError(f"unknown study regime {v['regime']!r}; valid: " + ", ".join(_REGIMES))
     if v["levels"] < 2:
         raise ValueError(f"[study] levels must be at least 2, got {v['levels']}")
-    # halving dx doubles a tiling defect below 1e-9, so level 0 and the finest
-    # level bound every level's
+    _positive("[study] coupling", v["coupling"])
+    # halving dx doubles a tiling defect below 1e-9, the cells and (fixed delta)
+    # r, so level 0 and the finest level bound every level's tiling and sizes
     dx, levels = v["dx"], v["levels"]
     _, n = _keyed("[grid]", _level_geometry, base.domain, dx)
-    # the r + 1 kernel edges and the n + 2R cells of an extended row, before either exists
-    ratio, sizes = v["delta"] / dx, "[kernel] delta / [grid] dx:"
-    _keyed(sizes, _fits, ratio + 1.0, f"r = floor({ratio:.6g}) needs r + 1 edges")
-    ghosts = 2 * max(math.floor(ratio), 1)
-    _keyed(sizes, _fits, n + ghosts, f"n = {n} cells with 2R = {ghosts} ghosts")
-    _keyed(f"[grid] dx={dx} at the finest of [study] levels = {levels}:",
-           _level_geometry, base.domain, math.ldexp(dx, 1 - levels))
-    _positive("[study] coupling", v["coupling"])
+    _keyed("[kernel] delta / [grid] dx:", _level_fits, n, v["delta"] / dx)
+    finest = math.ldexp(dx, 1 - levels)
+    at_finest = f"at the finest of [study] levels = {levels}:"
+    _, n = _keyed(f"[grid] dx={dx} {at_finest}", _level_geometry, base.domain, finest)
+    if v["regime"] == "fixed_delta":
+        keys, horizon = "[kernel] delta", v["delta"]
+    else:
+        keys, horizon = "[study] coupling", v["coupling"] * finest
+    _keyed(f"{keys} / [grid] dx {at_finest}", _level_fits, n, horizon / finest)
     if v["output_times"] < 2:
         raise ValueError(f"[study] output_times must be at least 2, got {v['output_times']}")
 

@@ -345,10 +345,6 @@ def kruzhkov_constants(state: GridState) -> np.ndarray:
     return np.linspace(float(np.min(state.values)) - 0.1, float(np.max(state.values)) + 0.1, 17)
 
 
-def _entropy_tolerance(u0: GridState) -> float:
-    return 1e-10 * (1.0 + float(np.max(np.abs(u0.values))))
-
-
 def _as_constants(constants) -> np.ndarray:
     cs = np.atleast_1d(np.asarray(constants, dtype=float))
     if cs.ndim != 1 or cs.size == 0 or not np.all(np.isfinite(cs)):
@@ -379,24 +375,25 @@ def _block_steps(n_cells: int, pad: int) -> int:
     return max(1, _BLOCK_VALUES // (n_cells + 2 * pad))
 
 
-def _stencil_runs(keys: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions that the stencils k..k+2R of the sorted ``keys`` cover, in
-    order, and a mask of the positions where a stencil starts.
+def _stencil_sums(flux: TwoPointFlux, rows: np.ndarray, keys: np.ndarray, w: np.ndarray,
+                  cs=None) -> tuple[np.ndarray, int]:
+    """The stencil sums at the sorted ``keys`` and how many values they read.
 
-    Each stencil adds its positions up to the next one's start, at most its
-    2R + 1, so a stencil sum over the gathered positions reads every stencil
-    whole and no position twice.
+    Stencil k reads positions k..k+2R, where position p holds rows[p % rows.size],
+    and with ``cs`` it takes the constant cs[k // rows.size] (each stencil lies in
+    one copy of the rows).  Each stencil gathers its positions up to the next
+    one's start, at most its 2R + 1, so one :meth:`TwoPointFlux.stencil_sum` over
+    the gathered values reads every stencil whole and no position twice.
     """
     if keys.size == 0:
-        return np.empty(0, dtype=int), np.empty(0, dtype=bool)
-    width = 2 * pad + 1
+        return np.empty(0), 0
+    width = 2 * w.size + 1
     length = np.full(keys.size, width)
     np.minimum(keys[1:] - keys[:-1], width, out=length[:-1])
     start = np.cumsum(length) - length  # where each stencil starts among the positions
-    positions = np.repeat(keys - start, length) + np.arange(start[-1] + width)
-    starts = np.zeros(positions.size, dtype=bool)
-    starts[start] = True
-    return positions, starts
+    pos = np.repeat(keys - start, length) + np.arange(start[-1] + width)
+    c = None if cs is None else np.repeat(cs[keys // rows.size], length)
+    return flux.stencil_sum(rows.take(pos, mode="wrap"), w, c)[start], pos.size
 
 
 def check_entropy(
@@ -438,17 +435,17 @@ def check_entropy(
     :func:`audit_stream`, so both paths run the same stage, once per block of
     B = max(1, 8192 // (n + 2R)) steps (n cells): the stencil extrema of the
     block's extended rows, the active items, their side constants and
-    straddling (item, constant) triples, and the runs of stencil values that
-    S_j (non-flat stencils only) and the triples' q-sums read, each gathered
-    into one 1-D array (stencils keyed by where they start in the rows, one
-    copy of the rows per constant for the q-sums); then one
-    :meth:`TwoPointFlux.stencil_sum` over each gathered array (two
-    correlations of split halves as in ``step``, or the k-loop for Godunov
-    with a transonic pair in reach), the residuals, and the fold of the worst
-    one into the running maximum.  ``AuditStream.counts`` tallies this work.
+    straddling (item, constant) triples; then one gathered-sum path for S_j
+    (non-flat stencils only) and for the triples' q-sums (one copy of the rows
+    per constant): the stencil values each reads, gathered into one array and
+    read at the stencils' starts after one :meth:`TwoPointFlux.stencil_sum`
+    (two correlations of split halves as in ``step``, or the k-loop for
+    Godunov with a transonic pair in reach).  The residuals at the side
+    constants and at the triples form one candidate array, whose maximum is
+    folded into the running one.  ``AuditStream.counts`` tallies this work.
     In floating point the reduction may miss the full matrix's maximum by
     round-off.  Ties go to the earliest step, then the lowest cell, then the
-    smallest constant.
+    smallest probed constant; a later block must be strictly worse.
     """
     cs = None if constants is None else _as_constants(constants)
     audit = AuditStream(lambda u0: [_CellEntropy(u0, weights, flux, cs)], weights.n_terms)
@@ -466,7 +463,7 @@ class _CellEntropy(_Check):
                  constants=None):
         _check_pair(u0, weights)
         self.weights, self.flux, self.n = weights, flux, u0.n_cells
-        self.tol = _entropy_tolerance(u0)
+        self.tol = 1e-10 * (1.0 + float(np.max(np.abs(u0.values))))
         cs = np.sort(kruzhkov_constants(u0) if constants is None else constants)
         self.cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
         self.counts = dict.fromkeys(
@@ -477,8 +474,8 @@ class _CellEntropy(_Check):
         if not np.all(dt > 0.0):
             raise ValueError("states are not one step apart (need increasing times)")
         self.counts["entropy_blocks"] += 1
-        n, pad, cs, flux = self.n, self.weights.n_terms, self.cs, self.flux
-        w = self.weights.weights
+        n, cs, flux, w = self.n, self.cs, self.flux, self.weights.weights
+        pad = w.size
         flat, width = ext.ravel(), ext.shape[1]
         # stencil k reads flat[k : k + 2R + 1]; step first + i + 1 reads the stencils
         # that start at columns 0..n-1 of row i, and the others straddle two rows
@@ -499,10 +496,7 @@ class _CellEntropy(_Check):
         above = np.searchsorted(cs, hi)  # the smallest one >= the stencil max
         has_s = lo != hi  # S_j is exactly 0 on a flat stencil
         s = np.zeros(ids.size)
-        pos_s, mark_s = _stencil_runs(key[has_s], pad)
-        if pos_s.size:
-            sums = flux.stencil_sum(flat[pos_s], w)
-            s[has_s] = sums[mark_s[: sums.size]]
+        s[has_s], read_s = _stencil_sums(flux, flat[:span], key[has_s], w)
         # the straddling (constant, item) triples, below < i < above for constant cs[i],
         # built from each item's range of constants and ordered by constant, then item
         count = above - below - 1
@@ -512,35 +506,29 @@ class _CellEntropy(_Check):
         i = np.arange(it.size) + np.repeat(below[some] + 1 - (np.cumsum(count) - count), count)
         i, it = np.divmod(np.sort(i * key.size + it), key.size)
         # each keyed into a copy of the rows per constant, constant i's at i * span
-        pos_q, mark_q = _stencil_runs(i * span + key[it], pad)
-        c, res = cs[i], np.empty(0)
-        if pos_q.size:  # the straddle triples' residuals
-            q = flux.stencil_sum(flat[pos_q % span], w, cs[pos_q // span])
-            res = _excess(u0[it], u1[it], c) + dt[it] * q[mark_q[: q.size]]
+        q, read_q = _stencil_sums(flux, flat[:span], i * span + key[it], w, cs)
         ds = dt * s
         c_lo, c_hi = cs[np.maximum(below, 0)], cs[np.minimum(above, cs.size - 1)]
-        sides = (  # each item's residual at its two side constants
+        # one residual per candidate: each item at c_lo, then at c_hi (-inf where
+        # it has none), then each straddle triple
+        res = np.concatenate((
             np.where(below >= 0, _excess(u0, u1, c_lo) + ds, -np.inf),
             np.where(above < cs.size, _excess(u0, u1, c_hi) - ds, -np.inf),
-        )
+            _excess(u0[it], u1[it], cs[i]) + dt[it] * q,
+        ))
         counts = self.counts
-        counts["side_residuals"] += int(np.count_nonzero(below >= 0))
-        counts["side_residuals"] += int(np.count_nonzero(above < cs.size))
-        counts["straddle_residuals"] += res.size
-        counts["stencil_values"] += pos_s.size + pos_q.size
-        best = np.maximum(*sides)
-        top = max(float(best.max()), float(res.max(initial=-np.inf)))
+        counts["side_residuals"] += int((below >= 0).sum() + (above < cs.size).sum())
+        counts["straddle_residuals"] += it.size
+        counts["stencil_values"] += read_s + read_q
+        top = float(res.max())
         if top > self.worst:  # strict: an earlier block keeps a tie
             self.worst = top
             # the earliest (step, cell) that reaches it, and its smallest constant there
-            ids_q = ids[it]
-            hit = min(ids[best == top].min(initial=ids[-1]),
-                      ids_q[res == top].min(initial=ids[-1]))
-            mine = ids == hit
-            reached = np.concatenate((c_lo[mine & (sides[0] == top)],
-                                      c_hi[mine & (sides[1] == top)],
-                                      c[(ids_q == hit) & (res == top)]))
-            self.where = (*divmod(int(hit), n), float(reached.min()))
+            at = res == top
+            reached = np.concatenate((ids, ids, ids[it]))[at]
+            hit = reached.min()
+            c = np.concatenate((c_lo, c_hi, cs[i]))[at][reached == hit]
+            self.where = (*divmod(int(hit), n), float(c.min()))
 
 
 def _bundle(u0: GridState, weights: QuadratureWeights, flux: TwoPointFlux) -> list:

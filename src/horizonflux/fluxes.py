@@ -36,11 +36,6 @@ LOCAL_FLUX_NAMES = ("burgers", "cubic", "linear_advection")
 FLUX_FAMILIES = ("engquist_osher", "godunov", "lax_friedrichs", "upwind_linear")
 
 
-def _ret(x):
-    x = np.asarray(x)
-    return float(x) if x.ndim == 0 else x
-
-
 @dataclass(frozen=True)
 class LocalFlux:
     """A scalar flux u -> f(u) plus the closed forms the flux families need.
@@ -142,7 +137,7 @@ class TwoPointFlux:
     def g(self, a, b):
         """The flux g(a, b) for scalar or array arguments."""
         left, right, op = self._split()
-        return _ret(op(left(a), right(b)))
+        return op(left(a), right(b))
 
     def shifted_pair_evaluator(self, values: np.ndarray) -> Callable[[int], np.ndarray]:
         """Evaluator ev(k) = g(values[..., :-k], values[..., k:]) with shared setup.
@@ -243,7 +238,7 @@ class TwoPointFlux:
         """
         hi = self.g(np.maximum(a, c), np.maximum(b, c))
         lo = self.g(np.minimum(a, c), np.minimum(b, c))
-        return _ret(hi - lo)
+        return hi - lo
 
     # -- bounds and validity ------------------------------------------------
 

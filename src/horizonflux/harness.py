@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagnostics import InvariantReport, audit_stream
 from .fluxes import make_flux, make_local_flux
-from .kernels import Kernel, compute_weights
+from .kernels import Kernel, _fits, compute_weights
 from .reference import Problem, _checked_window, l1_error
 from .solver import GridState, SchemeConfig, run
 
@@ -161,6 +161,14 @@ def _level_geometry(domain: tuple[float, float], dx: float) -> tuple[float, int]
     return a, n
 
 
+def _level_fits(n_cells: int, ratio: float) -> None:
+    """Reject a level whose r + 1 kernel edges (r = floor(ratio), ratio = delta / dx)
+    or n + 2R extended cells would not fit in memory, before either exists."""
+    _fits(ratio + 1.0, f"r = floor({ratio:.6g}) needs r + 1 edges")
+    ghosts = 2 * max(math.floor(ratio), 1)
+    _fits(n_cells + ghosts, f"n = {n_cells} cells with 2R = {ghosts} ghosts")
+
+
 def _run_level(
     problem: Problem,
     flux,
@@ -230,8 +238,10 @@ def _refine(
     flux = _build_flux(problem, flux_family, lf_lambda)
     targets = np.linspace(0.0, problem.final_time, n_output_times)
     dxs = [math.ldexp(dx0, -m) for m in range(n_levels)]
-    for dx in dxs:  # every level must tile before the first one runs
-        _level_geometry(problem.domain, dx)
+    # every level must tile, then fit in memory, before the first one runs
+    tiles = [_level_geometry(problem.domain, dx) for dx in dxs]
+    for dx, (_, n) in zip(dxs, tiles):
+        _level_fits(n, delta_of(dx) / dx)
     args = [
         (problem, flux, profile, delta_of(dx), dx, mesh_ratio, targets, True) for dx in dxs
     ]

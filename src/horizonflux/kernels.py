@@ -15,6 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 __all__ = [
     "Kernel",
     "QuadratureWeights",
@@ -87,14 +92,19 @@ class QuadratureWeights:
 
 def _fits(count: float, what: str) -> None:
     """Reject ``what``, ``count`` float64 values, before it is allocated when it
-    needs more bytes than the machine's physical memory."""
-    need = 8.0 * count
+    needs more bytes than the process may hold: the smaller of the machine's
+    physical memory and the soft address-space limit (``RLIMIT_AS``)."""
+    need, have, of = 8.0 * count, math.inf, None
     try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf: numpy's allocation decides
-        return
-    if not need <= have:
-        raise ValueError(f"{what}: {need:.4g} bytes, more than the {have:.4g} of physical memory")
+        have, of = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
+    except (AttributeError, ValueError, OSError):  # no sysconf
+        pass
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY and soft < have:
+            have, of = soft, "the address-space limit"
+    if not need <= have:  # with neither bound known, numpy's allocation decides
+        raise ValueError(f"{what}: {need:.4g} bytes, more than the {have:.4g} of {of}")
 
 
 def compute_weights(kernel: Kernel, dx: float) -> QuadratureWeights:

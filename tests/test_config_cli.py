@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from horizonflux import CflViolationError, GridState, compute_weights, Kernel
+from horizonflux import cli, harness
 from horizonflux.cli import main
 from horizonflux.config import config_to_text, parse_config, parse_config_text
 from horizonflux.outputs import write_solution_csv
@@ -100,6 +102,14 @@ levels = 3
 """
 
 
+# level 0 is small, but the finest of 40 levels has 2**39 times its cells (and r at
+# fixed delta): 1.76e14 cells, 1.3 PiB per array
+FORTY_LEVELS = (
+    MINIMAL.replace("delta = 0.05", "delta = 0.1").replace("dx = 0.03125", "dx = 0.015625")
+    + "\n[study]\nregime = fixed_delta\nlevels = 40\n")
+FINEST_OF_40 = r"{} / \[grid\] dx at the finest of \[study\] levels = 40: {} bytes, more than"
+
+
 @pytest.mark.parametrize("old, new, message", [
     *[(PROBLEM, PROBLEM + f"\n{key} = 0",
        rf"unknown key '{key}' in section \[problem\]; valid keys: T, name$")
@@ -127,12 +137,17 @@ levels = 3
     ("delta = 0.05", "delta = 0.05\nprofile = cosine",
      r"\[kernel\] unknown kernel profile 'cosine'; valid profiles"),
     (PROBLEM, "name = kdv", r"\[problem\] unknown problem 'kdv'; valid problems"),
+    (MINIMAL, FORTY_LEVELS, FINEST_OF_40.format(
+        r"\[kernel\] delta", r"r = floor\(3\.51844e\+12\) needs r \+ 1 edges: 2\.815e\+13")),
+    (MINIMAL, FORTY_LEVELS.replace("fixed_delta", "joint_limit"), FINEST_OF_40.format(
+        r"\[study\] coupling", r"n = 175921860444160 cells with 2R = 4 ghosts: 1\.407e\+15")),
 ], ids=[*(f"removed_key_{key}" for key in REMOVED_KEYS), "dx_off_the_tiling",
         "dx_off_the_tiling_at_the_finest_level", "negative_lf_lambda",
         "upwind_linear_on_burgers_without_cfl", "enforce_cfl_not_a_bool", "negative_T",
         "one_level", "one_output_time", "lax_friedrichs_without_lf_lambda",
         "lf_lambda_on_godunov", "zero_dx", "negative_delta", "unknown_profile",
-        "unknown_problem"])
+        "unknown_problem", "fixed_delta_finest_of_40_levels_past_memory",
+        "joint_limit_finest_of_40_levels_past_memory"])
 def test_bad_values_name_their_key(old, new, message):
     with pytest.raises(ValueError, match=message):
         parse_config_text(MINIMAL.replace(old, new))
@@ -388,6 +403,42 @@ def test_weights_names_its_flags_for_edges_past_physical_memory(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --delta 1 / --dx 1e-300: r = floor(delta / dx) = "
                           "floor(1e+300) needs r + 1 edges: 8e+300 bytes"), err
+
+
+def test_check_names_delta_and_dx_for_cells_past_the_address_space_limit(
+        tmp_path, monkeypatch, capsys):
+    # 5 * 2**20 cells need 42 MB per array: past a 16 MB soft limit, whatever the machine
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (2**24, resource.RLIM_INFINITY))
+    cfg = tmp_path / "limited.cfg"
+    cfg.write_text(MINIMAL.replace("dx = 0.03125", f"dx = {2.0**-20!r}"))
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [kernel] delta / [grid] dx: n = 5242880 cells with "
+                          "2R = 104856 ghosts: 4.278e+07 bytes, more than the 1.678e+07 "
+                          "of the address-space limit"), err
+    assert not (tmp_path / "o").exists()
+
+
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 3.73 GiB")
+
+
+@pytest.mark.parametrize("command", ["run", "check", "study"])
+def test_a_run_out_of_memory_exits_1_naming_the_size_keys(tmp_path, monkeypatch, command,
+                                                          capsys):
+    monkeypatch.setattr(harness, "_run_level", _out_of_memory)
+    monkeypatch.setattr(cli, "_run_level", _out_of_memory)
+    assert main([command, "--config", write_config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory (Unable to allocate 3.73 GiB); lower the sizes set by "
+                   "[grid] dx / [kernel] delta / [study] levels\n")
+
+
+def test_weights_out_of_memory_exits_1_naming_its_flags(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "compute_weights", _out_of_memory)
+    assert main(["weights", "--delta", "0.1", "--dx", "0.01"]) == 1
+    assert capsys.readouterr().err == ("error: out of memory (Unable to allocate 3.73 GiB); "
+                                       "lower the sizes set by --delta / --dx\n")
 
 
 def test_cli_flag_overrides(tmp_path, capsys):

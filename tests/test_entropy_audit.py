@@ -19,6 +19,7 @@ from horizonflux import (
     FLUX_FAMILIES,
     PROFILE_NAMES,
     GridState,
+    Kernel,
     TwoPointFlux,
     audit_stream,
     check_conservation,
@@ -27,6 +28,7 @@ from horizonflux import (
     check_max_principle,
     check_ordering,
     check_tvd,
+    compute_weights,
     kruzhkov_constants,
     make_flux,
     make_local_flux,
@@ -212,6 +214,29 @@ def test_audit_takes_the_q_sum_only_on_the_straddle_block(monkeypatch):
     oracle = sum(elements)
     assert_entropy_matches_oracle(report, trajectory, weights, GODUNOV, constants)
     assert audit < 0.25 * oracle, (audit, oracle)
+
+
+# Dyadic upwind data (dt W_1 = 1/2), so every residual is exact and ties are real:
+# at cell 3 the straddling constant 1.0 ties the side constant 1.5 above the
+# stencil; at cell 4 the side constant 0.5 below the stencil ties 1.0 and 1.5.
+@pytest.mark.parametrize("u0, u1, worst, location", [
+    ((1.5, .5, 1, .5, 1.5, .5, 1, .5), (1.5, 1.5, 1, 0, .5, 1.5, 1.5, 1.5), 0.75, (1, 3, 1.0)),
+    ((1, 1.5, 0, .5, .5, 1.5, 1.5, .5), (.5, 1, .5, .5, 0, 1.5, 1, .5), 0.5, (1, 4, 0.5)),
+], ids=["straddle_ties_side", "side_ties_straddle"])
+def test_tied_residuals_go_to_the_lowest_cell_then_the_smallest_constant(
+        u0, u1, worst, location):
+    flux = make_flux("upwind_linear", make_local_flux("linear_advection"))
+    weights = compute_weights(Kernel(delta=1 / 8), 1 / 8)
+    constants = np.array([-1, -0.5, 0, 0.5, 1, 1.5, 2])
+    trajectory = [GridState(dx=1 / 8, x0=0.0, values=np.array(u, float), boundary="periodic",
+                            time=t)
+                  for u, t in ((u0, 0.0), (u1, 1 / 16))]
+    report = check_entropy(trajectory, weights, flux, constants)
+    assert (report.violation, report.location) == (worst, location)
+    # the oracle matrix's first maximum, read cell by cell, then constant by constant
+    matrix = reference_entropy_matrix(*trajectory, weights, flux, constants)
+    cell, c = np.unravel_index(np.argmax(matrix.T), matrix.T.shape)
+    assert (matrix.max(), (1, cell, constants[c])) == (worst, location)
 
 
 def test_audit_rejects_weights_for_another_dx():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -249,3 +250,8 @@ def test_study_script_writes_tables(tmp_path, script, args, stem):
     assert result.returncode == 0, result.stderr
     written = sorted(p.name for p in out.iterdir())
     assert written == [f"{stem}.{ext}" for ext in ("csv", "dat", "json")]
+    study = json.loads((out / f"{stem}.json").read_text())
+    assert study["passed"] and [level["level"] for level in study["levels"]] == [0, 1]
+    assert len((out / f"{stem}.csv").read_text().splitlines()) == 3  # header + 2 levels
+    head, *rows = (out / f"{stem}.dat").read_text().splitlines()
+    assert head == "# dx measure" and rows

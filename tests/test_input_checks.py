@@ -1,3 +1,5 @@
+import resource
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,22 @@ def test_study_checks_every_level_before_it_runs_one(monkeypatch):
     with pytest.raises(ValueError, match=r"dx=0.16666666661666668 does not tile the domain"):
         refine_joint_limit(BUMP, "upwind_linear", 2.0, 0.33333333323333335, 3, 0.9)
     assert ran == []
+
+
+def test_study_sizes_every_level_before_it_runs_one(monkeypatch):
+    # level 0 holds 320 cells and r = 6; level 39 has 2**39 times both, 1.3 PiB of cells
+    ran = []
+    monkeypatch.setattr(harness, "_run_level", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match=r"(edges|ghosts): \S+ bytes, more than the"):
+        refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 64, 40, 0.9)
+    assert ran == []
+
+
+def test_sizes_are_bounded_by_the_soft_address_space_limit(monkeypatch):
+    # 1e6 + 1 edges need 8 MB: within physical memory, past a 1 MB soft limit
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (2**20, 2**40))
+    with pytest.raises(ValueError, match=r"needs r \+ 1 edges: 8e\+06 bytes, more than the "
+                                         r"1.049e\+06 of the address-space limit"):
+        compute_weights(Kernel(1.0), 1e-6)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2)
+    assert compute_weights(Kernel(1.0), 1e-6).r == 1000000
