@@ -10,8 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig, config_to_text, parse_config
 from .harness import _run_level, refine_fixed_delta, refine_joint_limit
 from .kernels import Kernel, compute_weights
@@ -37,7 +35,7 @@ _OVERRIDE_FLAGS = {
 }
 
 # the config keys that size a run's arrays
-_SIZE_KEYS = "[grid] dx / [kernel] delta / [study] levels"
+_SIZE_KEYS = "[grid] dx / [kernel] delta / [study] levels / [study] output_times"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,10 +96,9 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    targets = np.linspace(0.0, cfg.final_time, cfg.output_times)
     trajectory, *_ = _run_level(
         cfg.resolved_problem(), cfg.build_flux(), cfg.profile, cfg.delta, cfg.dx,
-        cfg.mesh_ratio, targets, False, cfg.enforce_cfl,
+        cfg.mesh_ratio, cfg.output_times, False, cfg.enforce_cfl,
     )
     out = Path(cfg.out_dir) / "solution.csv"
     write_solution_csv(trajectory, out)
@@ -111,9 +108,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    _, _, reports, _ = _run_level(
+    _, _, reports = _run_level(
         cfg.resolved_problem(), cfg.build_flux(), cfg.profile, cfg.delta, cfg.dx,
-        cfg.mesh_ratio, (), True, cfg.enforce_cfl,
+        cfg.mesh_ratio, 0, True, cfg.enforce_cfl,
     )
     out = Path(cfg.out_dir) / "invariants.json"
     write_check_json(reports, out, config_echo=_config_echo(cfg))

@@ -4,13 +4,13 @@ A config names the kernel, the flux family, a benchmark problem, the grid
 spacing, and the time-stepping parameters.  The problem runs on its own
 domain, window and boundary mode; ``[problem] T`` overrides only its final
 time.  Validation happens at load time: the library builds the kernel and the
-flux (its errors prefixed with their config section), checks that ``[grid]
-dx`` tiles the problem's domain at every study level and that each level's
-arrays fit in memory (:func:`kernels._fits`), and checks the
-monotonicity bound on the mesh ratio over the problem's data box, so a config
-that parses is a config that runs, whatever ``[time] enforce_cfl`` says.
-``enforce_cfl = false`` lifts only that bound, for ``run`` and ``check``;
-``study`` always enforces it and exits 1 when a level's mesh ratio breaks it.
+flux (its errors prefixed with their config section), checks the run/check grid
+and each study level in turn (:func:`harness._levels`), checks that ``[problem] T``
+is a finite number of steps on the finest level, and checks the monotonicity
+bound on the mesh ratio over the problem's data box, so a config that parses is
+a config that runs, whatever ``[time] enforce_cfl`` says.  ``enforce_cfl =
+false`` lifts only that bound, for ``run`` and ``check``; ``study`` always
+enforces it and exits 1 when a level's mesh ratio breaks it.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import configparser
 import math
 from dataclasses import dataclass, replace
 
-from .harness import DEFAULT_OUTPUT_TIMES, _build_flux, _level_fits, _level_geometry
+from .harness import DEFAULT_OUTPUT_TIMES, _build_flux, _levels
 from .kernels import Kernel
 from .reference import Problem, get_problem
-from .solver import validate_cfl
+from .solver import _full_steps, validate_cfl
 
 __all__ = ["RunConfig", "config_to_text", "parse_config", "parse_config_text"]
 
@@ -178,21 +178,18 @@ def _validate(v: dict[str, object]) -> RunConfig:
     if v["levels"] < 2:
         raise ValueError(f"[study] levels must be at least 2, got {v['levels']}")
     _positive("[study] coupling", v["coupling"])
-    # halving dx doubles a tiling defect below 1e-9, the cells and (fixed delta)
-    # r, so level 0 and the finest level bound every level's tiling and sizes
-    dx, levels = v["dx"], v["levels"]
-    _, n = _keyed("[grid]", _level_geometry, base.domain, dx)
-    _keyed("[kernel] delta / [grid] dx:", _level_fits, n, v["delta"] / dx)
-    finest = math.ldexp(dx, 1 - levels)
-    at_finest = f"at the finest of [study] levels = {levels}:"
-    _, n = _keyed(f"[grid] dx={dx} {at_finest}", _level_geometry, base.domain, finest)
-    if v["regime"] == "fixed_delta":
-        keys, horizon = "[kernel] delta", v["delta"]
-    else:
-        keys, horizon = "[study] coupling", v["coupling"] * finest
-    _keyed(f"{keys} / [grid] dx {at_finest}", _level_fits, n, horizon / finest)
     if v["output_times"] < 2:
         raise ValueError(f"[study] output_times must be at least 2, got {v['output_times']}")
+    # the run/check grid, then the study's levels, each named by the keys that size it
+    _keyed("[grid] dx / [kernel] delta / [study] output_times:",
+           _levels, base, v["dx"], 1, lambda _: v["delta"], v["output_times"])
+    fixed = v["regime"] == "fixed_delta"
+    key = "[kernel] delta" if fixed else "[study] coupling"
+    delta_of = (lambda _: v["delta"]) if fixed else (lambda h: v["coupling"] * h)
+    study_keys = f"[grid] dx / {key} / [study] levels / [study] output_times:"
+    ladder = _keyed(study_keys, _levels, base, v["dx"], v["levels"], delta_of, v["output_times"])
+    # the finest level takes the most steps
+    _keyed("[problem] T:", _full_steps, v["final_time"], v["mesh_ratio"] * ladder[-1][0])
 
     cfg = RunConfig(**v)
     if cfg.enforce_cfl:

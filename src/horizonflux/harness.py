@@ -152,21 +152,25 @@ def _build_flux(problem: Problem, family: str, lf_lambda: float | None):
     return make_flux(family, local, lf_lambda=lf_lambda)
 
 
-def _level_geometry(domain: tuple[float, float], dx: float) -> tuple[float, int]:
-    a, b = domain
-    cells = (b - a) / dx if dx > 0.0 else math.inf
-    n = int(round(cells)) if math.isfinite(cells) else 0
-    if n < 1 or abs(cells - n) > 1e-9:
-        raise ValueError(f"dx={dx} does not tile the domain [{a}, {b}]")
-    return a, n
-
-
-def _level_fits(n_cells: int, ratio: float) -> None:
-    """Reject a level whose r + 1 kernel edges (r = floor(ratio), ratio = delta / dx)
-    or n + 2R extended cells would not fit in memory, before either exists."""
-    _fits(ratio + 1.0, f"r = floor({ratio:.6g}) needs r + 1 edges")
-    ghosts = 2 * max(math.floor(ratio), 1)
-    _fits(n_cells + ghosts, f"n = {n_cells} cells with 2R = {ghosts} ghosts")
+def _levels(problem: Problem, dx0: float, n_levels: int, delta_of, n_output_times: int):
+    """Level m's ``(dx, x0, n_cells)``, dx = dx0 / 2**m, each checked before the next is
+    made: it must tile the domain, and its r + 1 kernel edges, n + 2R extended cells and
+    ``n_output_times`` x n snapshot values must each fit in memory (:func:`kernels._fits`)."""
+    a, b = problem.domain
+    ladder = []
+    for m in range(n_levels):
+        dx = math.ldexp(dx0, -m)
+        cells = (b - a) / dx if dx > 0.0 else math.inf
+        n = int(round(cells)) if math.isfinite(cells) else 0
+        if n < 1 or abs(cells - n) > 1e-9:
+            raise ValueError(f"level {m}: dx={dx} does not tile the domain [{a}, {b}]")
+        ratio = delta_of(dx) / dx
+        _fits(ratio + 1.0, f"level {m}: r = floor({ratio:.6g}) needs r + 1 edges")
+        ghosts = 2 * max(math.floor(ratio), 1)
+        _fits(n + ghosts, f"level {m}: n = {n} cells with 2R = {ghosts} ghosts")
+        _fits(n_output_times * n, f"level {m}: {n_output_times} output times x n = {n} cells")
+        ladder.append((dx, a, n))
+    return ladder
 
 
 def _run_level(
@@ -176,18 +180,18 @@ def _run_level(
     delta: float,
     dx: float,
     mesh_ratio: float,
-    targets,
+    n_output_times: int,
     audit: bool,
     enforce_cfl: bool = True,
-) -> tuple[list[GridState], float, list[InvariantReport], int]:
-    """Run one grid to ``problem.final_time``; return its snapshots at ``targets``,
-    wall time, audits and n_cells.
+) -> tuple[list[GridState], float, list[InvariantReport]]:
+    """Run one grid to ``problem.final_time``; return its snapshots at
+    ``n_output_times`` evenly spaced times from 0 to it, wall time and audits.
 
     Every study level and the CLI's run and check reach ``run`` through here.
     ``run`` keeps only the snapshots; an audited run streams every state
     through :func:`~horizonflux.diagnostics.audit_stream` as it is made.
     """
-    x0, n_cells = _level_geometry(problem.domain, dx)
+    [(_, x0, n_cells)] = _levels(problem, dx, 1, lambda _: delta, n_output_times)
     kernel = Kernel(delta=delta, profile=profile)
     config = SchemeConfig(
         kernel=kernel, flux=flux, mesh_ratio=mesh_ratio, final_time=problem.final_time
@@ -196,10 +200,11 @@ def _run_level(
     stream = audit_stream(compute_weights(kernel, dx), flux) if audit else None
     states = run(
         config, problem.u0, x0=x0, dx=dx, n_cells=n_cells, boundary=problem.boundary,
-        output_times=targets, enforce_cfl=enforce_cfl, observer=stream,
+        output_times=np.linspace(0.0, problem.final_time, n_output_times),
+        enforce_cfl=enforce_cfl, observer=stream,
     )
     reports = stream.finish() if audit else []
-    return states, time.perf_counter() - started, reports, n_cells
+    return states, time.perf_counter() - started, reports
 
 
 def _cauchy_distances(snapshots, problem: Problem, window) -> list[float | None]:
@@ -236,14 +241,10 @@ def _refine(
     if not isinstance(n_output_times, (int, np.integer)) or n_output_times < 2:
         raise ValueError(f"n_output_times must be at least 2, got {n_output_times}")
     flux = _build_flux(problem, flux_family, lf_lambda)
-    targets = np.linspace(0.0, problem.final_time, n_output_times)
-    dxs = [math.ldexp(dx0, -m) for m in range(n_levels)]
-    # every level must tile, then fit in memory, before the first one runs
-    tiles = [_level_geometry(problem.domain, dx) for dx in dxs]
-    for dx, (_, n) in zip(dxs, tiles):
-        _level_fits(n, delta_of(dx) / dx)
+    ladder = _levels(problem, dx0, n_levels, delta_of, n_output_times)
     args = [
-        (problem, flux, profile, delta_of(dx), dx, mesh_ratio, targets, True) for dx in dxs
+        (problem, flux, profile, delta_of(dx), dx, mesh_ratio, n_output_times, True)
+        for dx, *_ in ladder
     ]
     if workers <= 1:
         results = [_run_level(*a) for a in args]
@@ -257,12 +258,12 @@ def _refine(
             dx=dx,
             delta=delta_of(dx),
             dt=mesh_ratio * dx,
-            n_cells=n_cells,
+            n_cells=n,
             measure=value,
             wall_time=wall,
             invariants=reports,
         )
-        for m, (dx, value, (_, wall, reports, n_cells)) in enumerate(zip(dxs, measures, results))
+        for m, ((dx, _, n), value, (_, wall, reports)) in enumerate(zip(ladder, measures, results))
     ]
     echo = dict(
         flux_family=flux_family, lf_lambda=lf_lambda, profile=profile, **echo, dx0=dx0,

@@ -72,11 +72,14 @@ def write_weights_csv(weights: QuadratureWeights, path) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
-def write_study_json(report: StudyReport, path, config_echo: dict | None = None) -> None:
-    payload = report.as_dict()
+def _write_json(path, payload: dict, config_echo: dict | None) -> None:
     if config_echo is not None:
         payload["config"] = config_echo
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_study_json(report: StudyReport, path, config_echo: dict | None = None) -> None:
+    _write_json(path, report.as_dict(), config_echo)
 
 
 def write_study_csv(report: StudyReport, path) -> None:
@@ -106,10 +109,5 @@ def write_plot_data(report: StudyReport, path) -> None:
 def write_check_json(
     reports: Sequence[InvariantReport], path, config_echo: dict | None = None
 ) -> None:
-    payload = {
-        "passed": all(rep.passed for rep in reports),
-        "checks": [rep.as_dict() for rep in reports],
-    }
-    if config_echo is not None:
-        payload["config"] = config_echo
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    passed = all(rep.passed for rep in reports)
+    _write_json(path, {"passed": passed, "checks": [rep.as_dict() for rep in reports]}, config_echo)

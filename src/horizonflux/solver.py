@@ -302,6 +302,12 @@ def step_conservative_form(
     )
 
 
+def _full_steps(final_time: float, dt: float) -> int:
+    if not (dt > 0.0 and math.isfinite(final_time / dt)):
+        raise ValueError(f"final_time / dt = {final_time} / {dt} is not a finite step count")
+    return int(math.floor(final_time / dt + 1e-12))
+
+
 def run(
     config: SchemeConfig,
     u0: Callable,
@@ -327,11 +333,14 @@ def run(
     :func:`horizonflux.diagnostics.audit_stream`), and ``observer=states.append``
     keeps every state.
 
-    Raises RuntimeError with the step index if the solution stops being
-    finite, and CflViolationError up front when ``enforce_cfl`` is set and the
-    mesh ratio is too large for the initial data box.
+    Raises ValueError up front when final_time / dt is not finite, CflViolationError
+    when ``enforce_cfl`` is set and the mesh ratio is too large for the initial data
+    box, and RuntimeError with the step index if the solution stops being finite.
     """
     weights = compute_weights(config.kernel, dx)
+    dt = config.mesh_ratio * dx
+    t_end = config.final_time
+    n_full = _full_steps(t_end, dt)
     state = cell_average_init(
         u0, dx=dx, x0=x0, n_cells=n_cells, boundary=boundary, breakpoints=breakpoints
     )
@@ -343,9 +352,6 @@ def run(
             float(np.max(state.values)),
         )
 
-    dt = config.mesh_ratio * dx
-    t_end = config.final_time
-    n_full = int(math.floor(t_end / dt + 1e-12))
     remainder = t_end - n_full * dt
     if remainder <= 1e-12 * max(1.0, t_end):
         remainder = 0.0

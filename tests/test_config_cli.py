@@ -14,6 +14,7 @@ from horizonflux.cli import main
 from horizonflux.config import config_to_text, parse_config, parse_config_text
 from horizonflux.outputs import write_solution_csv
 from loop_oracles import reference_solution_csv
+from testutil import fix_memory
 
 MINIMAL = """
 [kernel]
@@ -102,22 +103,40 @@ levels = 3
 """
 
 
-# level 0 is small, but the finest of 40 levels has 2**39 times its cells (and r at
-# fixed delta): 1.76e14 cells, 1.3 PiB per array
+# level 0 is small, but level m of 40 has 2**m times its cells; with 2**40 bytes of
+# memory the 9 snapshots of level 26 are the first arrays that do not fit
 FORTY_LEVELS = (
     MINIMAL.replace("delta = 0.05", "delta = 0.1").replace("dx = 0.03125", "dx = 0.015625")
     + "\n[study]\nregime = fixed_delta\nlevels = 40\n")
-FINEST_OF_40 = r"{} / \[grid\] dx at the finest of \[study\] levels = 40: {} bytes, more than"
+LEVEL_26_OF_40 = (r"\[grid\] dx / {} / \[study\] levels / \[study\] output_times: level 26: "
+                  r"9 output times x n = 21474836480 cells: 1\.546e\+12 bytes, more than the "
+                  r"1\.1e\+12 of physical memory$")
+# dx0 = 1 / (1 + 2**-30) tiles [0, 1] at level 0 within 1e-9 and exactly at level 30, where
+# the defect has doubled past half a cell and wrapped around, but at no level between
+WRAPPING = (
+    MINIMAL.replace("delta = 0.05", "delta = 0.5").replace("godunov", "upwind_linear")
+    .replace("burgers_shock", "advect_bump").replace("dx = 0.03125", f"dx = {1 / (1 + 2**-30)!r}")
+    + "\n[study]\nlevels = 31\n")
+RUN_KEYS = r"\[grid\] dx / \[kernel\] delta / \[study\] output_times: level 0: "
 
 
 @pytest.mark.parametrize("old, new, message", [
     *[(PROBLEM, PROBLEM + f"\n{key} = 0",
        rf"unknown key '{key}' in section \[problem\]; valid keys: T, name$")
       for key in REMOVED_KEYS],
-    ("dx = 0.03125", "dx = 0.3", r"\[grid\] dx=0.3 does not tile the domain \[-2.0, 3.0\]"),
+    ("dx = 0.03125", "dx = 0.3", RUN_KEYS + r"dx=0.3 does not tile the domain \[-2.0, 3.0\]$"),
     (MINIMAL, OFF_AT_LEVEL_1,
-     r"\[grid\] dx=0.33333333323333336 at the finest of \[study\] levels = 3: "
-     r"dx=0.08333333330833334 does not tile the domain \[0.0, 1.0\]"),
+     r"\[grid\] dx / \[study\] coupling / \[study\] levels / \[study\] output_times: level 1: "
+     r"dx=0.16666666661666668 does not tile the domain \[0.0, 1.0\]$"),
+    (MINIMAL, WRAPPING,
+     r"\[grid\] dx / \[study\] coupling / \[study\] levels / \[study\] output_times: level 1: "
+     r"dx=0.4999999995343387 does not tile the domain \[0.0, 1.0\]$"),
+    (TIME, TIME + "\n\n[study]\noutput_times = 1000000000000",
+     RUN_KEYS + r"1000000000000 output times x n = 160 cells: 1\.28e\+15 bytes, more than the "
+     r"1\.1e\+12 of physical memory$"),
+    # the finest level's dt = 0.9 * dx / 2**3 takes the most steps
+    (PROBLEM, PROBLEM + "\nT = 1e308",
+     r"\[problem\] T: final_time / dt = 1e\+308 / 0.003515625 is not a finite step count$"),
     ("family = godunov", "family = lax_friedrichs\nlf_lambda = -1",
      r"\[flux\] lf_lambda must be positive and finite"),
     # the flux is built at load whether or not the CFL bound is enforced
@@ -137,18 +156,19 @@ FINEST_OF_40 = r"{} / \[grid\] dx at the finest of \[study\] levels = 40: {} byt
     ("delta = 0.05", "delta = 0.05\nprofile = cosine",
      r"\[kernel\] unknown kernel profile 'cosine'; valid profiles"),
     (PROBLEM, "name = kdv", r"\[problem\] unknown problem 'kdv'; valid problems"),
-    (MINIMAL, FORTY_LEVELS, FINEST_OF_40.format(
-        r"\[kernel\] delta", r"r = floor\(3\.51844e\+12\) needs r \+ 1 edges: 2\.815e\+13")),
-    (MINIMAL, FORTY_LEVELS.replace("fixed_delta", "joint_limit"), FINEST_OF_40.format(
-        r"\[study\] coupling", r"n = 175921860444160 cells with 2R = 4 ghosts: 1\.407e\+15")),
+    (MINIMAL, FORTY_LEVELS, LEVEL_26_OF_40.format(r"\[kernel\] delta")),
+    (MINIMAL, FORTY_LEVELS.replace("fixed_delta", "joint_limit"),
+     LEVEL_26_OF_40.format(r"\[study\] coupling")),
 ], ids=[*(f"removed_key_{key}" for key in REMOVED_KEYS), "dx_off_the_tiling",
-        "dx_off_the_tiling_at_the_finest_level", "negative_lf_lambda",
+        "dx_off_the_tiling_at_the_finest_level", "dx_wrapping_around_between_levels",
+        "output_times_past_memory", "T_past_the_float_range_of_steps", "negative_lf_lambda",
         "upwind_linear_on_burgers_without_cfl", "enforce_cfl_not_a_bool", "negative_T",
         "one_level", "one_output_time", "lax_friedrichs_without_lf_lambda",
         "lf_lambda_on_godunov", "zero_dx", "negative_delta", "unknown_profile",
         "unknown_problem", "fixed_delta_finest_of_40_levels_past_memory",
         "joint_limit_finest_of_40_levels_past_memory"])
-def test_bad_values_name_their_key(old, new, message):
+def test_bad_values_name_their_key(monkeypatch, old, new, message):
+    fix_memory(monkeypatch)
     with pytest.raises(ValueError, match=message):
         parse_config_text(MINIMAL.replace(old, new))
 
@@ -393,7 +413,8 @@ def test_check_names_delta_and_dx_for_sizes_past_physical_memory(tmp_path, delta
                    .replace("dx = 0.03125", f"dx = {2.0**-50!r}"))
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: [kernel] delta / [grid] dx: {what}"), err
+    assert err.startswith("error: [grid] dx / [kernel] delta / [study] output_times: "
+                          f"level 0: {what}"), err
     assert "of physical memory" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -413,9 +434,29 @@ def test_check_names_delta_and_dx_for_cells_past_the_address_space_limit(
     cfg.write_text(MINIMAL.replace("dx = 0.03125", f"dx = {2.0**-20!r}"))
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: [kernel] delta / [grid] dx: n = 5242880 cells with "
-                          "2R = 104856 ghosts: 4.278e+07 bytes, more than the 1.678e+07 "
-                          "of the address-space limit"), err
+    assert err.startswith("error: [grid] dx / [kernel] delta / [study] output_times: "
+                          "level 0: n = 5242880 cells with 2R = 104856 ghosts: 4.278e+07 "
+                          "bytes, more than the 1.678e+07 of the address-space limit"), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, old, new, error", [
+    ("study", MINIMAL, WRAPPING, "[grid] dx / [study] coupling / [study] levels / "
+     "[study] output_times: level 1: dx=0.4999999995343387 does not tile the domain"),
+    ("run", TIME, TIME + "\n\n[study]\noutput_times = 1000000000000",
+     "[grid] dx / [kernel] delta / [study] output_times: level 0: 1000000000000 output times"),
+    ("run", PROBLEM, PROBLEM + "\nT = 1e308", "[problem] T: final_time / dt = 1e+308 / "),
+    ("check", PROBLEM, PROBLEM + "\nT = 1e308", "[problem] T: final_time / dt = 1e+308 / "),
+], ids=["study_dx_wrapping_around", "run_output_times_past_memory", "run_T_past_steps",
+        "check_T_past_steps"])
+def test_a_level_past_the_ladder_exits_1_naming_its_key(tmp_path, monkeypatch, capsys,
+                                                         command, old, new, error):
+    fix_memory(monkeypatch)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MINIMAL.replace(old, new))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
 
 
@@ -431,7 +472,7 @@ def test_a_run_out_of_memory_exits_1_naming_the_size_keys(tmp_path, monkeypatch,
     assert main([command, "--config", write_config(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == ("error: out of memory (Unable to allocate 3.73 GiB); lower the sizes set by "
-                   "[grid] dx / [kernel] delta / [study] levels\n")
+                   "[grid] dx / [kernel] delta / [study] levels / [study] output_times\n")
 
 
 def test_weights_out_of_memory_exits_1_naming_its_flags(monkeypatch, capsys):

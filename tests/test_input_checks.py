@@ -17,11 +17,12 @@ from horizonflux import (
     nested_l1_distance,
     refine_fixed_delta,
     refine_joint_limit,
+    run,
     step,
     step_conservative_form,
     validate_cfl,
 )
-from testutil import weights_for_r
+from testutil import fix_memory, weights_for_r
 
 GODUNOV = make_flux("godunov", make_local_flux("burgers"))
 STATE = GridState(dx=0.25, x0=0.0, values=np.zeros(4))
@@ -91,10 +92,15 @@ BAD_INPUTS = {
     "joint_limit_zero_coupling": (
         lambda: refine_joint_limit(SHOCK, "godunov", 0.0, 0.25, 2, 0.9),
         "coupling must be positive"),
-    # 1100 halvings take the cell count past the float range; no level may run
+    # 1100 halvings would take the cell count past the float range near level 1016, but
+    # the ladder stops at the first level whose arrays do not fit in 2**40 bytes
     "fixed_delta_levels_past_the_float_range": (
         lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 1100, 0.9),
-        r"dx=\S+ does not tile the domain \[-2.0, 3.0\]"),
+        r"^level 28: 9 output times x n = 21474836480 cells: 1\.546e\+12 bytes, more than the "
+        r"1\.1e\+12 of physical memory$"),
+    "run_steps_past_the_float_range": (
+        lambda: run(_scheme(final_time=1e308), np.sin, x0=0.0, dx=0.25, n_cells=4),
+        r"final_time / dt = 1e\+308 / 0.125 is not a finite step count"),
     "joint_limit_nan_coupling": (
         lambda: refine_joint_limit(SHOCK, "godunov", np.nan, 0.25, 2, 0.9),
         "coupling must be positive and finite, got nan"),
@@ -127,7 +133,8 @@ BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("build, message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_library_rejects_bad_input(build, message):
+def test_library_rejects_bad_input(monkeypatch, build, message):
+    fix_memory(monkeypatch)
     with pytest.raises(ValueError, match=message):
         build()
 
@@ -142,10 +149,14 @@ def test_study_checks_every_level_before_it_runs_one(monkeypatch):
 
 
 def test_study_sizes_every_level_before_it_runs_one(monkeypatch):
-    # level 0 holds 320 cells and r = 6; level 39 has 2**39 times both, 1.3 PiB of cells
+    # level 0 holds 320 cells; the 9 snapshots of level 26's 2**26 times as many are the
+    # first arrays past 2**40 bytes
+    fix_memory(monkeypatch)
     ran = []
     monkeypatch.setattr(harness, "_run_level", lambda *args: ran.append(args))
-    with pytest.raises(ValueError, match=r"(edges|ghosts): \S+ bytes, more than the"):
+    with pytest.raises(ValueError, match=r"^level 26: 9 output times x n = 21474836480 cells: "
+                                         r"1\.546e\+12 bytes, more than the 1\.1e\+12 of "
+                                         r"physical memory$"):
         refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 64, 40, 0.9)
     assert ran == []
 

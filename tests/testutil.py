@@ -1,5 +1,8 @@
 """Shared factories for randomized solver tests."""
 
+import os
+import resource
+
 import numpy as np
 
 from horizonflux import GridState, Kernel, compute_weights, make_flux, make_local_flux
@@ -61,3 +64,12 @@ def every_flux():
         if name == "linear_advection":
             out.append(make_flux("upwind_linear", local))
     return out
+
+
+def fix_memory(monkeypatch, nbytes=2**40):
+    """Size checks see ``nbytes`` of physical memory and no address-space limit, so the
+    level at which a refinement ladder first runs out of memory is the same on every
+    machine."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2)
