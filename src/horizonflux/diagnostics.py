@@ -340,7 +340,9 @@ def kruzhkov_constants(state: GridState) -> np.ndarray:
     """17 uniform Kruzhkov constants spanning the data range plus a 0.1 margin.
 
     A sample: for nonlinear f the per-cell entropy residual curves in c between
-    data values, so its maximum can fall between two of these constants.
+    data values, so its maximum can fall between two of these constants.  With
+    these default constants :func:`check_entropy` is still exact in c on every
+    cell where the step is certified monotone, and sampled only elsewhere.
     """
     return np.linspace(float(np.min(state.values)) - 0.1, float(np.max(state.values)) + 0.1, 17)
 
@@ -369,6 +371,12 @@ def _window_extrema(ext: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]
 def _excess(u0, u1, c):
     """|u^{n+1}_j - c| - |u^n_j - c|: the residual less its dt * q-sum term."""
     return np.abs(u1 - c) - np.abs(u0 - c)
+
+
+def _certified(flux: TwoPointFlux, weights: QuadratureWeights, dt, lo, hi) -> np.ndarray:
+    """Whether a step of size ``dt`` is monotone in every value of a stencil whose
+    values lie in [lo, hi]: dt sum_k W_k step_speed(lo, hi) <= 1, elementwise."""
+    return dt * weights.weights.sum() * flux.step_speed(lo, hi) <= 1.0
 
 
 def _block_steps(n_cells: int, pad: int) -> int:
@@ -431,11 +439,21 @@ def check_entropy(
     step left unchanged has residual exactly 0 at every c (S_j = 0), so only
     the other cells, the active (step, cell) items, are probed.
 
+    With the default constants the audit is exact in c, not sampled, on every
+    item where the step H(u)_j = u_j - dt S_j is certified monotone on the
+    stencil box [m_j, M_j]: dt sum_k W_k :meth:`TwoPointFlux.step_speed`
+    (m_j, M_j) <= 1.  There (Crandall & Majda 1980) the sup over every real c
+    is |u^{n+1}_j - H(u^n)_j|, reached at c = min(m_j, u^{n+1}_j) or
+    c = max(M_j, u^{n+1}_j), so these two data values replace the item's side
+    constants, it takes no straddling constant, and the reported c can be one
+    of them.  Every other item, and every item when ``constants`` are given,
+    is probed at the constants.
+
     The trajectory is fed through :class:`AuditStream`, as ``run`` feeds
     :func:`audit_stream`, so both paths run the same stage, once per block of
     B = max(1, 8192 // (n + 2R)) steps (n cells): the stencil extrema of the
-    block's extended rows, the active items, their side constants and
-    straddling (item, constant) triples; then one gathered-sum path for S_j
+    block's extended rows, the active items, their certificate, side constants
+    and straddling (item, constant) triples; then one gathered-sum path for S_j
     (non-flat stencils only) and for the triples' q-sums (one copy of the rows
     per constant): the stencil values each reads, gathered into one array and
     read at the stencils' starts after one :meth:`TwoPointFlux.stencil_sum`
@@ -445,7 +463,7 @@ def check_entropy(
     folded into the running one.  ``AuditStream.counts`` tallies this work.
     In floating point the reduction may miss the full matrix's maximum by
     round-off.  Ties go to the earliest step, then the lowest cell, then the
-    smallest probed constant; a later block must be strictly worse.
+    smallest c probed there; a later block must be strictly worse.
     """
     cs = None if constants is None else _as_constants(constants)
     audit = AuditStream(lambda u0: [_CellEntropy(u0, weights, flux, cs)], weights.n_terms)
@@ -464,10 +482,11 @@ class _CellEntropy(_Check):
         _check_pair(u0, weights)
         self.weights, self.flux, self.n = weights, flux, u0.n_cells
         self.tol = 1e-10 * (1.0 + float(np.max(np.abs(u0.values))))
+        self.exact = constants is None  # the default constants: exact on certified items
         cs = np.sort(kruzhkov_constants(u0) if constants is None else constants)
         self.cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
-        self.counts = dict.fromkeys(
-            ("entropy_blocks", "side_residuals", "straddle_residuals", "stencil_values"), 0)
+        self.counts = dict.fromkeys(("entropy_blocks", "side_residuals", "straddle_residuals",
+                                     "certified_items", "stencil_values"), 0)
 
     def observe(self, first: int, values: np.ndarray, ext: np.ndarray, times: np.ndarray):
         dt = np.diff(times)
@@ -494,6 +513,15 @@ class _CellEntropy(_Check):
         dt, u0, u1, lo, hi = dt[row], u0[key], u1[key], lo[key], hi[key]
         below = np.searchsorted(cs, lo, side="right") - 1  # the largest constant <= the stencil min
         above = np.searchsorted(cs, hi)  # the smallest one >= the stencil max
+        c_lo, c_hi = cs[np.maximum(below, 0)], cs[np.minimum(above, cs.size - 1)]
+        has_lo, has_hi = below >= 0, above < cs.size
+        if self.exact:  # a certified item's sup over every c is at one of its data sides
+            sure = _certified(flux, self.weights, dt, lo, hi)
+            c_lo = np.where(sure, np.minimum(lo, u1), c_lo)
+            c_hi = np.where(sure, np.maximum(hi, u1), c_hi)
+            has_lo, has_hi = has_lo | sure, has_hi | sure
+            above = np.where(sure, below + 1, above)  # and no straddling constant
+            self.counts["certified_items"] += int(sure.sum())
         has_s = lo != hi  # S_j is exactly 0 on a flat stencil
         s = np.zeros(ids.size)
         s[has_s], read_s = _stencil_sums(flux, flat[:span], key[has_s], w)
@@ -508,22 +536,21 @@ class _CellEntropy(_Check):
         # each keyed into a copy of the rows per constant, constant i's at i * span
         q, read_q = _stencil_sums(flux, flat[:span], i * span + key[it], w, cs)
         ds = dt * s
-        c_lo, c_hi = cs[np.maximum(below, 0)], cs[np.minimum(above, cs.size - 1)]
         # one residual per candidate: each item at c_lo, then at c_hi (-inf where
         # it has none), then each straddle triple
         res = np.concatenate((
-            np.where(below >= 0, _excess(u0, u1, c_lo) + ds, -np.inf),
-            np.where(above < cs.size, _excess(u0, u1, c_hi) - ds, -np.inf),
+            np.where(has_lo, _excess(u0, u1, c_lo) + ds, -np.inf),
+            np.where(has_hi, _excess(u0, u1, c_hi) - ds, -np.inf),
             _excess(u0[it], u1[it], cs[i]) + dt[it] * q,
         ))
         counts = self.counts
-        counts["side_residuals"] += int((below >= 0).sum() + (above < cs.size).sum())
+        counts["side_residuals"] += int(has_lo.sum() + has_hi.sum())
         counts["straddle_residuals"] += it.size
         counts["stencil_values"] += read_s + read_q
         top = float(res.max())
         if top > self.worst:  # strict: an earlier block keeps a tie
             self.worst = top
-            # the earliest (step, cell) that reaches it, and its smallest constant there
+            # the earliest (step, cell) that reaches it, and the smallest c probed there
             at = res == top
             reached = np.concatenate((ids, ids, ids[it]))[at]
             hit = reached.min()
@@ -545,7 +572,8 @@ def audit_stream(weights: QuadratureWeights, flux: TwoPointFlux) -> AuditStream:
     reports that ``audit_trajectory`` gives on the stored trajectory.  The
     stream keeps one block of B + 1 extended rows; ``audit.counts`` then holds
     the entropy audit's work: blocks run, side and straddle residuals
-    evaluated, and the stencil values its sums read.
+    evaluated, the active items certified monotone (which take the exact path
+    and no straddle residual), and the stencil values its sums read.
     """
     return AuditStream(lambda u0: _bundle(u0, weights, flux), weights.n_terms)
 

@@ -40,7 +40,8 @@ FLUX_FAMILIES = ("engquist_osher", "godunov", "lax_friedrichs", "upwind_linear")
 class LocalFlux:
     """A scalar flux u -> f(u) plus the closed forms the flux families need.
 
-    ``df_bounds`` returns the exact range of f' over a box;
+    ``df_bounds`` returns the exact range of f' over a box [lo, hi] (floats,
+    or arrays of boxes);
     ``split_plus``/``split_minus`` are the upwind halves f⁺ and f⁻, the
     integrals of max(f', 0) and min(f', 0) from zero.  ``godunov_op`` combines
     them into the Godunov flux: ``np.maximum`` when f has its single minimum
@@ -69,8 +70,9 @@ def make_local_flux(name: str, speed: float = 1.0) -> LocalFlux:
     if name == "cubic":
         # f' = u^2 >= 0: f is monotone, so the upwind splitting is trivial.
         def _df_bounds(lo, hi):
-            dmin = 0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi)
-            return dmin, max(lo * lo, hi * hi)
+            sq_lo, sq_hi = np.square(lo), np.square(hi)
+            dmin = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(sq_lo, sq_hi))[()]
+            return dmin, np.maximum(sq_lo, sq_hi)
 
         return LocalFlux(
             name="cubic",
@@ -89,7 +91,7 @@ def make_local_flux(name: str, speed: float = 1.0) -> LocalFlux:
         return LocalFlux(
             name="linear_advection",
             f=ramp,
-            df_bounds=lambda lo, hi: (a, a),
+            df_bounds=lambda lo, hi: (a + 0.0 * lo,) * 2,  # shaped like the box
             split_plus=ramp if a >= 0.0 else zero,
             split_minus=zero if a >= 0.0 else ramp,
             godunov_op=np.add,
@@ -264,10 +266,22 @@ class TwoPointFlux:
         Godunov, Engquist-Osher, and upwind fluxes are monotone everywhere;
         Lax-Friedrichs needs lf_lambda * max|f'| <= 1 on the box.
         """
+        return self.family != "lax_friedrichs" or bool(self.step_speed(b1, b2) < math.inf)
+
+    def step_speed(self, lo, hi):
+        """The max of A' - B' over each box [lo, hi] (arrays of boxes, or floats).
+
+        g1(a, ·) <= A'(a) and -g2(·, a) <= -B'(a), so a step on values in the box
+        has diagonal partial at least 1 - dt sum_k W_k step_speed, and it is
+        monotone there when that is >= 0 (Crandall & Majda 1980).  A' - B' is |f'|
+        for the upwind halves and 1/λ for Lax-Friedrichs, which is monotone only
+        where λ max|f'| <= 1: +inf elsewhere.
+        """
+        dmin, dmax = self.local.df_bounds(lo, hi)
+        speed = np.maximum(np.abs(dmin), np.abs(dmax))
         if self.family != "lax_friedrichs":
-            return True
-        dmin, dmax = self.local.df_bounds(b1, b2)
-        return self.lf_lambda * max(abs(dmin), abs(dmax)) <= 1.0 + 1e-12
+            return speed
+        return np.where(self.lf_lambda * speed <= 1.0 + 1e-12, 1.0 / self.lf_lambda, np.inf)[()]
 
 
 def make_flux(

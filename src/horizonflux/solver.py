@@ -303,8 +303,13 @@ def step_conservative_form(
 
 
 def _full_steps(final_time: float, dt: float) -> int:
+    """The whole steps of ``dt`` in ``final_time``: at most 2**53, so that the count
+    and every step time (i + 1) * dt stay exact integers times dt."""
     if not (dt > 0.0 and math.isfinite(final_time / dt)):
         raise ValueError(f"final_time / dt = {final_time} / {dt} is not a finite step count")
+    if final_time / dt > 2.0**53:
+        raise ValueError(f"final_time / dt = {final_time} / {dt} = {final_time / dt:.4g} "
+                         "steps, more than 2**53")
     return int(math.floor(final_time / dt + 1e-12))
 
 
@@ -333,9 +338,10 @@ def run(
     :func:`horizonflux.diagnostics.audit_stream`), and ``observer=states.append``
     keeps every state.
 
-    Raises ValueError up front when final_time / dt is not finite, CflViolationError
-    when ``enforce_cfl`` is set and the mesh ratio is too large for the initial data
-    box, and RuntimeError with the step index if the solution stops being finite.
+    Raises ValueError up front when final_time / dt is not finite or exceeds 2**53
+    steps, CflViolationError when ``enforce_cfl`` is set and the mesh ratio is too
+    large for the initial data box, and RuntimeError with the step index if the
+    solution stops being finite.
     """
     weights = compute_weights(config.kernel, dx)
     dt = config.mesh_ratio * dx

@@ -4,7 +4,8 @@
 keeps no trajectory; the entropy audit sees blocks of B + 1 states.  Its
 reports must equal ``audit_trajectory`` on the stored run and a plain oracle:
 the max-principle, TVD and conservation loops over the whole list, and the
-entropy audit taken one step at a time with u^0's constants and tolerance.
+entropy audit taken one step at a time with u^0's constants and tolerance (exact
+in c on the items the step is certified monotone on, sampled elsewhere).
 """
 
 import itertools
@@ -32,7 +33,7 @@ from horizonflux import (
     total_variation,
 )
 from horizonflux import diagnostics
-from horizonflux.diagnostics import _block_steps
+from horizonflux.diagnostics import AuditStream, _block_steps, _CellEntropy
 from horizonflux.harness import _build_flux, _run_level
 from flux_oracles import reference_entropy_matrix
 from testutil import every_flux, weights_for_r
@@ -72,10 +73,13 @@ def reference_audit(trajectory, weights, flux):
                 worst, where = drift, (n,)
         scale = 1.0 + dx * float(np.sum(np.abs(u0)))
         reports.append(_verdict("conservation", worst, 1e-13 * scale, where))
-    constants = kruzhkov_constants(trajectory[0])
     worst, where = 0.0, None
     for n in range(len(trajectory) - 1):
-        rep = check_entropy(trajectory[n : n + 2], weights, flux, constants)
+        one_step = AuditStream(lambda _: [_CellEntropy(trajectory[0], weights, flux)],
+                               weights.n_terms)
+        for state in trajectory[n : n + 2]:
+            one_step(state)
+        rep, = one_step.finish()
         if rep.violation > worst:
             worst, where = rep.violation, (n + rep.location[0], *rep.location[1:])
     tol = 1e-10 * (1.0 + float(np.max(np.abs(u0))))
@@ -256,24 +260,30 @@ def test_row_sums_match_the_one_dimensional_sums(pad):
 @pytest.mark.parametrize("budget, blocks", [(8192, 1), (400, 4)])
 def test_entropy_work_counters(budget, blocks, monkeypatch):
     """Five copies of one state, a 1 at cell 3 among n = 300 zeros, with R = 1.  Each
-    step has three active items, cells 2, 3 and 4, whose stencils span [0, 1]: each
-    has both side constants, and 13 of the 17 default constants (0.05 ... 0.95)
-    straddle it.  Their stencils are one run of 5 values, read once by S_j and once
-    per straddling constant.  At a budget of 400, B = 400 // 302 = 1 step per block,
-    so the four steps take four blocks; the work does not depend on the blocks."""
+    step has three active items, cells 2, 3 and 4, whose stencils span [0, 1].  At
+    dt = 0.1 dx (dt W_1 max|f'| = 0.1) the step is certified monotone on all three:
+    each takes its two data sides and no straddling constant, and S_j reads their
+    stencils, one run of 5 values.  At dt = 1.5 dx none is certified: each has both
+    side constants, and 13 of the 17 default constants (0.05 ... 0.95) straddle it,
+    so the run is read once more per straddling constant.  At a budget of 400,
+    B = 400 // 302 = 1 step per block, so the four steps take four blocks; the work
+    does not depend on the blocks."""
     monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", budget)
     n = 300
     dx = 1.0 / n
     weights = weights_for_r(1, dx)
     values = np.zeros(n)
     values[3] = 1.0
-    audit = audit_stream(weights, GODUNOV)
-    for k in range(5):
-        audit(GridState(dx=dx, x0=0.0, values=values, boundary="constant_extension",
-                        time=k * 0.1 * dx))
-    audit.finish()
-    assert audit.counts == {"entropy_blocks": blocks, "side_residuals": 4 * 6,
-                            "straddle_residuals": 4 * 39, "stencil_values": 4 * (5 + 13 * 5)}
+    for mesh_ratio, certified, straddling in ((0.1, 3, 0), (1.5, 0, 13)):
+        audit = audit_stream(weights, GODUNOV)
+        for k in range(5):
+            audit(GridState(dx=dx, x0=0.0, values=values, boundary="constant_extension",
+                            time=k * mesh_ratio * dx))
+        audit.finish()
+        assert audit.counts == {"entropy_blocks": blocks, "side_residuals": 4 * 6,
+                                "straddle_residuals": 4 * 3 * straddling,
+                                "certified_items": 4 * certified,
+                                "stencil_values": 4 * (5 + straddling * 5)}
 
 
 def narrow_bump_run(n=2000, r=2, steps=101):

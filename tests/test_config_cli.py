@@ -137,6 +137,10 @@ RUN_KEYS = r"\[grid\] dx / \[kernel\] delta / \[study\] output_times: level 0: "
     # the finest level's dt = 0.9 * dx / 2**3 takes the most steps
     (PROBLEM, PROBLEM + "\nT = 1e308",
      r"\[problem\] T: final_time / dt = 1e\+308 / 0.003515625 is not a finite step count$"),
+    # finite, but about 2.8e302 steps of the finest level: more than 2**53
+    (PROBLEM, PROBLEM + "\nT = 1e300",
+     r"\[problem\] T: final_time / dt = 1e\+300 / 0.003515625 = 2\.844e\+302 steps, "
+     r"more than 2\*\*53$"),
     ("family = godunov", "family = lax_friedrichs\nlf_lambda = -1",
      r"\[flux\] lf_lambda must be positive and finite"),
     # the flux is built at load whether or not the CFL bound is enforced
@@ -161,7 +165,8 @@ RUN_KEYS = r"\[grid\] dx / \[kernel\] delta / \[study\] output_times: level 0: "
      LEVEL_26_OF_40.format(r"\[study\] coupling")),
 ], ids=[*(f"removed_key_{key}" for key in REMOVED_KEYS), "dx_off_the_tiling",
         "dx_off_the_tiling_at_the_finest_level", "dx_wrapping_around_between_levels",
-        "output_times_past_memory", "T_past_the_float_range_of_steps", "negative_lf_lambda",
+        "output_times_past_memory", "T_past_the_float_range_of_steps", "T_past_2_53_steps",
+        "negative_lf_lambda",
         "upwind_linear_on_burgers_without_cfl", "enforce_cfl_not_a_bool", "negative_T",
         "one_level", "one_output_time", "lax_friedrichs_without_lf_lambda",
         "lf_lambda_on_godunov", "zero_dx", "negative_delta", "unknown_profile",
@@ -457,6 +462,24 @@ def test_a_level_past_the_ladder_exits_1_naming_its_key(tmp_path, monkeypatch, c
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}") and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def _never_run(*args):
+    raise AssertionError("a level ran")
+
+
+@pytest.mark.parametrize("command", ["run", "check", "study"])
+def test_a_finite_T_past_2_53_steps_exits_1_before_any_run(tmp_path, monkeypatch, command,
+                                                            capsys):
+    monkeypatch.setattr(harness, "_run_level", _never_run)
+    monkeypatch.setattr(cli, "_run_level", _never_run)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MINIMAL.replace(PROBLEM, PROBLEM + "\nT = 1e300"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [problem] T: final_time / dt = 1e+300 / ") and err.endswith(
+        " steps, more than 2**53\n"), err
     assert not (tmp_path / "o").exists()
 
 

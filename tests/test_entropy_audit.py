@@ -34,11 +34,15 @@ from horizonflux import (
     make_local_flux,
     step,
 )
+from horizonflux.diagnostics import _certified
 from flux_oracles import (
     assert_entropy_matches_oracle,
     entropy_bound,
     entropy_matrices,
+    partials,
     reference_entropy_matrix,
+    reference_rate,
+    stencil_boxes,
 )
 from testutil import every_flux, random_state, random_step_profile, weights_for_r
 
@@ -176,6 +180,28 @@ def test_planted_violation_found_at_oracle_location(cell, constants, shift, path
     assert not report.passed
     assert report.location[:2] == where == (len(trajectory) - 1, cell)
     assert abs(report.violation - worst) <= entropy_bound(trajectory[0])
+
+
+@pytest.mark.parametrize("shift", [0.05, -0.05], ids=["above", "below"])
+def test_planted_value_outside_a_certified_stencil_box_is_caught_exactly(shift):
+    """The last step of a Godunov run is certified monotone on the jump cell's
+    stencil box [m_j, M_j].  Plant u^{n+1}_j past M_j (or below m_j): the default
+    audit reports |u^{n+1}_j - H(u^n)_j| there, H from the k-loop oracle, at the
+    data side that reaches it: c = m_j above the box, c = M_j below it."""
+    trajectory, weights = shock_run()
+    cell, last = 32, len(trajectory) - 1
+    before, after = trajectory[-2], trajectory[-1]
+    dt = after.time - before.time
+    lo, hi = stencil_boxes(before, weights.n_terms)
+    assert lo[cell] < hi[cell]
+    assert _certified(GODUNOV, weights, dt, lo, hi)[cell]
+    after.values[cell] = hi[cell] + shift if shift > 0 else lo[cell] + shift
+    report = check_entropy(trajectory, weights, GODUNOV)
+    h = before.values - dt * reference_rate(before, weights, GODUNOV)
+    assert not report.passed
+    assert report.location == (last, cell, lo[cell] if shift > 0 else hi[cell])
+    assert abs(report.violation - abs(after.values[cell] - h[cell])) <= entropy_bound(before)
+    assert_entropy_matches_oracle(report, trajectory, weights, GODUNOV)
 
 
 def test_audit_takes_the_q_sum_only_on_the_straddle_block(monkeypatch):
@@ -349,10 +375,11 @@ def test_monotone_runs_keep_order_and_contract_in_l1(data):
 
 def _past_cfl_verdicts(seed, n, r, multiple, family, boundary):
     """One seeded Burgers step at ``multiple`` times the CFL bound: the verdict of
-    ``check_entropy`` (17 uniform constants, probed at each stencil's side and
-    straddling ones) and that of the full q-sum over a dense set of constants,
-    every stencil value, 0, every u^{n+1}_j and 1025 uniform points (which hold
-    the 17)."""
+    ``check_entropy`` (exact in c on the cells the step is certified monotone on,
+    elsewhere 17 uniform constants, probed at each stencil's side and straddling
+    ones), that of the full q-sum over a dense set of constants, every stencil
+    value, 0, every u^{n+1}_j and 1025 uniform points (which hold the 17), and
+    whether a cell where the dense set fails is certified."""
     rng = np.random.default_rng(seed)
     dx = 1.0 / n
     state = random_state(rng, n=n, dx=dx, boundary=boundary)
@@ -365,8 +392,9 @@ def _past_cfl_verdicts(seed, n, r, multiple, family, boundary):
     report = check_entropy(trajectory, weights, flux)
     dense = np.unique(np.concatenate((
         state.values, [0.0], trajectory[1].values, np.linspace(lo - 0.1, hi + 0.1, 1025))))
-    worst = float(reference_entropy_matrix(*trajectory, weights, flux, dense).max())
-    return report.passed, worst <= report.tolerance
+    worst = reference_entropy_matrix(*trajectory, weights, flux, dense).max(axis=0)
+    sure = _certified(flux, weights, dt, *stencil_boxes(state, r))
+    return report.passed, worst.max() <= report.tolerance, sure[worst > report.tolerance].any()
 
 
 @given(n=st.integers(8, 40), multiple=st.sampled_from([1.0, 1.5, 3.0]),
@@ -377,10 +405,12 @@ def _past_cfl_verdicts(seed, n, r, multiple, family, boundary):
 def test_sampled_constants_agree_with_the_dense_set_at_the_cfl_bound(
         n, multiple, family, r, boundary, seed):
     """At the CFL bound the step is monotone, so both verdicts pass.  Past it the
-    dense set holds the 17 constants, so a sampled failure is a dense one too;
-    the converse can fail (see the next test)."""
-    sampled, dense = _past_cfl_verdicts(seed, n, r, multiple, family, boundary)
+    dense set holds the 17 constants and each certified cell's sup, so a failed
+    audit is a dense failure too; the converse can fail (see the next test), but
+    never on a certified cell."""
+    sampled, dense, certified_failure = _past_cfl_verdicts(seed, n, r, multiple, family, boundary)
     assert sampled or not dense
+    assert not certified_failure
     if multiple == 1.0:
         assert sampled and dense
 
@@ -394,7 +424,87 @@ def test_sampled_constants_miss_a_violation_past_the_cfl_bound(seed, n, r, multi
     c in a window narrower than the spacing of the 17 constants: the sampled
     audit passes and the dense set fails (dense residual 1.7e-3 and 2.3e-3).
     Of 3,000 seeded steps per multiple (n in [8, 40], r in [1, 4], three
-    families), 3 flip at 1.5x and 18 at 3x, none at the bound.  An audit exact
-    in c would turn this test."""
-    sampled, dense = _past_cfl_verdicts(seed, n, r, multiple, "godunov", boundary)
-    assert sampled and not dense
+    families), 3 flip at 1.5x and 18 at 3x, none at the bound.  The step is not
+    certified monotone on the failing cells, so they keep the sampled verdict;
+    an audit exact in c there too would turn this test."""
+    sampled, dense, certified_failure = _past_cfl_verdicts(
+        seed, n, r, multiple, "godunov", boundary)
+    assert sampled and not dense and not certified_failure
+
+
+# -- the monotonicity certificate ------------------------------------------------
+
+
+def stencil_partials(flux, w, dt, v):
+    """The partials of one step H_j(v) = v_0 - dt sum_k W_k [g(v_0, v_k) - g(v_{-k}, v_0)]
+    for each stencil row of ``v`` (2R + 1 values, v_0 in the middle), from the
+    one-sided partials of g: in v_0, in v_k and in v_{-k} for k = 1..R."""
+    pad = w.size
+    centre, right, left = v[:, pad : pad + 1], v[:, pad + 1 :], v[:, pad - 1 :: -1]
+    g1_right, g2_right = partials(flux, centre, right)
+    g1_left, g2_left = partials(flux, left, centre)
+    return (1.0 - dt * ((g1_right - g2_left) * w).sum(axis=1),
+            -dt * w * g2_right, dt * w * g1_left)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+@pytest.mark.parametrize("profile", PROFILE_NAMES)
+@pytest.mark.parametrize("family", FLUX_FAMILIES)
+def test_the_monotonicity_certificate_is_sound(family, profile, boundary):
+    """Where the audit certifies a step of size dt on a stencil box [m_j, M_j],
+    dt sum_k W_k step_speed(m_j, M_j) <= 1, every partial of H_j is >= 0 up to
+    round-off on the whole box: at the data, at the corners v = m_j and v = M_j,
+    and at uniform draws from the box.  The sharp bound is dt sum_k W_k s = 1, s
+    the step speed of the data box: at 0.98x every cell is certified, at 1.15x
+    not.  Lax-Friedrichs also runs 1.1x past its monotonicity edge, where the
+    boxes with λ max|f'| > 1 are refused.
+
+    Negative control: one spike of 0.1 on a flat state at the fastest value.  At
+    1.15x the sharp bound the spike cell's diagonal partial is about -0.15, so
+    it drops below the flat state and the streamed max principle fails, while at
+    0.98x every streamed audit passes."""
+    locals_ = [("linear_advection", 0.7)] if family == "upwind_linear" else [
+        ("cubic", 1.0), ("burgers", 1.0), ("linear_advection", -0.7)]
+    n = 16
+    dx = 1.0 / n
+    rng = np.random.default_rng(FLUX_FAMILIES.index(family) * 100 + len(profile + boundary))
+    for i, r in enumerate([1, 4, 16, 64, 256]):
+        local = make_local_flux(*locals_[i % len(locals_)])
+        weights = weights_for_r(r, dx, profile)
+        w, total = weights.weights, weights.weights.sum()
+        state = random_state(rng, n=n, dx=dx, boundary=boundary)
+        state.values[rng.choice(n, 2, replace=False)] = 0.0
+        spike = GridState(dx=dx, x0=0.0, values=np.ones(n), boundary=boundary)
+        spike.values[n // 2] = 1.1
+        for data in (state, spike):
+            lo, hi = float(data.values.min()), float(data.values.max())
+            edge = 1.0 / max(np.abs(local.df_bounds(lo, hi)))
+            past_edges = (1.0, 1.1) if family == "lax_friedrichs" and data is state else (1.0,)
+            for past_edge in past_edges:
+                lf_lambda = past_edge * edge if family == "lax_friedrichs" else None
+                flux = make_flux(family, local, lf_lambda=lf_lambda)
+                speed = 1.0 / lf_lambda if lf_lambda else flux.step_speed(lo, hi)
+                m, big_m = stencil_boxes(data, r)
+                windows = np.lib.stride_tricks.sliding_window_view(data.extended(r), 2 * r + 1)
+                for multiple in (0.5, 0.98, 1.15):
+                    dt = multiple / (total * speed)
+                    sure = _certified(flux, weights, dt, m, big_m)
+                    label = (r, flux, data is spike, past_edge, multiple)
+                    assert sure.all() == (multiple < 1.0 and past_edge == 1.0), label
+                    box_lo, box_hi = m[sure, None], big_m[sure, None]
+                    stencils = windows[sure]
+                    draws = [stencils, np.broadcast_to(box_lo, stencils.shape),
+                             np.broadcast_to(box_hi, stencils.shape)]
+                    draws += [box_lo + (box_hi - box_lo) * rng.random(stencils.shape)
+                              for _ in range(3)]
+                    for v in draws:
+                        for part in stencil_partials(flux, w, dt, v):
+                            assert part.min(initial=0.0) >= -1e-12, label
+                    if data is spike and multiple > 0.5:
+                        audit = audit_stream(weights, flux)
+                        trajectory = [spike, step(spike, weights, flux, dt)]
+                        for u in trajectory:
+                            audit(u)
+                        reports = audit.finish()
+                        assert all(rep.passed for rep in reports) == (multiple < 1.0), label
+                        assert reports[0].passed == (multiple < 1.0), label

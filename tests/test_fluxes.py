@@ -54,6 +54,48 @@ def test_local_flux_df_bounds_are_exact():
             assert dmax == pytest.approx(np.max(sampled), abs=1e-5)
 
 
+def test_df_bounds_take_arrays_of_boxes():
+    """Each local flux maps an array of boxes elementwise, as it maps each box of
+    floats, and keeps floats for a box of floats."""
+    rng = np.random.default_rng(13)
+    for name in ("burgers", "cubic", "linear_advection"):
+        local = make_local_flux(name, speed=-1.3)
+        lo, hi = np.sort(rng.uniform(-2, 2, (2, 50)), axis=0)
+        hi[:5] = lo[:5]  # flat boxes
+        lo[5], hi[5] = 0.0, 0.5  # boxes with an edge at the sonic point
+        lo[6], hi[6] = -0.5, 0.0
+        dmin, dmax = local.df_bounds(lo, hi)
+        assert dmin.shape == dmax.shape == lo.shape
+        for k in range(lo.size):
+            one = local.df_bounds(float(lo[k]), float(hi[k]))
+            assert all(isinstance(x, float) for x in one)
+            assert one == (dmin[k], dmax[k])
+
+
+def test_step_speed_is_the_max_of_a_prime_minus_b_prime():
+    """Over each box [lo, hi], g1(a, b) - g2(b', a) <= step_speed for a, b, b' in
+    the box, with equality at some a = b = b': max|f'| for the upwind halves, 1/λ
+    for Lax-Friedrichs where λ max|f'| <= 1 (+inf past that edge)."""
+    rng = np.random.default_rng(17)
+    for local_name in ("burgers", "cubic", "linear_advection"):
+        for flux in all_fluxes(local_name, speed=-0.7):
+            lo, hi = np.sort(rng.uniform(-1.5, 1.5, (2, 20)), axis=0)
+            speed = flux.step_speed(lo, hi)
+            assert speed.shape == lo.shape
+            for k in range(lo.size):
+                a = np.linspace(lo[k], hi[k], 41)
+                b, b2 = rng.uniform(lo[k], hi[k], (2, 41))
+                dmin, dmax = flux.local.df_bounds(lo[k], hi[k])
+                if flux.family == "lax_friedrichs" and max(-dmin, dmax) > 1.0 + 1e-12:
+                    assert speed[k] == np.inf
+                    continue
+                rate = partials(flux, a, b)[0] - partials(flux, b2, a)[1]
+                reached = partials(flux, a, a)[0] - partials(flux, a, a)[1]
+                assert rate.max() <= speed[k] + 1e-12
+                assert reached.max() == pytest.approx(speed[k], abs=1e-12)
+                assert flux.step_speed(float(lo[k]), float(hi[k])) == speed[k]
+
+
 def test_unknown_names_rejected():
     with pytest.raises(ValueError, match="valid names"):
         make_local_flux("quartic")

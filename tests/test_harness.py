@@ -10,12 +10,19 @@ import pytest
 
 from horizonflux import (
     GridState,
+    InvariantReport,
+    Kernel,
+    SchemeConfig,
+    compute_weights,
     eoc,
     get_problem,
     nested_l1_distance,
     refine_fixed_delta,
     refine_joint_limit,
+    run,
 )
+from horizonflux.harness import _build_flux, _levels
+from flux_oracles import assert_entropy_matches_oracle
 
 
 # -- eoc ---------------------------------------------------------------------
@@ -170,8 +177,26 @@ def _echo(key, value, mesh_ratio, window):
     }
 
 
+def assert_levels_match_the_entropy_oracle(report, problem, delta_of, mesh_ratio):
+    """Each level's cell_entropy report against the default-constant oracle on
+    that level's stored run."""
+    flux = _build_flux(problem, "godunov", None)
+    for level in report.as_dict()["levels"]:
+        dx = level["dx"]
+        [(_, x0, n)] = _levels(problem, dx, 1, delta_of, 2)
+        kernel = Kernel(delta=delta_of(dx))
+        trajectory = []
+        run(SchemeConfig(kernel, flux, mesh_ratio, problem.final_time), problem.u0, x0=x0,
+            dx=dx, n_cells=n, boundary=problem.boundary, observer=trajectory.append)
+        entropy = InvariantReport(**{**level["invariants"][-1], "location": tuple(
+            level["invariants"][-1]["location"])})
+        assert_entropy_matches_oracle(entropy, trajectory, compute_weights(kernel, dx), flux)
+
+
 def test_fixed_delta_study_is_pinned():
     report = refine_fixed_delta(get_problem("burgers_shock"), "godunov", 0.5, 0.25, 3, 0.9)
+    assert_levels_match_the_entropy_oracle(report, get_problem("burgers_shock"),
+                                           lambda _: 0.5, 0.9)
     tol = (2e-12, 2e-12, 2e-10)
     assert report.as_dict() == {
         "regime": "fixed_delta",
@@ -181,13 +206,13 @@ def test_fixed_delta_study_is_pinned():
         "levels": [
             _level(0, 0.25, 0.5, 0.225, 20, 0.059374625690227764, tol, [
                 (0.0, None), (1.1102230246251565e-16, [3]),
-                (9.020562075079397e-17, [3, 8, 0.04999999999999999])]),
+                (4.163336342344337e-17, [1, 9, 0.9999999999999999])]),
             _level(1, 0.125, 0.5, 0.1125, 40, 0.030281119172853373, tol, [
                 (0.0, None), (2.220446049250313e-16, [3]),
-                (1.5265566588595902e-16, [5, 16, 0.04999999999999999])]),
+                (1.1102230246251565e-16, [4, 17, 0.0032147694755008424])]),
             _level(2, 0.0625, 0.5, 0.05625, 80, None, tol, [
                 (0.0, None), (2.220446049250313e-16, [4]),
-                (1.6653345369377348e-16, [7, 32, 0.04999999999999999])]),
+                (1.1796119636642288e-16, [4, 36, 0.9999999999999999])]),
         ],
         "eoc": [0.9714279858223224],
         "passed": True,
@@ -198,6 +223,8 @@ def test_joint_limit_study_is_pinned():
     report = refine_joint_limit(
         get_problem("burgers_rarefaction"), "godunov", 2.0, 0.25, 3, 0.45
     )
+    assert_levels_match_the_entropy_oracle(report, get_problem("burgers_rarefaction"),
+                                           lambda h: 2.0 * h, 0.45)
     tol = (2e-12, 3e-12, 2e-10)
     assert report.as_dict() == {
         "regime": "joint_limit",
@@ -207,13 +234,13 @@ def test_joint_limit_study_is_pinned():
         "levels": [
             _level(0, 0.25, 0.5, 0.1125, 20, 0.3155413982735149, tol, [
                 (0.0, None), (2.220446049250313e-16, [1]),
-                (2.220446049250313e-16, [1, 9, 0.41249999999999987])]),
+                (1.700029006457271e-16, [5, 8, 0.5618129080237959])]),
             _level(1, 0.125, 0.25, 0.05625, 40, 0.21903534899951477, tol, [
                 (0.0, None), (2.220446049250313e-16, [3]),
-                (2.498001805406602e-16, [9, 19, 0.6875])]),
+                (1.6653345369377348e-16, [5, 18, 0.5618129080237959])]),
             _level(2, 0.0625, 0.125, 0.028125, 80, 0.14789365754249084, tol, [
                 (0.0, None), (2.220446049250313e-16, [3]),
-                (2.220446049250313e-16, [1, 39, 0.41249999999999987])]),
+                (1.6653345369377348e-16, [5, 38, 0.5618129080237959])]),
         ],
         "eoc": [0.526665577927697, 0.5666035344055691],
         "passed": True,

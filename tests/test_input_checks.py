@@ -36,6 +36,10 @@ def _scheme(mesh_ratio=0.5, final_time=0.1):
                         final_time=final_time)
 
 
+def _never_called(state):
+    raise AssertionError(f"the run made a state at t = {state.time}")
+
+
 BAD_INPUTS = {
     "grid_unknown_boundary": (lambda: GridState(0.25, 0.0, np.zeros(4), "reflecting"),
                               "unknown boundary mode 'reflecting'"),
@@ -98,6 +102,11 @@ BAD_INPUTS = {
         lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 1100, 0.9),
         r"^level 28: 9 output times x n = 21474836480 cells: 1\.546e\+12 bytes, more than the "
         r"1\.1e\+12 of physical memory$"),
+    # 8e300 steps are finite but would never end: refused before u^0 is made
+    "run_steps_past_2_53": (
+        lambda: run(_scheme(final_time=1e300), np.sin, x0=0.0, dx=0.25, n_cells=4,
+                    observer=_never_called),
+        r"^final_time / dt = 1e\+300 / 0\.125 = 8e\+300 steps, more than 2\*\*53$"),
     "run_steps_past_the_float_range": (
         lambda: run(_scheme(final_time=1e308), np.sin, x0=0.0, dx=0.25, n_cells=4),
         r"final_time / dt = 1e\+308 / 0.125 is not a finite step count"),
