@@ -7,10 +7,11 @@ time.  Validation happens at load time: the library builds the kernel and the
 flux (its errors prefixed with their config section), checks the run/check grid
 and each study level in turn (:func:`harness._levels`), checks that ``[problem] T``
 is a finite number of steps on the finest level, and checks the monotonicity
-bound on the mesh ratio over the problem's data box, so a config that parses is
-a config that runs, whatever ``[time] enforce_cfl`` says.  ``enforce_cfl =
-false`` lifts only that bound, for ``run`` and ``check``; ``study`` always
-enforces it and exits 1 when a level's mesh ratio breaks it.
+bound of :func:`solver.validate_cfl` on the mesh ratio over the problem's data
+box, on the run/check grid and on the study's first level, so a config that
+parses is a config that runs, whatever ``[time] enforce_cfl`` says.
+``enforce_cfl = false`` lifts only that bound, for ``run`` and ``check``;
+``study`` always enforces it and exits 1 when a level's mesh ratio breaks it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .harness import DEFAULT_OUTPUT_TIMES, _build_flux, _levels
-from .kernels import Kernel
+from .kernels import Kernel, compute_weights
 from .reference import Problem, get_problem
 from .solver import _full_steps, validate_cfl
 
@@ -154,11 +155,12 @@ def _positive(name: str, value: float) -> None:
 
 
 def _keyed(prefix: str, build, *args):
-    """``build(*args)``, with ``prefix`` (the config section) leading its ValueError."""
+    """``build(*args)``, with ``prefix`` (the config section or key) leading its
+    ValueError, whose type (``CflViolationError`` too) it keeps."""
     try:
         return build(*args)
     except ValueError as exc:
-        raise ValueError(f"{prefix} {exc}") from None
+        raise type(exc)(f"{prefix} {exc}") from None
 
 
 def _validate(v: dict[str, object]) -> RunConfig:
@@ -193,8 +195,14 @@ def _validate(v: dict[str, object]) -> RunConfig:
 
     cfg = RunConfig(**v)
     if cfg.enforce_cfl:
-        # reject an over-large mesh ratio now, naming the computed bound
-        validate_cfl(flux, cfg.mesh_ratio, *base.data_box)
+        # reject an over-large mesh ratio now, naming the computed bound, on the run/check
+        # grid and on study level 0.  Later levels need no check: dx sum_k W_k cannot grow
+        # as dx halves at fixed delta, and stays the same at fixed delta / dx.
+        box = base.data_box
+        key = "[flux] lf_lambda:" if flux.step_speed(*box) == math.inf else "[time] mesh_ratio:"
+        for delta in dict.fromkeys((cfg.delta, delta_of(cfg.dx))):
+            weights = compute_weights(Kernel(delta, cfg.profile), cfg.dx)
+            _keyed(key, validate_cfl, flux, weights, cfg.mesh_ratio, *box)
     return cfg
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fluxes import TwoPointFlux
 from .kernels import QuadratureWeights
-from .solver import GridState, _check_pair
+from .solver import GridState, _cfl_number, _check_pair
 
 # The audit stream works over blocks of B = max(1, _BLOCK_VALUES // (n + 2R))
 # steps (n cells, R = n_terms): about 64 KiB of u^n values per block.
@@ -373,12 +373,6 @@ def _excess(u0, u1, c):
     return np.abs(u1 - c) - np.abs(u0 - c)
 
 
-def _certified(flux: TwoPointFlux, weights: QuadratureWeights, dt, lo, hi) -> np.ndarray:
-    """Whether a step of size ``dt`` is monotone in every value of a stencil whose
-    values lie in [lo, hi]: dt sum_k W_k step_speed(lo, hi) <= 1, elementwise."""
-    return dt * weights.weights.sum() * flux.step_speed(lo, hi) <= 1.0
-
-
 def _block_steps(n_cells: int, pad: int) -> int:
     return max(1, _BLOCK_VALUES // (n_cells + 2 * pad))
 
@@ -516,7 +510,7 @@ class _CellEntropy(_Check):
         c_lo, c_hi = cs[np.maximum(below, 0)], cs[np.minimum(above, cs.size - 1)]
         has_lo, has_hi = below >= 0, above < cs.size
         if self.exact:  # a certified item's sup over every c is at one of its data sides
-            sure = _certified(flux, self.weights, dt, lo, hi)
+            sure = _cfl_number(flux, self.weights, dt, lo, hi) <= 1.0
             c_lo = np.where(sure, np.minimum(lo, u1), c_lo)
             c_hi = np.where(sure, np.maximum(hi, u1), c_hi)
             has_lo, has_hi = has_lo | sure, has_hi | sure

@@ -244,30 +244,6 @@ class TwoPointFlux:
 
     # -- bounds and validity ------------------------------------------------
 
-    def lipschitz_box_bound(self, b1: float, b2: float) -> tuple[float, float]:
-        """Upper bounds (L1, L2) for sup|dg/da| and sup|dg/db| over [b1, b2]^2.
-
-        Closed form from the exact range of f' over the box.
-        """
-        if not b1 <= b2:
-            raise ValueError(f"need b1 <= b2, got ({b1}, {b2})")
-        dmin, dmax = self.local.df_bounds(b1, b2)
-        if self.family == "lax_friedrichs":
-            half_visc = 1.0 / (2.0 * self.lf_lambda)
-            l1 = max(abs(0.5 * dmin + half_visc), abs(0.5 * dmax + half_visc))
-            l2 = max(abs(0.5 * dmin - half_visc), abs(0.5 * dmax - half_visc))
-            return l1, l2
-        # the upwind halves: dg/da in [0, max(f', 0)], dg/db in [min(f', 0), 0]
-        return float(max(0.0, dmax)), float(max(0.0, -dmin))
-
-    def monotone_on(self, b1: float, b2: float) -> bool:
-        """Whether g1 >= 0 and g2 <= 0 hold throughout [b1, b2]^2.
-
-        Godunov, Engquist-Osher, and upwind fluxes are monotone everywhere;
-        Lax-Friedrichs needs lf_lambda * max|f'| <= 1 on the box.
-        """
-        return self.family != "lax_friedrichs" or bool(self.step_speed(b1, b2) < math.inf)
-
     def step_speed(self, lo, hi):
         """The max of A' - B' over each box [lo, hi] (arrays of boxes, or floats).
 

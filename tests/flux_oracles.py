@@ -6,7 +6,9 @@ interval extremum of f over the critical points of f, the other families by
 their direct formulas.  ``reference_rate`` sums the step's flux differences
 over k in a plain loop.  ``derivative`` gives f' of each local flux and
 ``partials`` the one-sided partial derivatives of each family, both in closed
-form.  ``reference_entropy_matrix`` takes the full q-sum of the cell entropy
+form.  ``lipschitz_box_bound`` bounds those partials over a box; it gives the
+former CFL bound dt/dx <= 1 / (L1 + L2), which tests still take dt from.
+``reference_entropy_matrix`` takes the full q-sum of the cell entropy
 residual at every (c, j), with no lattice identity, and
 ``assert_entropy_matches_oracle`` pins ``check_entropy``'s report to it.  With
 the default constants the audit is exact in c on the cells where the step is
@@ -18,7 +20,7 @@ q-sum over a dense set of constants.
 import numpy as np
 
 from horizonflux import kruzhkov_constants
-from horizonflux.diagnostics import _certified
+from horizonflux.solver import _cfl_number
 
 # The audit groups the q-sum's terms otherwise than the oracle matrix does; the
 # two agree within ENTROPY_ULPS eps * (1 + max|u|).
@@ -119,6 +121,23 @@ def partials(flux, a, b):
     return g1, g2
 
 
+def lipschitz_box_bound(flux, b1, b2):
+    """Upper bounds (L1, L2) for sup|dg/da| and sup|dg/db| over [b1, b2]^2.
+
+    Closed form from the exact range of f' over the box.
+    """
+    if not b1 <= b2:
+        raise ValueError(f"need b1 <= b2, got ({b1}, {b2})")
+    dmin, dmax = flux.local.df_bounds(b1, b2)
+    if flux.family == "lax_friedrichs":
+        half_visc = 1.0 / (2.0 * flux.lf_lambda)
+        l1 = max(abs(0.5 * dmin + half_visc), abs(0.5 * dmax + half_visc))
+        l2 = max(abs(0.5 * dmin - half_visc), abs(0.5 * dmax - half_visc))
+        return l1, l2
+    # the upwind halves: dg/da in [0, max(f', 0)], dg/db in [min(f', 0), 0]
+    return float(max(0.0, dmax)), float(max(0.0, -dmin))
+
+
 def reference_entropy_matrix(state_n, state_np1, weights, flux, constants):
     """Cell entropy residuals, one row per constant c, from the full q-sum.
 
@@ -166,8 +185,8 @@ def default_entropy_oracle(trajectory, weights, flux):
     """Per step, the residual each cell must reach under ``check_entropy``'s default
     constants, the certificate and the two data sides of each cell.
 
-    On a cell where the step is certified monotone (``_certified`` on the stencil
-    box [m_j, M_j]) the sup over every c is |u^{n+1}_j - H(u^n)_j|, with H from
+    On a cell where the step is certified monotone (``_cfl_number`` <= 1 on the
+    stencil box [m_j, M_j]) the sup over every c is |u^{n+1}_j - H(u^n)_j|, with H from
     ``reference_rate``, reached at c = min(m_j, u^{n+1}_j) or max(M_j, u^{n+1}_j).
     That value is checked against the full q-sum over a dense set of constants:
     every stencil value, every u^{n+1}_j, 0 and 65 uniform points over the data
@@ -180,7 +199,7 @@ def default_entropy_oracle(trajectory, weights, flux):
     for a, b in zip(trajectory, trajectory[1:]):
         dt = b.time - a.time
         lo, hi = stencil_boxes(a, weights.n_terms)
-        sure = _certified(flux, weights, dt, lo, hi)
+        sure = _cfl_number(flux, weights, dt, lo, hi) <= 1.0
         exact = np.abs(b.values - (a.values - dt * reference_rate(a, weights, flux)))
         dense = np.unique(np.concatenate((a.values, b.values, [0.0], np.linspace(
             cs[0], cs[-1], 65))))

@@ -179,12 +179,33 @@ def test_bad_values_name_their_key(monkeypatch, old, new, message):
 
 
 def test_cfl_inconsistent_mesh_ratio_rejected_at_load():
-    # rarefaction data box [-1, 1]: L1 + L2 = 2, so 0.9 is too large
+    # rarefaction data box [-1, 1]: step_speed = 1, and r = 1 gives dx sum_k W_k = 1, so
+    # the bound is dt/dx <= 1: 0.9 runs and 1.1 does not
     text = MINIMAL.replace("name = burgers_shock", "name = burgers_rarefaction")
-    with pytest.raises(CflViolationError, match="dt/dx <= 0.5"):
+    assert parse_config_text(text).mesh_ratio == 0.9
+    text = text.replace("mesh_ratio = 0.9", "mesh_ratio = 1.1")
+    with pytest.raises(CflViolationError, match=r"^\[time\] mesh_ratio: mesh ratio 1.1 violates "
+                       r".* on data box \[-1, 1\]: .* require dt/dx <= 1$"):
         parse_config_text(text)
-    relaxed = text.replace("mesh_ratio = 0.9", "mesh_ratio = 0.9\nenforce_cfl = false")
+    relaxed = text.replace("mesh_ratio = 1.1", "mesh_ratio = 1.1\nenforce_cfl = false")
     assert parse_config_text(relaxed).enforce_cfl is False
+    lax = text.replace("family = godunov", "family = lax_friedrichs\nlf_lambda = 2.0")
+    with pytest.raises(CflViolationError, match=r"^\[flux\] lf_lambda: lax_friedrichs parameter "
+                       r"2 is not monotone on data box \[-1, 1\]"):
+        parse_config_text(lax.replace("mesh_ratio = 1.1", "mesh_ratio = 0.1"))
+
+
+def test_cfl_checked_on_the_first_study_level():
+    # the run grid has r = 16 (delta = 0.5, bound 4.73); the study's level 0 has
+    # delta = 1.5 dx, r = 1 and bound 1, and no later level has a smaller bound
+    text = (MINIMAL.replace("delta = 0.05", "delta = 0.5")
+            .replace("mesh_ratio = 0.9", "mesh_ratio = 1.1") + "\n[study]\ncoupling = 1.5\n")
+    with pytest.raises(CflViolationError, match=r"^\[time\] mesh_ratio: mesh ratio 1.1 violates "
+                       r".*: dx\*sum_k W_k=1, step_speed=1, require dt/dx <= 1$"):
+        parse_config_text(text)
+    assert parse_config_text(text.replace("coupling = 1.5", "coupling = 2.5")).coupling == 2.5
+    fixed = text.replace("coupling = 1.5", "regime = fixed_delta")
+    assert parse_config_text(fixed).mesh_ratio == 1.1
 
 
 def test_overrides_apply_before_validation():

@@ -81,7 +81,7 @@ def test_compliant_riemann_run_passes():
 
 
 def test_cfl_violation_is_detected():
-    # doubled mesh ratio: 2 / (L1 + L2) on the data box [0, 1]
+    # mesh ratio 2 on the data box [0, 1]: 1.5x the sharp bound 1 / (dx sum_k W_k) = 4/3 at r = 2
     traj = shock_trajectory(mesh_ratio=2.0)
     mp = check_max_principle(traj)
     tvd = check_tvd(traj)

@@ -34,11 +34,12 @@ from horizonflux import (
     make_local_flux,
     step,
 )
-from horizonflux.diagnostics import _certified
+from horizonflux.solver import _cfl_number
 from flux_oracles import (
     assert_entropy_matches_oracle,
     entropy_bound,
     entropy_matrices,
+    lipschitz_box_bound,
     partials,
     reference_entropy_matrix,
     reference_rate,
@@ -129,7 +130,7 @@ def test_scheme_steps_satisfy_the_entropy_inequality_at_every_constant(family, p
         lf_lambda = 1.0 / max(abs(dmin), abs(dmax)) if family == "lax_friedrichs" else None
         flux = make_flux(family, local, lf_lambda=lf_lambda)
         weights = weights_for_r(r, dx, profile)
-        dt = dx / sum(flux.lipschitz_box_bound(lo, hi))
+        dt = dx / sum(lipschitz_box_bound(flux, lo, hi))
         trajectory = [state, step(state, weights, flux, dt)]
         cs = np.unique(np.concatenate(
             [state.extended(r), [0.0], np.linspace(lo - 0.1, hi + 0.1, 257)]))
@@ -194,7 +195,7 @@ def test_planted_value_outside_a_certified_stencil_box_is_caught_exactly(shift):
     dt = after.time - before.time
     lo, hi = stencil_boxes(before, weights.n_terms)
     assert lo[cell] < hi[cell]
-    assert _certified(GODUNOV, weights, dt, lo, hi)[cell]
+    assert (_cfl_number(GODUNOV, weights, dt, lo, hi) <= 1.0)[cell]
     after.values[cell] = hi[cell] + shift if shift > 0 else lo[cell] + shift
     report = check_entropy(trajectory, weights, GODUNOV)
     h = before.values - dt * reference_rate(before, weights, GODUNOV)
@@ -320,7 +321,7 @@ def _flux_and_dt(data, family, local, lo, hi, dx):
         lf_lambda = edge * data.draw(st.sampled_from([1.0, 0.9, 0.5]), label="lf_fraction")
     flux = make_flux(family, local, lf_lambda=lf_lambda)
     ratio = data.draw(st.sampled_from([1.0, 0.9, 0.5, 0.1]), label="cfl_fraction")
-    return flux, ratio * dx / sum(flux.lipschitz_box_bound(lo, hi))
+    return flux, ratio * dx / sum(lipschitz_box_bound(flux, lo, hi))
 
 
 @given(data=st.data())
@@ -386,14 +387,14 @@ def _past_cfl_verdicts(seed, n, r, multiple, family, boundary):
     lo, hi = float(state.values.min()), float(state.values.max())
     flux = make_flux(family, make_local_flux("burgers"),
                      lf_lambda=1.0 if family == "lax_friedrichs" else None)
-    dt = multiple * dx / sum(flux.lipschitz_box_bound(lo, hi))
+    dt = multiple * dx / sum(lipschitz_box_bound(flux, lo, hi))
     weights = weights_for_r(r, dx)
     trajectory = [state, step(state, weights, flux, dt)]
     report = check_entropy(trajectory, weights, flux)
     dense = np.unique(np.concatenate((
         state.values, [0.0], trajectory[1].values, np.linspace(lo - 0.1, hi + 0.1, 1025))))
     worst = reference_entropy_matrix(*trajectory, weights, flux, dense).max(axis=0)
-    sure = _certified(flux, weights, dt, *stencil_boxes(state, r))
+    sure = _cfl_number(flux, weights, dt, *stencil_boxes(state, r)) <= 1.0
     return report.passed, worst.max() <= report.tolerance, sure[worst > report.tolerance].any()
 
 
@@ -488,7 +489,7 @@ def test_the_monotonicity_certificate_is_sound(family, profile, boundary):
                 windows = np.lib.stride_tricks.sliding_window_view(data.extended(r), 2 * r + 1)
                 for multiple in (0.5, 0.98, 1.15):
                     dt = multiple / (total * speed)
-                    sure = _certified(flux, weights, dt, m, big_m)
+                    sure = _cfl_number(flux, weights, dt, m, big_m) <= 1.0
                     label = (r, flux, data is spike, past_edge, multiple)
                     assert sure.all() == (multiple < 1.0 and past_edge == 1.0), label
                     box_lo, box_hi = m[sure, None], big_m[sure, None]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horizonflux import FLUX_FAMILIES, make_flux, make_local_flux
-from flux_oracles import derivative, partials
+from flux_oracles import derivative, lipschitz_box_bound, partials
 
 UNIT = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -206,7 +206,7 @@ def test_entropy_flux_consistent_with_kruzhkov_form(u, c):
 def test_entropy_flux_lipschitz_in_both_arguments():
     rng = np.random.default_rng(23)
     for flux in all_fluxes("burgers"):
-        l1, l2 = flux.lipschitz_box_bound(-1.0, 1.0)
+        l1, l2 = lipschitz_box_bound(flux, -1.0, 1.0)
         a, b, a2, b2, c = rng.uniform(-1, 1, (5, 2000))
         lhs = np.abs(flux.q(a, b, c) - flux.q(a2, b2, c))
         rhs = l1 * np.abs(a - a2) + l2 * np.abs(b - b2)
@@ -249,7 +249,7 @@ def test_partials_have_monotone_signs():
         assert np.all(np.asarray(g2) <= 1e-12)
 
 
-# -- Lipschitz box bounds -----------------------------------------------------------
+# -- Lipschitz box bounds (the oracle) ----------------------------------------------
 
 
 def test_box_bound_dominates_sampled_partials():
@@ -257,7 +257,7 @@ def test_box_bound_dominates_sampled_partials():
     for local_name in ("burgers", "cubic", "linear_advection"):
         for flux in all_fluxes(local_name, speed=-1.2):
             lo, hi = np.sort(rng.uniform(-2, 2, 2))
-            l1, l2 = flux.lipschitz_box_bound(lo, hi)
+            l1, l2 = lipschitz_box_bound(flux, lo, hi)
             u = np.linspace(lo, hi, 101)
             aa, bb = np.meshgrid(u, u, indexing="ij")
             g1, g2 = partials(flux, aa, bb)
@@ -267,27 +267,27 @@ def test_box_bound_dominates_sampled_partials():
 
 def test_box_bound_examples():
     god = make_flux("godunov", make_local_flux("burgers"))
-    l1, l2 = god.lipschitz_box_bound(-1.0, 1.0)
+    l1, l2 = lipschitz_box_bound(god, -1.0, 1.0)
     assert l1 <= 1.05 and l2 <= 1.05
 
     up = make_flux("upwind_linear", make_local_flux("linear_advection", speed=2.0))
-    assert up.lipschitz_box_bound(-9.0, 9.0) == (2.0, 0.0)
+    assert lipschitz_box_bound(up, -9.0, 9.0) == (2.0, 0.0)
 
     lf = make_flux("lax_friedrichs", make_local_flux("burgers"), lf_lambda=1.0)
-    assert lf.lipschitz_box_bound(-1.0, 1.0) == (1.0, 1.0)
+    assert lipschitz_box_bound(lf, -1.0, 1.0) == (1.0, 1.0)
 
 
 def test_box_bound_rejects_inverted_box():
     god = make_flux("godunov", make_local_flux("burgers"))
     with pytest.raises(ValueError):
-        god.lipschitz_box_bound(1.0, -1.0)
+        lipschitz_box_bound(god, 1.0, -1.0)
 
 
-def test_monotone_on_flags_bad_lax_friedrichs():
+def test_step_speed_flags_bad_lax_friedrichs():
     lf = make_flux("lax_friedrichs", make_local_flux("burgers"), lf_lambda=1.0)
-    assert lf.monotone_on(-1.0, 1.0)
-    assert not lf.monotone_on(-3.0, 3.0)
-    assert make_flux("godunov", make_local_flux("burgers")).monotone_on(-9.0, 9.0)
+    assert lf.step_speed(-1.0, 1.0) == 1.0
+    assert lf.step_speed(-3.0, 3.0) == np.inf
+    assert make_flux("godunov", make_local_flux("burgers")).step_speed(-9.0, 9.0) == 9.0
 
 
 # -- the stencil sum's zero halves ------------------------------------------------

@@ -70,12 +70,14 @@ BAD_INPUTS = {
     "conservative_step_inf_dt": (
         lambda: step_conservative_form(STATE, weights_for_r(1, 0.25), GODUNOV, np.inf),
         "dt must be positive and finite, got inf"),
-    "cfl_nan_mesh_ratio": (lambda: validate_cfl(GODUNOV, np.nan, 0.0, 1.0),
-                           "mesh ratio nan violates"),
-    "cfl_nan_box": (lambda: validate_cfl(GODUNOV, 0.9, np.nan, 1.0),
-                    r"need b1 <= b2, got \(nan, 1.0\)"),
-    "bound_nan_box": (lambda: GODUNOV.lipschitz_box_bound(np.nan, 1.0),
-                      r"need b1 <= b2, got \(nan, 1.0\)"),
+    "cfl_nan_mesh_ratio": (
+        lambda: validate_cfl(GODUNOV, weights_for_r(1, 0.25), np.nan, 0.0, 1.0),
+        "mesh ratio nan violates"),
+    "cfl_nan_box": (lambda: validate_cfl(GODUNOV, weights_for_r(1, 0.25), 0.9, np.nan, 1.0),
+                    r"data box \[nan, 1\] needs box_lo <= box_hi"),
+    "cfl_inverted_box": (
+        lambda: validate_cfl(GODUNOV, weights_for_r(1, 0.25), 0.9, 1.0, 0.0),
+        r"data box \[1, 0\] needs box_lo <= box_hi"),
     "weights_zero_dx": (lambda: compute_weights(Kernel(0.5), 0.0), "dx must be positive"),
     # compared with physical memory before the r + 1 edges are allocated
     "weights_past_physical_memory": (

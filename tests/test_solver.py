@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,8 +15,10 @@ from horizonflux import (
     RiemannData,
     SchemeConfig,
     TwoPointFlux,
+    audit_stream,
     cell_average_init,
     compute_weights,
+    get_problem,
     make_flux,
     make_local_flux,
     run,
@@ -24,7 +27,8 @@ from horizonflux import (
     validate_cfl,
     wide_numerical_flux,
 )
-from flux_oracles import entropy_bound, reference_rate
+from horizonflux.solver import _cfl_number
+from flux_oracles import entropy_bound, lipschitz_box_bound, reference_rate
 from testutil import (every_flux, random_state, random_step_profile, reconstruct,
                       weights_for_r)
 
@@ -471,12 +475,89 @@ def test_godunov_transonic_test_on_one_signed_and_mixed_data(reach):
 
 
 def test_validate_cfl_names_the_bound():
-    with pytest.raises(CflViolationError, match="dt/dx <= 0.5"):
-        validate_cfl(GODUNOV, 0.8, -1.0, 1.0)
-    validate_cfl(GODUNOV, 0.45, -1.0, 1.0)
+    # r = 2 at delta = 2.5 dx: dx sum_k W_k = 0.4 + 0.6 / 2 = 0.7, step_speed = 1 on [-1, 1]
+    weights = weights_for_r(2, 1 / 64)
+    with pytest.raises(CflViolationError, match=r"^mesh ratio 1.5 violates .*: dx\*sum_k "
+                       r"W_k=0.7, step_speed=1, require dt/dx <= 1.42857$"):
+        validate_cfl(GODUNOV, weights, 1.5, -1.0, 1.0)
+    validate_cfl(GODUNOV, weights, 1.42, -1.0, 1.0)
     lf = make_flux("lax_friedrichs", make_local_flux("burgers"), lf_lambda=2.0)
     with pytest.raises(CflViolationError, match="lf_lambda"):
-        validate_cfl(lf, 0.1, -1.0, 1.0)
+        validate_cfl(lf, weights, 0.1, -1.0, 1.0)
+
+
+def test_the_sharp_bound_admits_every_mesh_ratio_the_lipschitz_bound_did():
+    """The former bound dt/dx <= 1 / (L1 + L2) is never above the sharp one,
+    1 / (dx sum_k W_k step_speed): dx sum_k W_k <= 1 and step_speed <= L1 + L2.
+    Lax-Friedrichs past its monotonicity edge was refused and still is.  And
+    dx sum_k W_k, which sets the sharp bound, does not grow as dx halves at fixed
+    delta and stays put at fixed delta / dx, so the first level of a study has the
+    smallest bound of its ladder."""
+    rng = np.random.default_rng(2027)
+    boxes = [np.sort(sign * rng.uniform(0.0, 1.5, 2)) for sign in (1, -1) for _ in range(3)]
+    boxes += [np.array([-rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5)]) for _ in range(3)]
+    for profile in PROFILE_NAMES:
+        for r in (0, 1, 4, 16, 64, 256):
+            weights = weights_for_r(r, 1 / 64, profile)
+            for (lo, hi), base in itertools.product(boxes, every_flux()):
+                fluxes = [base]
+                if base.family == "lax_friedrichs":  # at and past its monotonicity edge
+                    edge = 1.0 / max(np.abs(base.local.df_bounds(lo, hi)))
+                    fluxes = [make_flux(base.family, base.local, edge * past) for past in (1, 1.1)]
+                for flux in fluxes:
+                    if flux.step_speed(lo, hi) == np.inf:
+                        with pytest.raises(CflViolationError, match="lf_lambda"):
+                            validate_cfl(flux, weights, 1e-9, lo, hi)
+                        continue
+                    total = sum(lipschitz_box_bound(flux, lo, hi))
+                    number = _cfl_number(flux, weights, weights.dx, lo, hi)  # at dt/dx = 1
+                    assert number <= total * (1.0 + 1e-15), (profile, r, lo, hi, flux)
+                    if total > 0.0:
+                        validate_cfl(flux, weights, 1.0 / total, lo, hi)
+
+    def dx_sum(dx, delta, profile):
+        return dx * compute_weights(Kernel(delta, profile), dx).weights.sum()
+
+    for profile in PROFILE_NAMES:
+        for _ in range(50):
+            dx0, ratio = 2.0 ** -int(rng.integers(3, 8)), rng.uniform(0.2, 40.0)
+            dxs = [dx0 / 2**m for m in range(6)]
+            fixed_delta = [dx_sum(dx, ratio * dx0, profile) for dx in dxs]
+            assert all(b <= a + 1e-15 for a, b in zip(fixed_delta, fixed_delta[1:])), fixed_delta
+            fixed_ratio = [dx_sum(dx, ratio * dx, profile) for dx in dxs]
+            assert len(set(fixed_ratio)) == 1, fixed_ratio
+
+
+@pytest.mark.parametrize("r", [2, 25])
+def test_mesh_ratios_up_to_the_sharp_bound_run_certified(r):
+    """burgers_shock, Godunov, delta = (r + 1/2) dx, dx = 1/256: on the data box
+    [0, 1] the sharp bound is 1 / (dx sum_k W_k), 1.429 at r = 2 and 6.648 at
+    r = 25, against 1 for the former bound 1 / (L1 + L2).  At 0.98x the sharp
+    bound a run passes every streamed audit and every active item takes the
+    audit's exact path; at 1.15x ``run`` refuses it, naming the bound, and
+    with the check off the run fails every audit."""
+    problem = get_problem("burgers_shock")
+    dx = 1 / 256
+    kernel = Kernel((r + 0.5) * dx)
+    weights = compute_weights(kernel, dx)
+    sharp = 1.0 / (dx * weights.weights.sum())
+    assert sharp == pytest.approx({2: 1.429, 25: 6.648}[r], abs=5e-4)
+    a, b = problem.domain
+    grid = dict(x0=a, dx=dx, n_cells=round((b - a) / dx), boundary=problem.boundary)
+    for multiple in (0.98, 1.15):
+        config = SchemeConfig(kernel, GODUNOV, multiple * sharp, problem.final_time)
+        if multiple > 1.0:
+            with pytest.raises(CflViolationError, match=f"require dt/dx <= {sharp:g}$"):
+                run(config, problem.u0, **grid)
+        audit = audit_stream(weights, GODUNOV)
+        run(config, problem.u0, **grid, enforce_cfl=multiple < 1.0, observer=audit)
+        reports, counts = audit.finish(), audit.counts
+        if multiple < 1.0:
+            assert all(rep.passed for rep in reports), reports
+            assert counts["straddle_residuals"] == 0
+            assert counts["side_residuals"] == 2 * counts["certified_items"] > 0
+        else:
+            assert not any(rep.passed for rep in reports), reports
 
 
 # -- run orchestration ------------------------------------------------------------
