@@ -451,7 +451,7 @@ def check_entropy(
     (non-flat stencils only) and for the triples' q-sums (one copy of the rows
     per constant): the stencil values each reads, gathered into one array and
     read at the stencils' starts after one :meth:`TwoPointFlux.stencil_sum`
-    (two correlations of split halves as in ``step``, or the k-loop for
+    (two correlations of split halves as in ``step``, or blocks of shifts for
     Godunov with a transonic pair in reach).  The residuals at the side
     constants and at the triples form one candidate array, whose maximum is
     folded into the running one.  ``AuditStream.counts`` tallies this work.

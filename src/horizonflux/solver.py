@@ -9,13 +9,14 @@ computes the same update through a wide numerical flux (a telescoped double
 sum), which certifies discrete conservation and is used as a cross-check.
 
 ``step`` takes the sum over k as two correlations whenever g(a, b) splits as
-A(a) + B(b) on the stencils (one when a half is exactly 0), and as a
-left-to-right loop over k otherwise (see
+A(a) + B(b) on the stencils (one when a half is exactly 0), and otherwise in
+blocks of shifts, two matrix-vector products per block (see
 :meth:`~horizonflux.fluxes.TwoPointFlux.stencil_sum`).  It sums only the cells
 whose stencil reaches a change between neighbouring values; a flat stencil
-sums to exactly 0, so every other cell keeps its value, bit for bit.  Either
-order is fixed by the data alone, so on one machine and numpy build runs are
-bit-reproducible regardless of how callers parallelize independent runs.
+sums to exactly 0, so every other cell keeps its value, bit for bit.  On either
+path a cell's bits depend on its stencil alone, so on one machine and numpy
+build runs are bit-reproducible regardless of how callers parallelize
+independent runs.
 """
 
 from __future__ import annotations
@@ -250,8 +251,9 @@ def step(
     stencils (always but for Godunov with a transonic pair within R cells, see
     :meth:`TwoPointFlux.additive_halves`), the flux sum is two correlations
     with R weights, one when a half is exactly 0: O(n_cells * R) arithmetic in
-    a fixed number of numpy calls.  Otherwise it takes R elementwise passes
-    over the cells.  Both are :meth:`TwoPointFlux.stencil_sum`.
+    a fixed number of numpy calls.  Otherwise it is summed in blocks of 16
+    shifts over chunks of up to 4096 cells, two matrix-vector products per
+    block.  Both are :meth:`TwoPointFlux.stencil_sum`.
     """
     _check_pair(state, weights)
     if not 0.0 < dt < math.inf:

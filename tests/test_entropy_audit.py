@@ -98,8 +98,8 @@ def test_check_entropy_matches_the_full_matrix_oracle(r, boundary):
 @pytest.mark.parametrize("boundary", BOUNDARY_MODES)
 def test_check_entropy_matches_the_full_matrix_oracle_at_r_256(boundary):
     """The widest horizon the bench steps: a stencil spans ten grids, and both
-    steps share one block.  Godunov over Burgers keeps the k-loop on transonic
-    data, Engquist-Osher takes the correlations."""
+    steps share one block.  Godunov over Burgers sums transonic data in blocks
+    of shifts, Engquist-Osher takes the correlations."""
     burgers = make_local_flux("burgers")
     fluxes = [GODUNOV, make_flux("engquist_osher", burgers)]
     assert_audits_match_the_oracle(256, boundary, ["quadratic"], fluxes)

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horizonflux import FLUX_FAMILIES, make_flux, make_local_flux
+from horizonflux import (FLUX_FAMILIES, GridState, Kernel, compute_weights, make_flux,
+                         make_local_flux, step)
+from horizonflux.fluxes import _CELLS
 from flux_oracles import derivative, lipschitz_box_bound, partials
 
 UNIT = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -366,3 +374,81 @@ def test_stencil_sum_skips_only_a_half_known_to_be_zero(family, nan, calls, monk
         assert len(count) == calls
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isnan(want).any() == nan
+
+
+# -- the transonic sum's blocks of shifts ---------------------------------------------
+
+GODUNOV = make_flux("godunov", make_local_flux("burgers"))
+
+
+def _transonic_row(rng, size):
+    """Burgers data of alternating sign: every two neighbours form a transonic
+    pair, so every row of three or more values takes Godunov's max path."""
+    return np.where(np.arange(size) % 2 == 0, 1.0, -1.0) * rng.uniform(0.1, 1.0, size)
+
+
+@pytest.mark.parametrize("r", [1, 5, 37])
+def test_transonic_sum_bits_do_not_depend_on_where_the_row_starts(r):
+    """Each cell's sum is the same bits at every sub-row offset 0..31 and at output
+    counts that are not multiples of 16, on a row longer than one chunk of cells
+    (r = 37 is two full blocks of shifts and a short one)."""
+    rng = np.random.default_rng(60 + r)
+    w = rng.uniform(0.1, 1.0, r)
+    n = _CELLS + 45
+    ext = _transonic_row(rng, n + 2 * r + 31)
+    assert GODUNOV.additive_halves(ext, r)[2] is np.maximum
+    full = GODUNOV.stencil_sum(ext, w)
+    for offset in range(32):
+        for count in (1, 17, 100, n - 31):
+            got = GODUNOV.stencil_sum(ext[offset : offset + count + 2 * r], w)
+            want = full[offset : offset + count]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (offset, count)
+
+
+_HASH_SUMS = """
+import hashlib, sys
+import numpy as np
+from horizonflux import make_flux, make_local_flux
+flux = make_flux("godunov", make_local_flux("burgers"))
+rng = np.random.default_rng(int(sys.argv[1]))
+sums = [flux.stencil_sum(np.where(np.arange(n + 128) % 2 == 0, 1.0, -1.0)
+                         * rng.uniform(0.1, 1.0, n + 128), rng.uniform(0.1, 1.0, 64))
+        for n in (int(m) for m in sys.argv[2:])]
+print(hashlib.sha256(b"".join(s.tobytes() for s in sums)).hexdigest())
+"""
+
+
+def test_transonic_sum_bits_do_not_depend_on_the_blas_thread_count():
+    """The same sums hash alike in processes with one and with two BLAS threads.
+    A product holds at most 16 x 4096 values: OpenBLAS 0.3.31 on x86-64 was seen
+    to split a matrix-vector product between threads, and change the bits of an
+    unpadded count, only from 262,144 to 524,288 values up."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    hashes = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-c", _HASH_SUMS, "70", "1001", "1002", str(_CELLS + 45)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        hashes.add(result.stdout.strip())
+    assert len(hashes) == 1, hashes
+
+
+def test_transonic_step_scratch_does_not_grow_with_the_row():
+    """One transonic ``step`` at n = 2**17, R = 64 peaks below 8 arrays of its
+    n + 2R extended values: the blocks' scratch is a fixed number of values,
+    not shifts x cells (a 16 x n buffer alone is 16 such arrays)."""
+    n, r = 2**17, 64
+    dx = 1.0 / n
+    state = GridState(dx=dx, x0=0.0, values=_transonic_row(np.random.default_rng(80), n))
+    weights = compute_weights(Kernel(delta=r * dx), dx)
+    assert GODUNOV.additive_halves(state.extended(r), r)[2] is np.maximum
+    tracemalloc.start()
+    try:
+        step(state, weights, GODUNOV, 0.1 * dx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * (n + 2 * r), peak

@@ -153,7 +153,8 @@ def test_workers_do_not_change_results():
 # each side of a stencil's range plus the straddling ones (pinned to the full
 # matrix oracle in test_entropy_audit.py).  The measures, eoc, TV and entropy
 # round-off maxima were re-recorded again when ``step`` began summing split
-# fluxes as two correlations (pinned to the k-loop oracle in test_solver.py).
+# fluxes as two correlations (pinned to the oracle's loop over k in
+# test_solver.py).
 
 
 def _level(level, dx, delta, dt, n_cells, measure, tol, audits):

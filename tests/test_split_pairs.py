@@ -4,8 +4,9 @@ Godunov, Engquist-Osher and upwind must agree bit for bit with their
 reference forms, on g itself and on the wide numerical flux.  Lax-Friedrichs
 groups its terms differently from its reference form, so it agrees to a
 pinned round-off bound.  ``step`` and the entropy audit read no pair
-evaluator: they sum the split halves themselves.  Both paths of ``step`` are
-pinned to the k-loop oracle in test_solver.py, and the audit is pinned here to
+evaluator: they sum the split halves themselves.  Both paths of ``step`` (two
+correlations, or blocks of shifts on Godunov's transonic stencils) are pinned
+to the oracle's loop over k in test_solver.py, and the audit is pinned here to
 the full entropy matrix built on the reference g.
 """
 
