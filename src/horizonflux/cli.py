@@ -160,7 +160,10 @@ def _float_flag(args, flag: str) -> float:
 
 def _cmd_weights(args) -> int:
     delta, dx = _float_flag(args, "delta"), _float_flag(args, "dx")
-    kernel = Kernel(delta=delta, profile=args.profile)
+    try:
+        kernel = Kernel(delta=delta, profile=args.profile)
+    except ValueError as exc:
+        raise ValueError(f"--delta {args.delta} / --profile {args.profile}: {exc}") from None
     try:
         weights = compute_weights(kernel, dx)
     except ValueError as exc:

@@ -87,14 +87,9 @@ def _convert(section: str, key: str, kind: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return raw
-    except ValueError:
+    except (KeyError, ValueError):
         raise ValueError(
             f"config key [{section}] {key} expects a {kind}, got {raw!r}"
         ) from None

@@ -379,13 +379,16 @@ def _block_steps(n_cells: int, pad: int) -> int:
 
 def _stencil_sums(flux: TwoPointFlux, rows: np.ndarray, keys: np.ndarray, w: np.ndarray,
                   cs=None) -> tuple[np.ndarray, int]:
-    """The stencil sums at the sorted ``keys`` and how many values they read.
+    """The stencil sums of g, or with ``cs`` of q, at the sorted ``keys`` and how
+    many values they read.
 
     Stencil k reads positions k..k+2R, where position p holds rows[p % rows.size],
-    and with ``cs`` it takes the constant cs[k // rows.size] (each stencil lies in
-    one copy of the rows).  Each stencil gathers its positions up to the next
-    one's start, at most its 2R + 1, so one :meth:`TwoPointFlux.stencil_sum` over
-    the gathered values reads every stencil whole and no position twice.
+    and with ``cs`` it takes the constant c = cs[k // rows.size] (each stencil lies
+    in one copy of the rows).  Each stencil gathers its positions up to the next
+    one's start, at most its 2R + 1, into the values v, so one
+    :meth:`TwoPointFlux.stencil_sum` over v reads every stencil whole and no
+    position twice.  As q(a, b; c) = g(a ∨ c, b ∨ c) - g(a ∧ c, b ∧ c) defines
+    them, the q-sums are the g-sum over v ∨ c less the g-sum over v ∧ c.
     """
     if keys.size == 0:
         return np.empty(0), 0
@@ -394,8 +397,12 @@ def _stencil_sums(flux: TwoPointFlux, rows: np.ndarray, keys: np.ndarray, w: np.
     np.minimum(keys[1:] - keys[:-1], width, out=length[:-1])
     start = np.cumsum(length) - length  # where each stencil starts among the positions
     pos = np.repeat(keys - start, length) + np.arange(start[-1] + width)
-    c = None if cs is None else np.repeat(cs[keys // rows.size], length)
-    return flux.stencil_sum(rows.take(pos, mode="wrap"), w, c)[start], pos.size
+    v = rows.take(pos, mode="wrap")
+    if cs is None:
+        return flux.stencil_sum(v, w)[start], pos.size
+    c = np.repeat(cs[keys // rows.size], length)
+    hi, lo = flux.stencil_sum(np.maximum(v, c), w), flux.stencil_sum(np.minimum(v, c), w)
+    return hi[start] - lo[start], pos.size
 
 
 def check_entropy(
@@ -450,14 +457,16 @@ def check_entropy(
     and straddling (item, constant) triples; then one gathered-sum path for S_j
     (non-flat stencils only) and for the triples' q-sums (one copy of the rows
     per constant): the stencil values each reads, gathered into one array and
-    read at the stencils' starts after one :meth:`TwoPointFlux.stencil_sum`
-    (two correlations of split halves as in ``step``, or blocks of shifts for
-    Godunov with a transonic pair in reach).  The residuals at the side
-    constants and at the triples form one candidate array, whose maximum is
-    folded into the running one.  ``AuditStream.counts`` tallies this work.
-    In floating point the reduction may miss the full matrix's maximum by
-    round-off.  Ties go to the earliest step, then the lowest cell, then the
-    smallest c probed there; a later block must be strictly worse.
+    read at the stencils' starts after :meth:`TwoPointFlux.stencil_sum` of g,
+    the sum that ``step`` takes.  S_j takes one such sum of the gathered values;
+    each q-sum is, as q is defined, the sum over the values clipped from
+    below at the stencil's constant less the sum over them clipped from
+    above.  The residuals at the side constants and at the triples form one
+    candidate array, whose maximum is folded into the running one.
+    ``AuditStream.counts`` tallies this work.  In floating point the reduction
+    may miss the full matrix's maximum by round-off.  Ties go to the earliest
+    step, then the lowest cell, then the smallest c probed there; a later
+    block must be strictly worse.
     """
     cs = None if constants is None else _as_constants(constants)
     audit = AuditStream(lambda u0: [_CellEntropy(u0, weights, flux, cs)], weights.n_terms)

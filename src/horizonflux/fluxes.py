@@ -157,11 +157,13 @@ class TwoPointFlux:
 
         return ev
 
-    def additive_halves(self, values: np.ndarray, reach: int):
-        """(A(values), B(values), op), op = np.add if g(a, b) = A(a) + B(b) holds
-        exactly on every pair values[i], values[j] with i < j <= i + reach, else ⊕.
+    def _halves(self, values: np.ndarray, reach: int):
+        """(A(values), B(values), op, zero_a, zero_b): op = np.add if
+        g(a, b) = A(a) + B(b) holds exactly on every pair values[i], values[j]
+        with i < j <= i + reach, else ⊕, and zero_a, zero_b say whether the
+        transonic test found that half exactly 0 (no positive entry, no NaN).
 
-        Always so when ⊕ is +.  When ⊕ is max (Godunov over a flux whose single
+        op is always + when ⊕ is +.  When ⊕ is max (Godunov over a flux whose single
         minimum is at 0) both halves are >= 0, and positive on opposite sides
         of 0, so max(A, B) = A + B wherever one of them is 0: only a transonic
         pair within reach, A_i > 0 and B_j > 0, needs the max.  The nearest
@@ -169,11 +171,6 @@ class TwoPointFlux:
         entry of a run of positive B, so only run ends and run starts are
         compared, and none when one half has no positive entry (one-signed data).
         """
-        return self._halves(values, reach)[:3]
-
-    def _halves(self, values: np.ndarray, reach: int):
-        """:meth:`additive_halves` and, for A and for B, whether the transonic test
-        found that half exactly 0: no positive entry, and no NaN either."""
         left, right, op = self._split()
         a, b = left(values), right(values)
         if op is np.add:
@@ -188,36 +185,25 @@ class TwoPointFlux:
         has = nxt < starts.size
         return a, b, op if (starts[nxt[has]] - ends[has] <= reach).any() else np.add, False, False
 
-    def stencil_sum(self, ext: np.ndarray, w: np.ndarray, c=None) -> np.ndarray:
-        """sum_k w_k [p(u_j, u_{j+k}) - p(u_{j-k}, u_j)] over the cells of the 1-D
+    def stencil_sum(self, ext: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_k w_k [g(u_j, u_{j+k}) - g(u_{j-k}, u_j)] over the cells of the 1-D
         ``ext``, whose R = w.size entries at each end are ghosts.
 
-        p is g, or with ``c`` (a scalar or one per entry of ``ext``) the entropy
-        flux q(·, ·; c) of :meth:`q`.  Where :meth:`additive_halves` finds
-        g = A + B on every pair within R (for q, on ext v c and on ext ^ c, so
-        that q(a, b; c) = α(a) + β(b) with α = A(ext v c) - A(ext ^ c) and
-        β = B(ext v c) - B(ext ^ c)), the sum is two correlations: with
-        dA_i = A_{i+1} - A_i and tail sums T_l = sum_{k>l} w_k it is
-        sum_{l<R} T_l (dB_{j+l} + dA_{j-l-1}), so a flat stencil gives exactly 0.
-        A half that Godunov's transonic test found exactly 0 (B on data >= 0, A
-        on data <= 0; for q, on both ext v c and ext ^ c) correlates to +0.0
+        Where :meth:`_halves` finds g = A + B on every pair within R, the sum is
+        two correlations: with dA_i = A_{i+1} - A_i and tail sums
+        T_l = sum_{k>l} w_k it is sum_{l<R} T_l (dB_{j+l} + dA_{j-l-1}), so a
+        flat stencil gives exactly 0.  A half that Godunov's transonic test found
+        exactly 0 (B on data >= 0, A on data <= 0) correlates to +0.0
         everywhere, so its correlation is not taken.  Otherwise the sum is
-        :func:`_shift_sum` of the halves (for q, over ext v c minus over ext ^ c),
-        whose bits for a cell depend on its stencil alone.
+        :func:`_shift_sum` of the halves, whose bits for a cell depend on its
+        stencil alone.  The entropy flux q(·, ·; c) is a difference of two such
+        sums, over ext ∨ c and over ext ∧ c (see :meth:`q`).
         """
         pad = w.size
         n = ext.size - 2 * pad
-        if c is None:
-            a, b, op, zero_a, zero_b = self._halves(ext, pad)
-            if op is not np.add:
-                return _shift_sum(a, b, op, w)
-        else:
-            a_hi, b_hi, op_hi, zero_a, zero_b = self._halves(np.maximum(ext, c), pad)
-            a_lo, b_lo, op_lo, lo_zero_a, lo_zero_b = self._halves(np.minimum(ext, c), pad)
-            if op_hi is not np.add or op_lo is not np.add:
-                return _shift_sum(a_hi, b_hi, op_hi, w) - _shift_sum(a_lo, b_lo, op_lo, w)
-            zero_a, zero_b = zero_a and lo_zero_a, zero_b and lo_zero_b
-            a, b = a_hi - a_lo, b_hi - b_lo
+        a, b, op, zero_a, zero_b = self._halves(ext, pad)
+        if op is not np.add:
+            return _shift_sum(a, b, op, w)
         if zero_a and zero_b:
             return np.zeros(n)
         tail, m = w[::-1].cumsum()[::-1], n + pad

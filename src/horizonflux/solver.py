@@ -248,12 +248,12 @@ def step(
     change + 2R; every other cell keeps u^n, which is u^n - dt * 0.  A
     transonic pair lies inside that span, so the sub-row takes the same path
     as the whole row.  When g(a, b) = A(a) + B(b) holds on every pair of the
-    stencils (always but for Godunov with a transonic pair within R cells, see
-    :meth:`TwoPointFlux.additive_halves`), the flux sum is two correlations
-    with R weights, one when a half is exactly 0: O(n_cells * R) arithmetic in
-    a fixed number of numpy calls.  Otherwise it is summed in blocks of 16
-    shifts over chunks of up to 4096 cells, two matrix-vector products per
-    block.  Both are :meth:`TwoPointFlux.stencil_sum`.
+    stencils (always but for Godunov with a transonic pair within R cells),
+    the flux sum is two correlations with R weights, one when a half is
+    exactly 0: O(n_cells * R) arithmetic in a fixed number of numpy calls.
+    Otherwise it is summed in blocks of 16 shifts over chunks of up to 4096
+    cells, two matrix-vector products per block.  Both are
+    :meth:`TwoPointFlux.stencil_sum`.
     """
     _check_pair(state, weights)
     if not 0.0 < dt < math.inf:

@@ -146,7 +146,8 @@ RUN_KEYS = r"\[grid\] dx / \[kernel\] delta / \[study\] output_times: level 0: "
     # the flux is built at load whether or not the CFL bound is enforced
     (MINIMAL, RELAXED.replace("family = godunov", "family = upwind_linear"),
      r"\[flux\] upwind_linear requires the linear_advection local flux"),
-    (TIME, TIME + "\nenforce_cfl = maybe", r"\[time\] enforce_cfl expects a bool, got 'maybe'"),
+    (TIME, TIME + "\nenforce_cfl = maybe",
+     r"^config key \[time\] enforce_cfl expects a bool, got 'maybe'$"),
     (PROBLEM, PROBLEM + "\nT = -1", r"\[problem\] T must be nonnegative, got -1.0"),
     (TIME, TIME + "\n\n[study]\nlevels = 1", r"\[study\] levels must be at least 2, got 1"),
     (TIME, TIME + "\n\n[study]\noutput_times = 1",
@@ -176,6 +177,16 @@ def test_bad_values_name_their_key(monkeypatch, old, new, message):
     fix_memory(monkeypatch)
     with pytest.raises(ValueError, match=message):
         parse_config_text(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize("spelling, value", [
+    ("true", True), ("yes", True), ("on", True), ("1", True),
+    ("false", False), ("no", False), ("off", False), ("0", False),
+])
+def test_every_bool_spelling_parses_alike_in_either_case(spelling, value):
+    for raw in (spelling, spelling.upper()):
+        text = MINIMAL.replace(TIME, f"{TIME}\nenforce_cfl = {raw}")
+        assert parse_config_text(text).enforce_cfl is value, raw
 
 
 def test_cfl_inconsistent_mesh_ratio_rejected_at_load():
@@ -398,6 +409,19 @@ def test_cli_usage_error_exits_1(tmp_path):
 def test_weights_names_a_flag_that_is_not_a_number(flag, argv, capsys):
     assert main(["weights", *argv]) == 1
     assert f"{flag} expects a float, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--delta", "-1"], "--delta -1 / --profile uniform: horizon delta must be positive "
+     "and finite, got -1.0"),
+    (["--delta", "nan"], "--delta nan / --profile uniform: horizon delta must be positive "
+     "and finite, got nan"),
+    (["--delta", "0.1", "--profile", "foo"], "--delta 0.1 / --profile foo: unknown kernel "
+     "profile 'foo'; valid profiles: quadratic, triangular, uniform"),
+], ids=["negative-delta", "nan-delta", "unknown-profile"])
+def test_weights_names_the_flag_behind_a_bad_kernel(argv, message, capsys):
+    assert main(["weights", *argv, "--dx", "0.05"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -206,8 +206,8 @@ def test_planted_value_outside_a_certified_stencil_box_is_caught_exactly(shift):
 
 
 def test_audit_takes_the_q_sum_only_on_the_straddle_block(monkeypatch):
-    """The audit's pair work, R pairs per value it hands to ``_halves`` (the body
-    of ``additive_halves``), against the oracle's pair evaluations."""
+    """The audit's pair work, R pairs per value it hands to ``_halves``, against
+    the oracle's pair evaluations."""
     trajectory, weights = shock_run(n=256, r=8, steps=1, boundary="periodic")
     constants = kruzhkov_constants(trajectory[0])
     largest = constants.size * (256 + 2 * weights.n_terms)

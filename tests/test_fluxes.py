@@ -301,19 +301,13 @@ def test_step_speed_flags_bad_lax_friedrichs():
 # -- the stencil sum's zero halves ------------------------------------------------
 
 
-def _two_correlations(flux, ext, w, c=None):
-    """sum_k w_k [p(u_j, u_{j+k}) - p(u_{j-k}, u_j)] as the correlations of both
+def _two_correlations(flux, ext, w):
+    """sum_k w_k [g(u_j, u_{j+k}) - g(u_{j-k}, u_j)] as the correlations of both
     split halves, whatever their values (additive data only)."""
     pad = w.size
     n = ext.size - 2 * pad
-    if c is None:
-        a, b, op = flux.additive_halves(ext, pad)
-        assert op is np.add
-    else:
-        a_hi, b_hi, op_hi = flux.additive_halves(np.maximum(ext, c), pad)
-        a_lo, b_lo, op_lo = flux.additive_halves(np.minimum(ext, c), pad)
-        assert op_hi is np.add and op_lo is np.add
-        a, b = a_hi - a_lo, b_hi - b_lo
+    a, b, op = flux._halves(ext, pad)[:3]
+    assert op is np.add
     tail = w[::-1].cumsum()[::-1]
     return (np.correlate(b[pad + 1:] - b[pad:-1], tail, "valid")
             + np.correlate(a[1:n + pad] - a[:n + pad - 1], tail[::-1], "valid"))
@@ -330,11 +324,12 @@ def _one_signed_rows(rng, size):
 @pytest.mark.parametrize("family", ["godunov", "engquist_osher"])
 @pytest.mark.parametrize("r", [1, 4, 16])
 def test_stencil_sum_skips_a_zero_half_bit_for_bit(family, r):
-    """On one-signed Burgers data one split half is exactly 0 (both on u = 0 with
-    c = 0).  Godunov's transonic test finds it and ``stencil_sum`` takes one
-    correlation (none); the sum is the two-correlation sum bit for bit, the sign
-    of a zero included, for p = g and for p = q with a scalar c or one c per
-    entry."""
+    """On one-signed Burgers data one split half is exactly 0 (both on u = 0).
+    Godunov's transonic test finds it and ``stencil_sum`` takes one correlation
+    (none); the sum is the two-correlation sum bit for bit, the sign of a zero
+    included.  The rows are the data and the clipped rows ext v c and ext ^ c
+    whose sums the entropy audit's q-sums subtract, with a scalar c or one c
+    per entry."""
     flux = make_flux(family, make_local_flux("burgers"))
     rng = np.random.default_rng(50 + r)
     w = rng.uniform(0.1, 1.0, r)
@@ -342,10 +337,12 @@ def test_stencil_sum_skips_a_zero_half_bit_for_bit(family, r):
     for ext in (*_one_signed_rows(rng, size), np.zeros(size)):
         # of the data's sign, so that ext v c and ext ^ c stay one-signed
         per_entry = np.copysign(rng.choice([0.0, 0.2, 0.7], size), ext.sum())
-        for c in (None, 0.0, 0.3, -0.3, per_entry):
-            got, want = flux.stencil_sum(ext, w, c), _two_correlations(flux, ext, w, c)
-            assert np.array_equal(got, want), c
-            assert np.array_equal(np.signbit(got), np.signbit(want)), c
+        clipped = [clip(ext, c) for c in (0.0, 0.3, -0.3, per_entry)
+                   for clip in (np.maximum, np.minimum)]
+        for i, row in enumerate((ext, *clipped)):
+            got, want = flux.stencil_sum(row, w), _two_correlations(flux, row, w)
+            assert np.array_equal(got, want), i
+            assert np.array_equal(np.signbit(got), np.signbit(want)), i
 
 
 @pytest.mark.parametrize("family, nan, calls", [
@@ -396,7 +393,7 @@ def test_transonic_sum_bits_do_not_depend_on_where_the_row_starts(r):
     w = rng.uniform(0.1, 1.0, r)
     n = _CELLS + 45
     ext = _transonic_row(rng, n + 2 * r + 31)
-    assert GODUNOV.additive_halves(ext, r)[2] is np.maximum
+    assert GODUNOV._halves(ext, r)[2] is np.maximum
     full = GODUNOV.stencil_sum(ext, w)
     for offset in range(32):
         for count in (1, 17, 100, n - 31):
@@ -444,7 +441,7 @@ def test_transonic_step_scratch_does_not_grow_with_the_row():
     dx = 1.0 / n
     state = GridState(dx=dx, x0=0.0, values=_transonic_row(np.random.default_rng(80), n))
     weights = compute_weights(Kernel(delta=r * dx), dx)
-    assert GODUNOV.additive_halves(state.extended(r), r)[2] is np.maximum
+    assert GODUNOV._halves(state.extended(r), r)[2] is np.maximum
     tracemalloc.start()
     try:
         step(state, weights, GODUNOV, 0.1 * dx)

@@ -27,6 +27,7 @@ from horizonflux import (
     validate_cfl,
     wide_numerical_flux,
 )
+from horizonflux import diagnostics
 from horizonflux.solver import _cfl_number
 from flux_oracles import entropy_bound, lipschitz_box_bound, reference_rate
 from testutil import (every_flux, random_state, random_step_profile, reconstruct,
@@ -231,8 +232,7 @@ def test_godunov_transonic_path_matches_the_oracle(r, boundary, monkeypatch):
 
 def _takes_the_max_path(state, weights, flux, monkeypatch):
     """Whether ``step`` sums g = max(f+, f-) in blocks of shifts: the op that
-    ``_halves`` (the body of ``additive_halves``) hands ``stencil_sum``, the one
-    thing its path turns on, is not +."""
+    ``_halves`` hands ``stencil_sum``, the one thing its path turns on, is not +."""
     ops = []
     halves = TwoPointFlux._halves
 
@@ -393,11 +393,13 @@ def _q_loop(flux, ext, w, c):
 @pytest.mark.parametrize("boundary", BOUNDARY_MODES)
 @pytest.mark.parametrize("r", [1, 4, 16, 64, 256])
 def test_stencil_sum_matches_the_k_loops_of_g_and_q(r, boundary):
-    """p = g is the step's rate on either path; p = q, with one c or with c per
-    entry (constant over each gathered stencil, as the entropy audit hands it
-    over), is a k-loop of ``flux.q``; a flat stencil sums to exactly 0 on either
-    path.  Sums are compared as dt * sum, the term
-    that ``step`` and the audit's residuals add."""
+    """p = g is the step's rate on either path.  The entropy audit's gathered
+    q-sums, the g-sum over v v c less the one over v ^ c, are a k-loop of
+    ``flux.q`` at every cell of every row in every copy of the rows, one copy
+    per constant, so each gathered stencil but a row's last is cut at the next
+    one's start.  The rows hold transonic Godunov data, one-signed data and a
+    level row, and a flat stencil sums to exactly 0 on every path.  Sums are compared as dt * sum, the term that ``step`` and
+    the audit's residuals add."""
     n, dx = 64, 1.0 / 64
     dt = 0.4 * dx
     weights = weights_for_r(r, dx)
@@ -405,46 +407,42 @@ def test_stencil_sum_matches_the_k_loops_of_g_and_q(r, boundary):
     width = 2 * pad + 1
     rng = np.random.default_rng(3000 + r + len(boundary))
     states = _step_data(rng, n, dx, boundary)
-    ext = np.stack([state.extended(pad) for state in states])
-    flat = [[np.ptp(row[j : j + width]) == 0.0 for j in range(n)] for row in ext]
-    cs = rng.uniform(-1.1, 1.1, 2)
-    # six cells' stencils per state, one after the other, each with its own constant per entry
-    stencils = np.stack([row[j : j + width]
-                         for row in ext for j in rng.choice(n, 6, replace=False)])
-    c_cell = rng.choice(cs, (len(stencils), 1))
-    c_each = np.repeat(c_cell, width, axis=1).ravel()
+    ext = np.stack([*(state.extended(pad) for state in states), np.full(n + 2 * pad, 0.3)])
+    rows = ext.ravel()
+    cs = np.sort(np.append(rng.uniform(-1.1, 1.1, 2), 0.0))
+    # every cell of every row in every constant's copy of the rows
+    keys = (np.arange(cs.size)[:, None, None] * rows.size
+            + np.arange(len(ext))[:, None] * ext.shape[1] + np.arange(n)).ravel()
+    i, s, cell = keys // rows.size, keys % rows.size // ext.shape[1], keys % ext.shape[1]
+    flat = np.ptp(ext[s[:, None], cell[:, None] + np.arange(width)], axis=1) == 0.0
+    assert flat[s == len(states)].all() and not flat.all()
     q_atol = max(entropy_bound(state) for state in states)
-    level = np.full(width + 2, 0.3)
     for flux in every_flux():
         label = f"{flux.family} over {flux.local.name}"
-        q_want = _q_loop(flux, ext[:, None], w, cs[:, None])  # (state, c, cell)
-        for state, row, q_row, flat_cells in zip(states, ext, q_want, flat):
+        for state, row in zip(states, ext):
+            flat_cells = [np.ptp(row[j : j + width]) == 0.0 for j in range(n)]
             got = flux.stencil_sum(row, w)
             want = reference_rate(state, weights, flux)
             np.testing.assert_allclose(dt * got, dt * want, rtol=0.0, atol=STEP_ATOL,
                                        err_msg=label)
             assert not got[flat_cells].any(), label
-            for c, want in zip(cs, q_row):
-                got = flux.stencil_sum(row, w, c)
-                np.testing.assert_allclose(dt * got, dt * want, rtol=0.0, atol=q_atol,
-                                           err_msg=label)
-                assert not got[flat_cells].any(), label
-        got = flux.stencil_sum(stencils.ravel(), w, c_each)[::width]
-        want = _q_loop(flux, stencils, w, c_cell)[:, 0]
+        assert not flux.stencil_sum(ext[-1], w).any(), label
+        want = _q_loop(flux, ext[:, None], w, cs[:, None])[s, i, cell]  # (row, c, cell)
+        got, read = diagnostics._stencil_sums(flux, rows, keys, w, cs)
         np.testing.assert_allclose(dt * got, dt * want, rtol=0.0, atol=q_atol, err_msg=label)
-        for c in (None, cs[0], np.full(level.size, cs[0])):
-            assert not flux.stencil_sum(level, w, c).any(), label
+        assert not got[flat].any(), label
+        assert keys.size < read < keys.size * width, label
 
 
 def test_godunov_transonic_test_matches_a_search_over_all_pairs():
-    """``additive_halves`` keeps max exactly when some A_i > 0, B_j > 0 has 0 < j - i <= reach."""
+    """``_halves`` keeps max exactly when some A_i > 0, B_j > 0 has 0 < j - i <= reach."""
     rng = np.random.default_rng(31)
     for _ in range(2000):
         values = rng.choice([-0.5, 0.0, 0.5], int(rng.integers(1, 30)))
         reach = int(rng.integers(1, 6))
         pairs = [(i, j) for i in range(values.size) for j in range(i + 1, min(i + reach + 1, values.size))]
         transonic = any(values[i] > 0.0 > values[j] for i, j in pairs)
-        a, b, op = GODUNOV.additive_halves(values, reach)
+        a, b, op = GODUNOV._halves(values, reach)[:3]
         assert (op is np.maximum) == transonic, (values, reach)
         np.testing.assert_array_equal(op(a[:-1], b[1:]), GODUNOV.g(values[:-1], values[1:]))
 
@@ -460,7 +458,7 @@ def test_godunov_transonic_test_on_one_signed_and_mixed_data(reach):
         values = rng.uniform(-1.0, 1.0, int(rng.integers(1, 600)))
         values[rng.random(values.size) < 0.2] = 0.0
         for data in (np.abs(values), -np.abs(values), values):
-            a, b, op = GODUNOV.additive_halves(data, reach)
+            a, b, op = GODUNOV._halves(data, reach)[:3]
             pos_a, pos_b = local.split_plus(data) > 0.0, local.split_minus(data) > 0.0
             shifts = range(1, min(reach, data.size - 1) + 1)
             transonic = any((pos_a[:-k] & pos_b[k:]).any() for k in shifts)
