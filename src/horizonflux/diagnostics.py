@@ -340,9 +340,10 @@ def kruzhkov_constants(state: GridState) -> np.ndarray:
     """17 uniform Kruzhkov constants spanning the data range plus a 0.1 margin.
 
     A sample: for nonlinear f the per-cell entropy residual curves in c between
-    data values, so its maximum can fall between two of these constants.  With
-    these default constants :func:`check_entropy` is still exact in c on every
-    cell where the step is certified monotone, and sampled only elsewhere.
+    data values, so its maximum can fall between two of these constants.
+    :func:`check_entropy` probes them only strictly inside the stencil range of
+    a cell the step is not certified monotone on; it is exact in c everywhere
+    else.
     """
     return np.linspace(float(np.min(state.values)) - 0.1, float(np.max(state.values)) + 0.1, 17)
 
@@ -417,51 +418,44 @@ def check_entropy(
                     + dt * sum_k [q(u_j, u_{j+k}; c) - q(u_{j-k}, u_j; c)] W_k
 
     and entropy satisfaction means residual_j(c) <= 0 up to round-off for
-    every step, cell j and c.  ``constants`` defaults to
-    :func:`kruzhkov_constants` of the first state; given ones must form a
-    non-empty 1-D array of finite values.  A non-finite state fails the audit
-    at its first (step, cell) before any residual is computed.
+    every step, cell j and real c.  A non-finite state fails the audit at its
+    first (step, cell) before any residual is computed.
 
-    Lattice identity: if c >= max of u^n over cell j's stencil j-R..j+R
+    Lattice identity: if c >= M_j, the max of u^n over cell j's stencil j-R..j+R
     (R = n_terms), every pair there has q(a, b; c) = g(c, c) - g(a, b), so the
     q-sum is exactly -S_j, where S_j = sum_k W_k [g(u_j, u_{j+k}) - g(u_{j-k}, u_j)]
-    is the flux sum of ``step``; if c <= the stencil min it is +S_j.  Neither
-    case reads u^{n+1}.  Only the straddle set, min < c < max, takes the q-sum.
+    is the flux sum of ``step``; if c <= the stencil min m_j it is +S_j.  So at or
+    above M_j, residual_j(c) = |u^{n+1}_j - c| - (c - u^n_j) - dt S_j, nonincreasing
+    in c, and at or below m_j, |u^{n+1}_j - c| - (u^n_j - c) + dt S_j,
+    nondecreasing in c.  One rule follows for every active (step, cell) item
+    (a cell whose stencil is flat and whose value the step left unchanged has
+    residual exactly 0 at every c, S_j = 0, and is not probed):
 
-    Only a few constants can therefore hold cell j's largest residual.  At or
-    above the stencil max M_j the identity gives
-    residual_j(c) = |u^{n+1}_j - c| - (c - u^n_j) - dt S_j, nonincreasing in c;
-    at or below the stencil min m_j, |u^{n+1}_j - c| - (u^n_j - c) + dt S_j,
-    nondecreasing in c.  So in real arithmetic cell j's maximum is at the
-    smallest constant >= M_j, the largest constant <= m_j, or a straddling
-    constant m_j < c < M_j, which takes the q-sum.  The two side constants
-    come from a ``searchsorted`` on the sorted constants, and no constants x
-    cells matrix is built.  A cell whose stencil is flat and whose value the
-    step left unchanged has residual exactly 0 at every c (S_j = 0), so only
-    the other cells, the active (step, cell) items, are probed.
+    * each item is probed at c = m_j and c = M_j, its own stencil extrema, which
+      is exact for every c outside (m_j, M_j), monotone step or not;
+    * an item where the step H(u)_j = u_j - dt S_j is certified monotone on the
+      stencil box, dt sum_k W_k :meth:`TwoPointFlux.step_speed`(m_j, M_j) <= 1,
+      takes no other c: there (Crandall & Majda 1980) the sup over every real c
+      is |u^{n+1}_j - H(u^n)_j|, which the two sides reach;
+    * every other item is also probed at the constants strictly inside
+      (m_j, M_j), the straddling ones, with the full q-sum.
 
-    With the default constants the audit is exact in c, not sampled, on every
-    item where the step H(u)_j = u_j - dt S_j is certified monotone on the
-    stencil box [m_j, M_j]: dt sum_k W_k :meth:`TwoPointFlux.step_speed`
-    (m_j, M_j) <= 1.  There (Crandall & Majda 1980) the sup over every real c
-    is |u^{n+1}_j - H(u^n)_j|, reached at c = min(m_j, u^{n+1}_j) or
-    c = max(M_j, u^{n+1}_j), so these two data values replace the item's side
-    constants, it takes no straddling constant, and the reported c can be one
-    of them.  Every other item, and every item when ``constants`` are given,
-    is probed at the constants.
+    So ``constants`` is only the sample taken inside uncertified stencils: it
+    defaults to :func:`kruzhkov_constants` of the first state, and given ones
+    must form a non-empty 1-D array of finite values.
 
     The trajectory is fed through :class:`AuditStream`, as ``run`` feeds
     :func:`audit_stream`, so both paths run the same stage, once per block of
     B = max(1, 8192 // (n + 2R)) steps (n cells): the stencil extrema of the
-    block's extended rows, the active items, their certificate, side constants
-    and straddling (item, constant) triples; then one gathered-sum path for S_j
+    block's extended rows, the active items, their certificate and straddling
+    (item, constant) triples; then one gathered-sum path for S_j
     (non-flat stencils only) and for the triples' q-sums (one copy of the rows
     per constant): the stencil values each reads, gathered into one array and
     read at the stencils' starts after :meth:`TwoPointFlux.stencil_sum` of g,
     the sum that ``step`` takes.  S_j takes one such sum of the gathered values;
     each q-sum is, as q is defined, the sum over the values clipped from
     below at the stencil's constant less the sum over them clipped from
-    above.  The residuals at the side constants and at the triples form one
+    above.  The residuals at the stencil extrema and at the triples form one
     candidate array, whose maximum is folded into the running one.
     ``AuditStream.counts`` tallies this work.  In floating point the reduction
     may miss the full matrix's maximum by round-off.  Ties go to the earliest
@@ -475,8 +469,9 @@ def check_entropy(
 
 class _CellEntropy(_Check):
     """:func:`check_entropy` over the stream's blocks, one block per
-    :meth:`observe`, with u^0's constants unless given; ``counts`` tallies the
-    audit's work."""
+    :meth:`observe`: every active item at its stencil min and max, and an
+    uncertified one also at the constants inside (u^0's unless given) that
+    straddle its stencil; ``counts`` tallies the audit's work."""
 
     name = "cell_entropy"
 
@@ -485,7 +480,6 @@ class _CellEntropy(_Check):
         _check_pair(u0, weights)
         self.weights, self.flux, self.n = weights, flux, u0.n_cells
         self.tol = 1e-10 * (1.0 + float(np.max(np.abs(u0.values))))
-        self.exact = constants is None  # the default constants: exact on certified items
         cs = np.sort(kruzhkov_constants(u0) if constants is None else constants)
         self.cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
         self.counts = dict.fromkeys(("entropy_blocks", "side_residuals", "straddle_residuals",
@@ -514,17 +508,10 @@ class _CellEntropy(_Check):
         key, row = key[inside], row[inside]
         ids = (first + 1 + row) * n + cell[inside]  # step * n + cell of each active item
         dt, u0, u1, lo, hi = dt[row], u0[key], u1[key], lo[key], hi[key]
-        below = np.searchsorted(cs, lo, side="right") - 1  # the largest constant <= the stencil min
-        above = np.searchsorted(cs, hi)  # the smallest one >= the stencil max
-        c_lo, c_hi = cs[np.maximum(below, 0)], cs[np.minimum(above, cs.size - 1)]
-        has_lo, has_hi = below >= 0, above < cs.size
-        if self.exact:  # a certified item's sup over every c is at one of its data sides
-            sure = _cfl_number(flux, self.weights, dt, lo, hi) <= 1.0
-            c_lo = np.where(sure, np.minimum(lo, u1), c_lo)
-            c_hi = np.where(sure, np.maximum(hi, u1), c_hi)
-            has_lo, has_hi = has_lo | sure, has_hi | sure
-            above = np.where(sure, below + 1, above)  # and no straddling constant
-            self.counts["certified_items"] += int(sure.sum())
+        # the constants strictly inside (lo, hi), below < i < above; none on a certified item
+        below = np.searchsorted(cs, lo, side="right") - 1
+        sure = _cfl_number(flux, self.weights, dt, lo, hi) <= 1.0
+        above = np.where(sure, below + 1, np.searchsorted(cs, hi))
         has_s = lo != hi  # S_j is exactly 0 on a flat stencil
         s = np.zeros(ids.size)
         s[has_s], read_s = _stencil_sums(flux, flat[:span], key[has_s], w)
@@ -539,15 +526,16 @@ class _CellEntropy(_Check):
         # each keyed into a copy of the rows per constant, constant i's at i * span
         q, read_q = _stencil_sums(flux, flat[:span], i * span + key[it], w, cs)
         ds = dt * s
-        # one residual per candidate: each item at c_lo, then at c_hi (-inf where
-        # it has none), then each straddle triple
+        # one residual per candidate: each item at its stencil min, then at its
+        # stencil max, then each straddle triple
         res = np.concatenate((
-            np.where(has_lo, _excess(u0, u1, c_lo) + ds, -np.inf),
-            np.where(has_hi, _excess(u0, u1, c_hi) - ds, -np.inf),
+            _excess(u0, u1, lo) + ds,
+            _excess(u0, u1, hi) - ds,
             _excess(u0[it], u1[it], cs[i]) + dt[it] * q,
         ))
         counts = self.counts
-        counts["side_residuals"] += int(has_lo.sum() + has_hi.sum())
+        counts["side_residuals"] += 2 * ids.size
+        counts["certified_items"] += int(sure.sum())
         counts["straddle_residuals"] += it.size
         counts["stencil_values"] += read_s + read_q
         top = float(res.max())
@@ -557,7 +545,7 @@ class _CellEntropy(_Check):
             at = res == top
             reached = np.concatenate((ids, ids, ids[it]))[at]
             hit = reached.min()
-            c = np.concatenate((c_lo, c_hi, cs[i]))[at][reached == hit]
+            c = np.concatenate((lo, hi, cs[i]))[at][reached == hit]
             self.where = (*divmod(int(hit), n), float(c.min()))
 
 
@@ -574,9 +562,10 @@ def audit_stream(weights: QuadratureWeights, flux: TwoPointFlux) -> AuditStream:
     Pass it as ``run(..., observer=audit)``, then ``audit.finish()`` returns the
     reports that ``audit_trajectory`` gives on the stored trajectory.  The
     stream keeps one block of B + 1 extended rows; ``audit.counts`` then holds
-    the entropy audit's work: blocks run, side and straddle residuals
-    evaluated, the active items certified monotone (which take the exact path
-    and no straddle residual), and the stencil values its sums read.
+    the entropy audit's work: blocks run, side residuals (two per active item,
+    at its stencil min and max) and straddle residuals evaluated, the active
+    items certified monotone (which take no straddle residual), and the stencil
+    values its sums read.
     """
     return AuditStream(lambda u0: _bundle(u0, weights, flux), weights.n_terms)
 

@@ -219,11 +219,11 @@ def _exact_errors(snapshots, problem: Problem, window) -> list[float]:
     return [max(l1_error(s, problem.exact, window) for s in level) for level in snapshots]
 
 
-def _level_count(n_levels) -> int:
+def _integer(value, name: str) -> int:
     try:
-        return operator.index(n_levels)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"n_levels must be an integer, got {n_levels!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _refine(
@@ -238,6 +238,8 @@ def _refine(
     keyword defaults are those of both public studies, which forward their
     options here; every level is audited.
     """
+    if isinstance(workers, bool) or _integer(workers, "workers") < 1:
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     if not isinstance(n_output_times, (int, np.integer)) or n_output_times < 2:
         raise ValueError(f"n_output_times must be at least 2, got {n_output_times}")
     flux = _build_flux(problem, flux_family, lf_lambda)
@@ -292,7 +294,7 @@ def refine_fixed_delta(
     n_output_times, workers); the final time and the measuring window are the
     problem's own.
     """
-    if _level_count(n_levels) < 2:
+    if _integer(n_levels, "n_levels") < 2:
         raise ValueError("fixed-delta study needs at least 2 levels")
     return _refine(
         problem, flux_family, dx0, n_levels, mesh_ratio,
@@ -316,7 +318,7 @@ def refine_joint_limit(
     L1 error against the problem's exact local entropy solution.  ``options``
     are those of :func:`refine_fixed_delta`.
     """
-    if _level_count(n_levels) < 1:
+    if _integer(n_levels, "n_levels") < 1:
         raise ValueError("joint-limit study needs at least 1 level")
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact local solution")

@@ -9,12 +9,11 @@ over k in a plain loop.  ``derivative`` gives f' of each local flux and
 form.  ``lipschitz_box_bound`` bounds those partials over a box; it gives the
 former CFL bound dt/dx <= 1 / (L1 + L2), which tests still take dt from.
 ``reference_entropy_matrix`` takes the full q-sum of the cell entropy
-residual at every (c, j), with no lattice identity, and
-``assert_entropy_matches_oracle`` pins ``check_entropy``'s report to it.  With
-the default constants the audit is exact in c on the cells where the step is
-certified monotone: there ``default_entropy_oracle`` takes
-|u^{n+1}_j - H(u^n)_j| from ``reference_rate`` and checks it against the full
-q-sum over a dense set of constants.
+residual at every (c, j), with no lattice identity.  ``entropy_oracle`` takes
+it over a dense set of constants that holds every stencil's min and max, and
+checks it on the cells where the step is certified monotone against
+|u^{n+1}_j - H(u^n)_j| from ``reference_rate``; ``assert_entropy_matches_oracle``
+pins ``check_entropy``'s report to it.
 """
 
 import numpy as np
@@ -169,29 +168,24 @@ def entropy_bound(state):
     return ENTROPY_ULPS * np.finfo(float).eps * (1.0 + float(np.max(np.abs(state.values))))
 
 
-def entropy_matrices(trajectory, weights, flux, constants):
-    """``reference_entropy_matrix`` of every step of ``trajectory``."""
-    return [reference_entropy_matrix(a, b, weights, flux, constants)
-            for a, b in zip(trajectory, trajectory[1:])]
-
-
 def stencil_boxes(state, pad):
     """(m_j, M_j), the min and max of cell j's stencil u_{j-R} .. u_{j+R}."""
     windows = np.lib.stride_tricks.sliding_window_view(state.extended(pad), 2 * pad + 1)
     return windows.min(axis=1), windows.max(axis=1)
 
 
-def default_entropy_oracle(trajectory, weights, flux):
-    """Per step, the residual each cell must reach under ``check_entropy``'s default
-    constants, the certificate and the two data sides of each cell.
+def entropy_oracle(trajectory, weights, flux, *constant_sets, dense=True):
+    """Per step, the full q-sum matrix over a set of constants, for
+    ``assert_entropy_matches_oracle``: (its constants, the matrix, the stencil
+    boxes (m_j, M_j) and whether the step is certified monotone on each).
 
-    On a cell where the step is certified monotone (``_cfl_number`` <= 1 on the
-    stencil box [m_j, M_j]) the sup over every c is |u^{n+1}_j - H(u^n)_j|, with H from
-    ``reference_rate``, reached at c = min(m_j, u^{n+1}_j) or max(M_j, u^{n+1}_j).
-    That value is checked against the full q-sum over a dense set of constants:
-    every stencil value, every u^{n+1}_j, 0 and 65 uniform points over the data
-    range plus the default margin.  Elsewhere it is the full matrix's maximum over
-    the 17 default constants of u^0.
+    The set holds every stencil side m_j and M_j and each of ``constant_sets``;
+    if ``dense``, also every u^n_j and u^{n+1}_j, 0, the default constants of u^0
+    and 65 uniform points over their range.  On a cell where the step is
+    certified monotone (``_cfl_number`` <= 1 on [m_j, M_j]) the sup over every c
+    is |u^{n+1}_j - H(u^n)_j| (Crandall & Majda 1980), with H from
+    ``reference_rate``; the larger residual at the two sides and the set's
+    maximum are both checked against it.
     """
     cs = kruzhkov_constants(trajectory[0])
     tol = entropy_bound(trajectory[0])
@@ -200,42 +194,51 @@ def default_entropy_oracle(trajectory, weights, flux):
         dt = b.time - a.time
         lo, hi = stencil_boxes(a, weights.n_terms)
         sure = _cfl_number(flux, weights, dt, lo, hi) <= 1.0
+        extra = (a.values, b.values, [0.0], cs, np.linspace(cs[0], cs[-1], 65)) if dense else ()
+        probes = np.unique(np.concatenate((lo, hi, *constant_sets, *extra)))
+        matrix = reference_entropy_matrix(a, b, weights, flux, probes)
+        cells = np.arange(a.n_cells)
+        sides = np.maximum(matrix[np.searchsorted(probes, lo), cells],
+                           matrix[np.searchsorted(probes, hi), cells])
         exact = np.abs(b.values - (a.values - dt * reference_rate(a, weights, flux)))
-        dense = np.unique(np.concatenate((a.values, b.values, [0.0], np.linspace(
-            cs[0], cs[-1], 65))))
-        dense_max = reference_entropy_matrix(a, b, weights, flux, dense).max(axis=0)
-        assert np.all(np.abs(dense_max - exact)[sure] <= tol), np.abs(dense_max - exact)[sure]
-        sampled = reference_entropy_matrix(a, b, weights, flux, cs).max(axis=0)
-        sides = np.minimum(lo, b.values), np.maximum(hi, b.values)
-        steps.append((np.where(sure, exact, sampled), sure, sides))
+        for got in (sides, matrix.max(axis=0)):
+            assert np.all(np.abs(got - exact)[sure] <= tol), np.abs(got - exact)[sure]
+        steps.append((probes, matrix, lo, hi, sure))
     return steps
 
 
+def probed_residuals(steps, constants):
+    """Per step of ``entropy_oracle``, its matrix where ``check_entropy`` probes and
+    -inf elsewhere: each cell j at its stencil sides m_j and M_j, and a cell the
+    step is not certified monotone on also at the ``constants`` strictly inside
+    (m_j, M_j)."""
+    out = []
+    for probes, matrix, lo, hi, sure in steps:
+        col = probes[:, None]
+        inside = (lo < col) & (col < hi) & ~sure & np.isin(probes, constants)[:, None]
+        out.append(np.where((col == lo) | (col == hi) | inside, matrix, -np.inf))
+    return out
+
+
 def assert_entropy_matches_oracle(report, trajectory, weights, flux, constants=None,
-                                  matrices=None):
-    """Verdict, violation and location of ``check_entropy`` against the full
-    matrices (``entropy_matrices`` of the trajectory, unless given), or with the
-    default constants against ``default_entropy_oracle``."""
+                                  steps=None):
+    """Verdict, violation and location of ``check_entropy`` against the full q-sum
+    at the constants it probes (``probed_residuals`` of ``entropy_oracle`` of the
+    trajectory, unless given).  The constants default to ``kruzhkov_constants``
+    of u^0."""
+    cs = kruzhkov_constants(trajectory[0]) if constants is None else np.asarray(constants)
+    if steps is None:
+        steps = entropy_oracle(trajectory, weights, flux, cs)
+    probed = probed_residuals(steps, cs)
     tol = entropy_bound(trajectory[0])
-    if constants is None:
-        steps = default_entropy_oracle(trajectory, weights, flux)
-        want = max(0.0, *(float(worst.max()) for worst, _, _ in steps))
-    else:
-        cs = np.asarray(constants)
-        if matrices is None:
-            matrices = entropy_matrices(trajectory, weights, flux, cs)
-        want = max(0.0, *(float(matrix.max()) for matrix in matrices))
+    want = max(0.0, *(float(matrix.max()) for matrix in probed))
     assert report.passed == (want <= report.tolerance)
     assert abs(report.violation - want) <= tol, (report.violation, want)
     if report.location is None:
         assert want <= tol
         return
     n, j, c = report.location
-    if constants is None:
-        _, sure, sides = steps[n - 1]
-        probed = [side[j] for side in sides] if sure[j] else kruzhkov_constants(trajectory[0])
-        assert c in probed, (report.location, probed)
-    else:
-        assert c in cs
-    at = reference_entropy_matrix(trajectory[n - 1], trajectory[n], weights, flux, [c])[0, j]
+    probes, column = steps[n - 1][0], probed[n - 1][:, j]
+    assert c in probes[column > -np.inf], (report.location, probes[column > -np.inf])
+    at = column[np.searchsorted(probes, c)]
     assert abs(at - want) <= tol, (report.location, at, want)

@@ -5,7 +5,8 @@ keeps no trajectory; the entropy audit sees blocks of B + 1 states.  Its
 reports must equal ``audit_trajectory`` on the stored run and a plain oracle:
 the max-principle, TVD and conservation loops over the whole list, and the
 entropy audit taken one step at a time with u^0's constants and tolerance (exact
-in c on the items the step is certified monotone on, sampled elsewhere).
+in c on the items the step is certified monotone on, sampled inside the stencil
+range elsewhere).
 """
 
 import itertools
@@ -35,7 +36,7 @@ from horizonflux import (
 from horizonflux import diagnostics
 from horizonflux.diagnostics import AuditStream, _block_steps, _CellEntropy
 from horizonflux.harness import _build_flux, _run_level
-from flux_oracles import reference_entropy_matrix
+from flux_oracles import reference_entropy_matrix, stencil_boxes
 from testutil import every_flux, weights_for_r
 
 GODUNOV = make_flux("godunov", make_local_flux("burgers"))
@@ -202,10 +203,10 @@ def test_violation_planted_at_a_block_boundary(offset, default_constants):
     for state in trajectory:
         audit(state)
     report = audit.finish()[-1]
-    # The stream probes u^0's default constants; those below cell 123's stencil all
-    # reach its residual in real arithmetic, so c is pinned only up to round-off.
-    # check_entropy's own blocks with one constant below the data and one above
-    # pin c exactly.
+    # The stream probes u^0's default constants, check_entropy one constant below
+    # the data and one above.  Either probes cell 123 at its stencil min and max,
+    # and the residual at its min is the one every constant below the stencil
+    # reaches, so both report c = the stencil min.
     constants = kruzhkov_constants(u0) if default_constants else np.array([-0.7, 1.1])
     if not default_constants:
         report = check_entropy(trajectory, weights, GODUNOV, constants)
@@ -214,13 +215,11 @@ def test_violation_planted_at_a_block_boundary(offset, default_constants):
     assert not report.passed
     assert where[:2] == report.location[:2] == (planted, 123)
     assert abs(report.violation - worst) <= tol
-    if default_constants:
-        step_n, j, c = report.location
-        at = reference_entropy_matrix(trajectory[step_n - 1], trajectory[step_n], weights,
-                                      GODUNOV, [c])[0, j]
-        assert abs(at - worst) <= tol
-    else:
-        assert report.location == where
+    lo, _ = stencil_boxes(trajectory[planted - 1], r)
+    assert report.location[2] == lo[123]
+    at = reference_entropy_matrix(trajectory[planted - 1], trajectory[planted], weights,
+                                  GODUNOV, [lo[123]])[0, 123]
+    assert abs(at - worst) <= tol
 
 
 def test_audited_level_does_not_hold_its_trajectory():

@@ -3,10 +3,11 @@
 Off the straddle set the audit replaces the q-sum of cell j by -S_j or +S_j,
 the step's own flux sum, which is exact in real arithmetic.  In floating point
 the two forms group the same terms differently, so the audit is pinned to the
-oracle within ENTROPY_ULPS eps * (1 + max|u|).  ``check_entropy`` also probes
-only the nearest constant on each side of a cell's stencil range plus the
-straddling ones, which holds the cell's maximum in real arithmetic; its
-verdict, violation and location are pinned to the full oracle matrices.
+oracle within ENTROPY_ULPS eps * (1 + max|u|).  ``check_entropy`` probes each
+cell at its stencil min and max, which holds its maximum over every c outside
+the stencil range in real arithmetic, and a cell the step is not certified
+monotone on also at the constants strictly inside; its verdict, violation and
+location are pinned to the full oracle matrices at those c.
 """
 
 import numpy as np
@@ -38,9 +39,10 @@ from horizonflux.solver import _cfl_number
 from flux_oracles import (
     assert_entropy_matches_oracle,
     entropy_bound,
-    entropy_matrices,
+    entropy_oracle,
     lipschitz_box_bound,
     partials,
+    probed_residuals,
     reference_entropy_matrix,
     reference_rate,
     stencil_boxes,
@@ -84,9 +86,11 @@ def assert_audits_match_the_oracle(r, boundary, profiles, fluxes):
                 trajectory = [state]
                 for _ in range(2):
                     trajectory.append(step(trajectory[-1], weights, flux, 0.2 * dx))
+                steps = entropy_oracle(trajectory, weights, flux, user_constants(state))
                 for constants in (None, user_constants(state)):
                     report = check_entropy(trajectory, weights, flux, constants)
-                    assert_entropy_matches_oracle(report, trajectory, weights, flux, constants)
+                    assert_entropy_matches_oracle(report, trajectory, weights, flux, constants,
+                                                  steps)
 
 
 @pytest.mark.parametrize("boundary", BOUNDARY_MODES)
@@ -134,19 +138,19 @@ def test_scheme_steps_satisfy_the_entropy_inequality_at_every_constant(family, p
         trajectory = [state, step(state, weights, flux, dt)]
         cs = np.unique(np.concatenate(
             [state.extended(r), [0.0], np.linspace(lo - 0.1, hi + 0.1, 257)]))
-        matrices = entropy_matrices(trajectory, weights, flux, cs)
+        steps = entropy_oracle(trajectory, weights, flux, cs)
         report = check_entropy(trajectory, weights, flux, cs)
-        assert max(float(matrix.max()) for matrix in matrices) <= report.tolerance, (r, flux)
-        assert_entropy_matches_oracle(report, trajectory, weights, flux, cs, matrices)
+        assert max(float(matrix.max()) for _, matrix, *_ in steps) <= report.tolerance, (r, flux)
+        assert_entropy_matches_oracle(report, trajectory, weights, flux, cs, steps)
 
 
-def shock_run(n=64, r=3, steps=3, boundary="constant_extension"):
+def shock_run(n=64, r=3, steps=3, boundary="constant_extension", mesh_ratio=0.3):
     dx = 1.0 / n
     values = np.where(np.arange(n) < n // 2, 0.8, -0.4)
     trajectory = [GridState(dx=dx, x0=0.0, values=values, boundary=boundary)]
     weights = weights_for_r(r, dx)
     for _ in range(steps):
-        trajectory.append(step(trajectory[-1], weights, GODUNOV, 0.3 * dx))
+        trajectory.append(step(trajectory[-1], weights, GODUNOV, mesh_ratio * dx))
     return trajectory, weights
 
 
@@ -207,8 +211,12 @@ def test_planted_value_outside_a_certified_stencil_box_is_caught_exactly(shift):
 
 def test_audit_takes_the_q_sum_only_on_the_straddle_block(monkeypatch):
     """The audit's pair work, R pairs per value it hands to ``_halves``, against
-    the oracle's pair evaluations."""
-    trajectory, weights = shock_run(n=256, r=8, steps=1, boundary="periodic")
+    the oracle's pair evaluations.  At mesh ratio 4, dt sum_k W_k max|f'| = 1.05 on
+    the jumps' stencil boxes, so the step is not certified there and the
+    straddling constants take the q-sum."""
+    trajectory, weights = shock_run(n=256, r=8, steps=1, boundary="periodic", mesh_ratio=4.0)
+    dt = trajectory[1].time
+    assert not np.all(_cfl_number(GODUNOV, weights, dt, *stencil_boxes(trajectory[0], 8)) <= 1)
     constants = kruzhkov_constants(trajectory[0])
     largest = constants.size * (256 + 2 * weights.n_terms)
     inputs, elements = [], []
@@ -234,6 +242,7 @@ def test_audit_takes_the_q_sum_only_on_the_straddle_block(monkeypatch):
         m.setattr(TwoPointFlux, "_halves", counted_halves)
         report = check_entropy(trajectory, weights, GODUNOV, constants)
     audit = weights.n_terms * sum(inputs)
+    assert len(inputs) == 3  # S_j, then the q-sums' values clipped from below and above
     assert max(inputs) <= largest
     with monkeypatch.context() as m:
         m.setattr(TwoPointFlux, "shifted_pair_evaluator", counted_evaluator)
@@ -243,27 +252,35 @@ def test_audit_takes_the_q_sum_only_on_the_straddle_block(monkeypatch):
     assert audit < 0.25 * oracle, (audit, oracle)
 
 
-# Dyadic upwind data (dt W_1 = 1/2), so every residual is exact and ties are real:
-# at cell 3 the straddling constant 1.0 ties the side constant 1.5 above the
-# stencil; at cell 4 the side constant 0.5 below the stencil ties 1.0 and 1.5.
-@pytest.mark.parametrize("u0, u1, worst, location", [
-    ((1.5, .5, 1, .5, 1.5, .5, 1, .5), (1.5, 1.5, 1, 0, .5, 1.5, 1.5, 1.5), 0.75, (1, 3, 1.0)),
-    ((1, 1.5, 0, .5, .5, 1.5, 1.5, .5), (.5, 1, .5, .5, 0, 1.5, 1, .5), 0.5, (1, 4, 0.5)),
-], ids=["straddle_ties_side", "side_ties_straddle"])
+# Dyadic upwind data, so every residual is exact and ties are real.  At dt = 1/16
+# (dt W_1 = 1/2) the step is certified monotone on every cell, which is probed at
+# its stencil min and max only: cell 3's straddling constant 1.0 ties its stencil
+# max 1.5 but is not probed, so 1.5 is reported, and at cell 4 the stencil min 0.5
+# ties the max 1.5.  At dt = 1/4 (dt W_1 = 2) no cell is certified: at cell 0 the
+# straddling constant 1.0 ties the stencil max 1.5.
+@pytest.mark.parametrize("u0, u1, t, worst, location", [
+    ((1.5, .5, 1, .5, 1.5, .5, 1, .5), (1.5, 1.5, 1, 0, .5, 1.5, 1.5, 1.5), 1 / 16, 0.75,
+     (1, 3, 1.5)),
+    ((1, 1.5, 0, .5, .5, 1.5, 1.5, .5), (.5, 1, .5, .5, 0, 1.5, 1, .5), 1 / 16, 0.5,
+     (1, 4, 0.5)),
+    ((.5, 1.5, .5, 1, 1, .5, .5, 1), (.5, .5, 1.5, 1, 1, 1, 1.5, .5), 1 / 4, 1.0, (1, 0, 1.0)),
+], ids=["straddle_ties_side", "side_ties_straddle", "uncertified_straddle_ties_side"])
 def test_tied_residuals_go_to_the_lowest_cell_then_the_smallest_constant(
-        u0, u1, worst, location):
+        u0, u1, t, worst, location):
     flux = make_flux("upwind_linear", make_local_flux("linear_advection"))
     weights = compute_weights(Kernel(delta=1 / 8), 1 / 8)
     constants = np.array([-1, -0.5, 0, 0.5, 1, 1.5, 2])
     trajectory = [GridState(dx=1 / 8, x0=0.0, values=np.array(u, float), boundary="periodic",
-                            time=t)
-                  for u, t in ((u0, 0.0), (u1, 1 / 16))]
+                            time=time)
+                  for u, time in ((u0, 0.0), (u1, t))]
     report = check_entropy(trajectory, weights, flux, constants)
     assert (report.violation, report.location) == (worst, location)
-    # the oracle matrix's first maximum, read cell by cell, then constant by constant
-    matrix = reference_entropy_matrix(*trajectory, weights, flux, constants)
+    # the oracle's first maximum where the audit probes, read cell by cell, then
+    # constant by constant
+    steps = entropy_oracle(trajectory, weights, flux, constants)
+    matrix, = probed_residuals(steps, constants)
     cell, c = np.unravel_index(np.argmax(matrix.T), matrix.T.shape)
-    assert (matrix.max(), (1, cell, constants[c])) == (worst, location)
+    assert (matrix.max(), (1, cell, steps[0][0][c])) == (worst, location)
 
 
 def test_audit_rejects_weights_for_another_dx():
@@ -431,6 +448,35 @@ def test_sampled_constants_miss_a_violation_past_the_cfl_bound(seed, n, r, multi
     sampled, dense, certified_failure = _past_cfl_verdicts(
         seed, n, r, multiple, "godunov", boundary)
     assert sampled and not dense and not certified_failure
+
+
+@pytest.mark.parametrize("seed", [2, 3, 8])
+@pytest.mark.parametrize("multiple", [3.0, 6.0])
+def test_explicit_constants_outside_the_data_catch_a_step_that_leaves_its_stencil_box(
+        seed, multiple):
+    """A Godunov step at 3x or 6x the CFL bound takes some u^{n+1}_j outside its
+    stencil box [m_j, M_j], where it breaks the entropy inequality by 0.08-1.4.
+    Every item is probed at its own stencil min and max, so an audit given only
+    constants outside the data, -5 and 5, still fails the step there, at the c
+    where the full q-sum reaches the reported violation."""
+    rng = np.random.default_rng(seed)
+    n, r = int(rng.integers(8, 33)), int(rng.integers(1, 4))
+    state = random_state(rng, n, 1 / n, "constant_extension")
+    dt = multiple * state.dx / sum(lipschitz_box_bound(
+        GODUNOV, float(state.values.min()), float(state.values.max())))
+    weights = weights_for_r(r, state.dx)
+    trajectory = [state, step(state, weights, GODUNOV, dt)]
+    lo, hi = stencil_boxes(state, r)
+    u1 = trajectory[1].values
+    assert np.any((u1 < lo) | (u1 > hi))
+    constants = np.array([-5.0, 5.0])
+    report = check_entropy(trajectory, weights, GODUNOV, constants)
+    assert not report.passed
+    _, j, c = report.location
+    assert c in (lo[j], hi[j])
+    at = reference_entropy_matrix(*trajectory, weights, GODUNOV, [c])[0, j]
+    assert abs(report.violation - at) <= entropy_bound(state)
+    assert_entropy_matches_oracle(report, trajectory, weights, GODUNOV, constants)
 
 
 # -- the monotonicity certificate ------------------------------------------------

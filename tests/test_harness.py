@@ -145,6 +145,13 @@ def test_workers_do_not_change_results():
         assert serial.as_dict() == threaded.as_dict(), serial.regime
 
 
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+def test_workers_must_be_a_positive_integer(workers):
+    with pytest.raises(ValueError, match="workers"):
+        refine_joint_limit(get_problem("burgers_shock"), "godunov", 2.0, 1 / 8, 2, 0.9,
+                           workers=workers)
+
+
 # -- pinned study outputs ------------------------------------------------------------
 # Recorded from the two per-regime study loops before they became one driver;
 # a refactor that moves any bit of a study's output fails here.  The
@@ -283,3 +290,23 @@ def test_study_script_writes_tables(tmp_path, script, args, stem):
     assert len((out / f"{stem}.csv").read_text().splitlines()) == 3  # header + 2 levels
     head, *rows = (out / f"{stem}.dat").read_text().splitlines()
     assert head == "# dx measure" and rows
+
+
+def test_cli_outputs_script_writes_the_fifteen_byte_stable_files(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "cli_outputs.py"), str(out)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    names = ("invariants.json", "single.cfg", "solution.csv", "study.cfg", "study.csv",
+             "study.json", "study_plot.dat")
+    problems = ("advect_bump", "burgers_rarefaction", "burgers_shock")
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert written == [f"{problem}/{name}" for problem in problems for name in names]
+    for problem in problems:
+        assert json.loads((out / problem / "study.json").read_text())["passed"]
+        checks = json.loads((out / problem / "invariants.json").read_text())["checks"]
+        assert all(check["passed"] for check in checks)

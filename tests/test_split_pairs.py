@@ -21,7 +21,12 @@ from horizonflux import (
     step,
     wide_numerical_flux,
 )
-from flux_oracles import assert_entropy_matches_oracle, reference_g, reference_pair_evaluator
+from flux_oracles import (
+    assert_entropy_matches_oracle,
+    entropy_oracle,
+    reference_g,
+    reference_pair_evaluator,
+)
 from testutil import every_flux, random_state, random_step_profile, weights_for_r
 
 # |split pair - reference| for Lax-Friedrichs on data in [-1, 1]; the worst
@@ -70,4 +75,6 @@ def test_solver_and_audit_match_reference(r, boundary, monkeypatch):
                     m.setattr(TwoPointFlux, "shifted_pair_evaluator", reference_pair_evaluator)
                     assert_agrees(flux, wide, wide_numerical_flux(state, weights, flux),
                                   "wide_flux")
-                    assert_entropy_matches_oracle(report, trajectory, weights, flux, constants)
+                    steps = entropy_oracle(trajectory, weights, flux, constants, dense=False)
+                    assert_entropy_matches_oracle(report, trajectory, weights, flux, constants,
+                                                  steps)
