@@ -447,20 +447,23 @@ def check_entropy(
     The trajectory is fed through :class:`AuditStream`, as ``run`` feeds
     :func:`audit_stream`, so both paths run the same stage, once per block of
     B = max(1, 8192 // (n + 2R)) steps (n cells): the stencil extrema of the
-    block's extended rows, the active items, their certificate and straddling
-    (item, constant) triples; then one gathered-sum path for S_j
-    (non-flat stencils only) and for the triples' q-sums (one copy of the rows
-    per constant): the stencil values each reads, gathered into one array and
-    read at the stencils' starts after :meth:`TwoPointFlux.stencil_sum` of g,
-    the sum that ``step`` takes.  S_j takes one such sum of the gathered values;
-    each q-sum is, as q is defined, the sum over the values clipped from
-    below at the stencil's constant less the sum over them clipped from
-    above.  The residuals at the stencil extrema and at the triples form one
-    candidate array, whose maximum is folded into the running one.
-    ``AuditStream.counts`` tallies this work.  In floating point the reduction
-    may miss the full matrix's maximum by round-off.  Ties go to the earliest
-    step, then the lowest cell, then the smallest c probed there; a later
-    block must be strictly worse.
+    block's extended rows, the active items and their certificate; then the
+    straddling (constant, item) triples, from one mask of the constants
+    against the uncertified items alone (it has no column on an enforced run).
+    One gathered-sum path takes S_j on every active item (a flat stencil sums
+    to exactly 0) and the triples' q-sums (one copy of the rows per constant):
+    the stencil values each reads, gathered into one array and read at the
+    stencils' starts after :meth:`TwoPointFlux.stencil_sum` of g, the sum that
+    ``step`` takes.  S_j takes one such sum of the gathered values; each q-sum
+    is, as q is defined, the sum over the values clipped from below at the
+    stencil's constant less the sum over them clipped from above.  Every
+    probe is one entry of one candidate list of (item, c): each item at its
+    stencil min, then at its stencil max, then each triple.  Its residuals'
+    maximum is folded into the running one, and its location is read from
+    the same list.  ``AuditStream.counts`` tallies this work.  In floating
+    point the reduction may miss the full matrix's maximum by round-off.
+    Ties go to the earliest step, then the lowest cell, then the smallest c
+    probed there; a later block must be strictly worse.
     """
     cs = None if constants is None else _as_constants(constants)
     audit = AuditStream(lambda u0: [_CellEntropy(u0, weights, flux, cs)], weights.n_terms)
@@ -508,31 +511,20 @@ class _CellEntropy(_Check):
         key, row = key[inside], row[inside]
         ids = (first + 1 + row) * n + cell[inside]  # step * n + cell of each active item
         dt, u0, u1, lo, hi = dt[row], u0[key], u1[key], lo[key], hi[key]
-        # the constants strictly inside (lo, hi), below < i < above; none on a certified item
-        below = np.searchsorted(cs, lo, side="right") - 1
         sure = _cfl_number(flux, self.weights, dt, lo, hi) <= 1.0
-        above = np.where(sure, below + 1, np.searchsorted(cs, hi))
-        has_s = lo != hi  # S_j is exactly 0 on a flat stencil
-        s = np.zeros(ids.size)
-        s[has_s], read_s = _stencil_sums(flux, flat[:span], key[has_s], w)
-        # the straddling (constant, item) triples, below < i < above for constant cs[i],
-        # built from each item's range of constants and ordered by constant, then item
-        count = above - below - 1
-        some = np.flatnonzero(count > 0)
-        count = count[some]
-        it = np.repeat(some, count)
-        i = np.arange(it.size) + np.repeat(below[some] + 1 - (np.cumsum(count) - count), count)
-        i, it = np.divmod(np.sort(i * key.size + it), key.size)
+        s, read_s = _stencil_sums(flux, flat[:span], key, w)  # exactly 0 on a flat stencil
+        # the straddling (constant, item) triples, lo < cs[i] < hi on the uncertified
+        # items alone, ordered by constant, then item
+        unsure = np.flatnonzero(~sure)
+        i, it = np.nonzero((cs[:, None] > lo[unsure]) & (cs[:, None] < hi[unsure]))
+        it = unsure[it]
         # each keyed into a copy of the rows per constant, constant i's at i * span
         q, read_q = _stencil_sums(flux, flat[:span], i * span + key[it], w, cs)
-        ds = dt * s
-        # one residual per candidate: each item at its stencil min, then at its
-        # stencil max, then each straddle triple
-        res = np.concatenate((
-            _excess(u0, u1, lo) + ds,
-            _excess(u0, u1, hi) - ds,
-            _excess(u0[it], u1[it], cs[i]) + dt[it] * q,
-        ))
+        # one candidate list: each item at its stencil min, then at its stencil max,
+        # then each straddle triple, as (item, c) with the residual's dt * q-sum
+        every = np.arange(ids.size)
+        at, cc = np.concatenate((every, every, it)), np.concatenate((lo, hi, cs[i]))
+        res = _excess(u0[at], u1[at], cc) + dt[at] * np.concatenate((s, -s, q))
         counts = self.counts
         counts["side_residuals"] += 2 * ids.size
         counts["certified_items"] += int(sure.sum())
@@ -542,11 +534,10 @@ class _CellEntropy(_Check):
         if top > self.worst:  # strict: an earlier block keeps a tie
             self.worst = top
             # the earliest (step, cell) that reaches it, and the smallest c probed there
-            at = res == top
-            reached = np.concatenate((ids, ids, ids[it]))[at]
+            best = res == top
+            reached = ids[at[best]]
             hit = reached.min()
-            c = np.concatenate((lo, hi, cs[i]))[at][reached == hit]
-            self.where = (*divmod(int(hit), n), float(c.min()))
+            self.where = (*divmod(int(hit), n), float(cc[best][reached == hit].min()))
 
 
 def _bundle(u0: GridState, weights: QuadratureWeights, flux: TwoPointFlux) -> list:
@@ -563,9 +554,9 @@ def audit_stream(weights: QuadratureWeights, flux: TwoPointFlux) -> AuditStream:
     reports that ``audit_trajectory`` gives on the stored trajectory.  The
     stream keeps one block of B + 1 extended rows; ``audit.counts`` then holds
     the entropy audit's work: blocks run, side residuals (two per active item,
-    at its stencil min and max) and straddle residuals evaluated, the active
-    items certified monotone (which take no straddle residual), and the stencil
-    values its sums read.
+    at its stencil min and max) and straddle residuals evaluated (only on
+    items not certified), the active items certified monotone, and the stencil
+    values its sums read (S_j on every active item, and each straddle q-sum).
     """
     return AuditStream(lambda u0: _bundle(u0, weights, flux), weights.n_terms)
 

@@ -220,10 +220,13 @@ def _exact_errors(snapshots, problem: Problem, window) -> list[float]:
 
 
 def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int, or a ValueError; a bool is not a count."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _refine(
@@ -238,7 +241,7 @@ def _refine(
     keyword defaults are those of both public studies, which forward their
     options here; every level is audited.
     """
-    if isinstance(workers, bool) or _integer(workers, "workers") < 1:
+    if _integer(workers, "workers") < 1:
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     if not isinstance(n_output_times, (int, np.integer)) or n_output_times < 2:
         raise ValueError(f"n_output_times must be at least 2, got {n_output_times}")

@@ -36,6 +36,7 @@ from horizonflux import (
 from horizonflux import diagnostics
 from horizonflux.diagnostics import AuditStream, _block_steps, _CellEntropy
 from horizonflux.harness import _build_flux, _run_level
+from horizonflux.solver import _cfl_number
 from flux_oracles import reference_entropy_matrix, stencil_boxes
 from testutil import every_flux, weights_for_r
 
@@ -256,33 +257,49 @@ def test_row_sums_match_the_one_dimensional_sums(pad):
             assert tv == np.sum(np.abs(np.diff(row)))
 
 
+# unsorted, with duplicates, and at the min 0 and max 1 of the stencils around cell 3
+AT_THE_EXTREMA = [1.0, 0.5, 0.0, 0.25, 0.5, -0.3, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("constants, straddling", [(None, 13), (AT_THE_EXTREMA, 3)],
+                         ids=["default", "unsorted_duplicates_at_the_extrema"])
 @pytest.mark.parametrize("budget, blocks", [(8192, 1), (400, 4)])
-def test_entropy_work_counters(budget, blocks, monkeypatch):
-    """Five copies of one state, a 1 at cell 3 among n = 300 zeros, with R = 1.  Each
-    step has three active items, cells 2, 3 and 4, whose stencils span [0, 1].  At
-    dt = 0.1 dx (dt W_1 max|f'| = 0.1) the step is certified monotone on all three:
+def test_entropy_work_counters(budget, blocks, constants, straddling, monkeypatch):
+    """Five copies of one state, n = 300 zeros with a 1 at cell 3 and a 0.5 at cell
+    150, with R = 1.  Each step has six active items: cells 2, 3 and 4, whose
+    stencils span [0, 1], and cells 149, 150 and 151, whose stencils span [0, 0.5].
+    At dt = 0.1 dx (dt W_1 max|f'| = 0.1) the step is certified monotone on all six:
     each takes its two data sides and no straddling constant, and S_j reads their
-    stencils, one run of 5 values.  At dt = 1.5 dx none is certified: each has both
-    side constants, and 13 of the 17 default constants (0.05 ... 0.95) straddle it,
-    so the run is read once more per straddling constant.  At a budget of 400,
-    B = 400 // 302 = 1 step per block, so the four steps take four blocks; the work
-    does not depend on the blocks."""
+    stencils, two runs of 5 values.  At dt = 1.5 dx it is certified on the three
+    around cell 150 (0.75) but not on the three around cell 3 (1.5), in the same
+    block: only those take the distinct constants strictly inside (0, 1), 13 of
+    the 17 defaults (0.05 ... 0.95) or 0.25, 0.5 and 0.75 of the given ones, and
+    their run of 5 is read once more per straddling constant.  Either count is also
+    the brute-force sum over the uncertified items of #{c : m_j < c < M_j}.  At a
+    budget of 400, B = 400 // 302 = 1 step per block, so the four steps take four
+    blocks; the work does not depend on the blocks."""
     monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", budget)
     n = 300
     dx = 1.0 / n
     weights = weights_for_r(1, dx)
     values = np.zeros(n)
-    values[3] = 1.0
-    for mesh_ratio, certified, straddling in ((0.1, 3, 0), (1.5, 0, 13)):
-        audit = audit_stream(weights, GODUNOV)
+    values[3], values[150] = 1.0, 0.5
+    state = GridState(dx=dx, x0=0.0, values=values, boundary="constant_extension")
+    cs = np.unique(kruzhkov_constants(state) if constants is None else constants)
+    lo, hi = stencil_boxes(state, 1)
+    for mesh_ratio, certified in ((0.1, 6), (1.5, 3)):
+        unsure = (lo < hi) & (_cfl_number(GODUNOV, weights, mesh_ratio * dx, lo, hi) > 1.0)
+        brute = sum(int(np.sum((cs > lo[j]) & (cs < hi[j]))) for j in np.flatnonzero(unsure))
+        assert brute == (0 if certified == 6 else 3 * straddling)
+        audit = AuditStream(lambda u0: [_CellEntropy(u0, weights, GODUNOV, constants)], 1)
         for k in range(5):
             audit(GridState(dx=dx, x0=0.0, values=values, boundary="constant_extension",
                             time=k * mesh_ratio * dx))
         audit.finish()
-        assert audit.counts == {"entropy_blocks": blocks, "side_residuals": 4 * 6,
-                                "straddle_residuals": 4 * 3 * straddling,
+        assert audit.counts == {"entropy_blocks": blocks, "side_residuals": 4 * 12,
+                                "straddle_residuals": 4 * brute,
                                 "certified_items": 4 * certified,
-                                "stencil_values": 4 * (5 + straddling * 5)}
+                                "stencil_values": 4 * (10 + 5 * (brute // 3))}
 
 
 def narrow_bump_run(n=2000, r=2, steps=101):

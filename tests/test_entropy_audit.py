@@ -35,6 +35,7 @@ from horizonflux import (
     make_local_flux,
     step,
 )
+from horizonflux import fluxes
 from horizonflux.solver import _cfl_number
 from flux_oracles import (
     assert_entropy_matches_oracle,
@@ -144,9 +145,12 @@ def test_scheme_steps_satisfy_the_entropy_inequality_at_every_constant(family, p
         assert_entropy_matches_oracle(report, trajectory, weights, flux, cs, steps)
 
 
-def shock_run(n=64, r=3, steps=3, boundary="constant_extension", mesh_ratio=0.3):
+def shock_run(n=64, r=3, steps=3, boundary="constant_extension", mesh_ratio=0.3,
+              states=(0.8, -0.4)):
+    """Godunov over Burgers from a jump, by default a shock across the sonic
+    point; ``states=(-1, 1)`` gives burgers_rarefaction's fan."""
     dx = 1.0 / n
-    values = np.where(np.arange(n) < n // 2, 0.8, -0.4)
+    values = np.where(np.arange(n) < n // 2, *states)
     trajectory = [GridState(dx=dx, x0=0.0, values=values, boundary=boundary)]
     weights = weights_for_r(r, dx)
     for _ in range(steps):
@@ -169,15 +173,22 @@ def reference_check(trajectory, weights, flux, constants):
     (32, [1.5], -0.05, "identity"),   # c above a stencil that holds the jump: -S_j
     (32, [-1.5], 0.05, "identity"),   # c below it: +S_j
     (32, None, 0.05, "straddle"),     # c between: the q-sum itself
+    (5, None, 0.05, "transonic_flat"),  # S_j = 0 on a flat stencil, summed by blocks
 ])
-def test_planted_violation_found_at_oracle_location(cell, constants, shift, path):
-    trajectory, weights = shock_run()
+def test_planted_violation_found_at_oracle_location(cell, constants, shift, path, monkeypatch):
+    """A planted change is reported where the full oracle matrix peaks.  On the
+    fan of burgers_rarefaction the block's gathered stencils hold data on both
+    sides of the sonic point, so Godunov's one gathered S_j sum takes
+    ``_shift_sum``; the planted flat item's stencil of 2R + 1 = 7 values is
+    summed there too, 54 + 7 values."""
+    transonic = path == "transonic_flat"
+    trajectory, weights = shock_run(states=(-1.0, 1.0)) if transonic else shock_run()
     r = weights.n_terms
     cs = kruzhkov_constants(trajectory[0]) if constants is None else np.array(constants)
     stencil = trajectory[-2].extended(r)[cell : cell + 2 * r + 1]
     straddles = np.any((cs > stencil.min()) & (cs < stencil.max()))
     kind = "straddle" if straddles else "flat" if stencil.min() == stencil.max() else "identity"
-    assert kind == path
+    assert kind == path.removeprefix("transonic_")
     assert check_entropy(trajectory, weights, GODUNOV, cs).passed
     trajectory[-1].values[cell] += shift
     report = check_entropy(trajectory, weights, GODUNOV, cs)
@@ -185,6 +196,16 @@ def test_planted_violation_found_at_oracle_location(cell, constants, shift, path
     assert not report.passed
     assert report.location[:2] == where == (len(trajectory) - 1, cell)
     assert abs(report.violation - worst) <= entropy_bound(trajectory[0])
+    if transonic:
+        block_sums = []
+        shift_sum = fluxes._shift_sum
+        monkeypatch.setattr(fluxes, "_shift_sum",
+                            lambda a, *rest: block_sums.append(a.size) or shift_sum(a, *rest))
+        audit = audit_stream(weights, GODUNOV)
+        for state in trajectory:
+            audit(state)
+        assert audit.finish()[-1] == report
+        assert block_sums == [54 + 7] and audit.counts["stencil_values"] == 54 + 7
 
 
 @pytest.mark.parametrize("shift", [0.05, -0.05], ids=["above", "below"])

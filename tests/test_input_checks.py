@@ -95,6 +95,13 @@ BAD_INPUTS = {
     "joint_limit_nan_levels": (
         lambda: refine_joint_limit(SHOCK, "godunov", 2.0, 1 / 16, np.nan, 0.9),
         "n_levels must be an integer, got nan"),
+    # a bool is an int to Python, but not a level count
+    "fixed_delta_bool_levels": (
+        lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, True, 0.9),
+        "n_levels must be an integer, got True"),
+    "joint_limit_bool_levels": (
+        lambda: refine_joint_limit(SHOCK, "godunov", 2.0, 1 / 16, True, 0.9),
+        "n_levels must be an integer, got True"),
     "joint_limit_zero_coupling": (
         lambda: refine_joint_limit(SHOCK, "godunov", 0.0, 0.25, 2, 0.9),
         "coupling must be positive"),
