@@ -35,7 +35,6 @@ __all__ = [
     "check_ordering",
     "check_tvd",
     "kruzhkov_constants",
-    "l1_distance",
     "total_variation",
 ]
 
@@ -124,12 +123,6 @@ def _same_grid(a: GridState, b: GridState) -> None:
     if (a.n_cells != b.n_cells or a.boundary != b.boundary
             or abs(a.dx - b.dx) > 1e-12 * a.dx or abs(a.x0 - b.x0) > 1e-12 * a.dx):
         raise ValueError("states live on different grids")
-
-
-def l1_distance(a: GridState, b: GridState) -> float:
-    """dx * sum_j |a_j - b_j| for two states on the same grid."""
-    _same_grid(a, b)
-    return a.dx * float(np.sum(np.abs(a.values - b.values)))
 
 
 # -- trajectory checks ---------------------------------------------------------
@@ -312,7 +305,7 @@ def check_l1_contraction(
     bad = _first_bad(np.isfinite(u) & np.isfinite(v), 0)
     if bad is not None:  # fails outright, before any inf - inf
         return _report("l1_contraction", np.inf, np.inf, None, bad)
-    # row by row, each with its own dx, as l1_distance sums
+    # dx * sum_j |u_j - v_j| row by row, each row with its own dx
     dists = np.array([a.dx for a in traj_a]) * np.abs(u - v).sum(axis=-1)
     worst, where = _worst(np.diff(dists, prepend=dists[0]), 0)
     return _report("l1_contraction", worst, 1e-12 * (1.0 + dists[0]), where)

@@ -17,7 +17,6 @@ distances carry no interpolation error.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from .diagnostics import InvariantReport, audit_stream
 from .fluxes import make_flux, make_local_flux
 from .kernels import Kernel, _fits, compute_weights
 from .reference import Problem, _checked_window, l1_error
-from .solver import GridState, SchemeConfig, run
+from .solver import GridState, SchemeConfig, _integer, run
 
 __all__ = [
     "LevelRecord",
@@ -148,7 +147,7 @@ class StudyReport:
 
 
 def _build_flux(problem: Problem, family: str, lf_lambda: float | None):
-    local = make_local_flux(problem.local_flux, speed=problem.speed)
+    local = make_local_flux(problem.local_flux)
     return make_flux(family, local, lf_lambda=lf_lambda)
 
 
@@ -217,16 +216,6 @@ def _cauchy_distances(snapshots, problem: Problem, window) -> list[float | None]
 
 def _exact_errors(snapshots, problem: Problem, window) -> list[float]:
     return [max(l1_error(s, problem.exact, window) for s in level) for level in snapshots]
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int, or a ValueError; a bool is not a count."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _refine(

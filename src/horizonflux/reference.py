@@ -193,7 +193,6 @@ class Problem:
 
     name: str
     local_flux: str
-    speed: float
     u0: Callable
     exact: object | None
     domain: tuple[float, float]
@@ -212,7 +211,6 @@ def _make_problems() -> dict[str, Problem]:
     shock = Problem(
         name="burgers_shock",
         local_flux="burgers",
-        speed=1.0,
         u0=RiemannData(1.0, 0.0),
         exact=BurgersRiemannExact(1.0, 0.0),
         domain=(-2.0, 3.0),
@@ -224,7 +222,6 @@ def _make_problems() -> dict[str, Problem]:
     rarefaction = Problem(
         name="burgers_rarefaction",
         local_flux="burgers",
-        speed=1.0,
         u0=RiemannData(-1.0, 1.0),
         exact=BurgersRiemannExact(-1.0, 1.0),
         domain=(-2.5, 2.5),
@@ -236,7 +233,6 @@ def _make_problems() -> dict[str, Problem]:
     bump = Problem(
         name="advect_bump",
         local_flux="linear_advection",
-        speed=1.0,
         u0=_bump,
         exact=AdvectionExact(_bump, 1.0, period=1.0, x_left=0.0),
         domain=(0.0, 1.0),

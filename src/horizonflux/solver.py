@@ -132,6 +132,16 @@ class SchemeConfig:
             raise ValueError(f"final_time must be nonnegative, got {self.final_time}")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, or a ValueError; a bool is not a count."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def cell_average_init(
     u0: Callable,
     *,
@@ -150,10 +160,7 @@ def cell_average_init(
     data in particular) is averaged exactly no matter how the jumps sit
     relative to cell edges.
     """
-    try:
-        n_cells = operator.index(n_cells)
-    except TypeError:
-        raise ValueError(f"n_cells must be an integer, got {n_cells!r}") from None
+    n_cells = _integer(n_cells, "n_cells")
     if n_cells <= 0:
         raise ValueError(f"n_cells must be positive, got {n_cells}")
     # the grid first, so dx, x0 and the boundary are checked before any averaging
@@ -237,6 +244,17 @@ def _check_pair(state: GridState, weights: QuadratureWeights) -> None:
         )
 
 
+def _advanced(state: GridState, values: np.ndarray, dt: float) -> GridState:
+    """The state after a step of ``dt`` from ``state``: same grid, new values."""
+    return GridState(
+        dx=state.dx,
+        x0=state.x0,
+        values=values,
+        boundary=state.boundary,
+        time=state.time + dt,
+    )
+
+
 def step(
     state: GridState, weights: QuadratureWeights, flux: TwoPointFlux, dt: float
 ) -> GridState:
@@ -268,13 +286,7 @@ def step(
         lo = max(first + 1 - 2 * pad, 0)
         hi = min(change.rfind(1) + 1 + 2 * pad, ext.size)
         values[lo : hi - 2 * pad] -= dt * flux.stencil_sum(ext[lo:hi], weights.weights)
-    return GridState(
-        dx=state.dx,
-        x0=state.x0,
-        values=values,
-        boundary=state.boundary,
-        time=state.time + dt,
-    )
+    return _advanced(state, values, dt)
 
 
 def wide_numerical_flux(
@@ -311,13 +323,7 @@ def step_conservative_form(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     f_edges = wide_numerical_flux(state, weights, flux)
     lam = dt / state.dx
-    return GridState(
-        dx=state.dx,
-        x0=state.x0,
-        values=state.values - lam * (f_edges[1:] - f_edges[:-1]),
-        boundary=state.boundary,
-        time=state.time + dt,
-    )
+    return _advanced(state, state.values - lam * (f_edges[1:] - f_edges[:-1]), dt)
 
 
 def _full_steps(final_time: float, dt: float) -> int:

@@ -15,7 +15,6 @@ from horizonflux import (
     check_tvd,
     compute_weights,
     kruzhkov_constants,
-    l1_distance,
     make_flux,
     make_local_flux,
     run,
@@ -52,15 +51,6 @@ def test_norms_hand_values():
 def test_norms_constant_state():
     state = GridState(dx=0.1, x0=0.0, values=np.full(7, 4.2))
     assert total_variation(state) == 0.0
-
-
-def test_l1_distance_requires_matching_grids():
-    a = GridState(dx=0.5, x0=0.0, values=np.zeros(4))
-    b = GridState(dx=0.25, x0=0.0, values=np.zeros(4))
-    with pytest.raises(ValueError):
-        l1_distance(a, b)
-    c = GridState(dx=0.5, x0=0.0, values=np.ones(4))
-    assert l1_distance(a, c) == pytest.approx(2.0)
 
 
 # -- max principle and TVD -------------------------------------------------------
@@ -115,7 +105,6 @@ def test_identical_trajectories_have_zero_distance_forever():
     traj = shock_trajectory(n=64, T=0.2)
     rep = check_l1_contraction(traj, traj)
     assert rep.passed and rep.violation == 0.0
-    assert all(l1_distance(a, b) == 0.0 for a, b in zip(traj, traj))
 
 
 def test_perturbed_riemann_distances_non_increasing():
@@ -188,7 +177,7 @@ def test_two_run_checks_share_one_input_rule_and_tie_rule(check):
 @pytest.mark.parametrize("n", [7, 8, 9, 127, 128, 129, 2560])
 def test_row_reductions_equal_the_one_state_norms(n, boundary):
     """The block and two-run checks sum rows; each row is the float that
-    total_variation or l1_distance gives for its state, bit for bit."""
+    total_variation or dx * sum_j |a_j - b_j| gives for its states, bit for bit."""
     rng = np.random.default_rng(n)
     dx = 1.0 / n
     zero = GridState(dx=dx, x0=0.0, values=np.zeros(n), boundary=boundary)
@@ -204,9 +193,9 @@ def test_row_reductions_equal_the_one_state_norms(n, boundary):
         # from a zero state each violation is the later state's norm itself
         assert check_tvd([zero, a]).violation == total_variation(a)
         assert audit_trajectory([zero, a], weights, GODUNOV)[1].violation == total_variation(a)
-        assert check_l1_contraction([zero, a], [zero, b]).violation == l1_distance(a, b)
-        assert check_l1_contraction([a, zero], [b, zero]).tolerance == 1e-12 * (
-            1.0 + l1_distance(a, b))
+        distance = a.dx * float(np.sum(np.abs(a.values - b.values)))
+        assert check_l1_contraction([zero, a], [zero, b]).violation == distance
+        assert check_l1_contraction([a, zero], [b, zero]).tolerance == 1e-12 * (1.0 + distance)
 
 
 # -- cell entropy -------------------------------------------------------------------

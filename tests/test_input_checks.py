@@ -55,6 +55,12 @@ BAD_INPUTS = {
     "cell_average_fractional_cells": (
         lambda: cell_average_init(np.sin, dx=0.25, x0=0.0, n_cells=2.5),
         "n_cells must be an integer"),
+    # a bool is an int to Python, but not a cell count
+    "cell_average_bool_cells": (
+        lambda: cell_average_init(lambda x: x, dx=0.5, x0=0.0, n_cells=True),
+        "n_cells must be an integer, got True"),
+    "run_bool_cells": (lambda: run(_scheme(), np.sin, x0=0.0, dx=0.25, n_cells=True),
+                       "n_cells must be an integer, got True"),
     "cell_average_nan_dx": (lambda: cell_average_init(np.sin, dx=np.nan, x0=0.0, n_cells=4),
                             "dx must be positive and finite"),
     "cell_average_nan_x0": (

@@ -159,10 +159,14 @@ def test_conservative_form_matches_step():
         state = random_state(rng, n=n, dx=dx, boundary=rng.choice(["periodic", "constant_extension"]))
         weights = weights_for_r(r, dx, rng.choice(["uniform", "triangular", "quadratic"]))
         dt = 0.2 * dx
+        state.x0, state.time = -0.375, 0.1  # neither is 0, so both must be carried over
         a = step(state, weights, GODUNOV, dt)
         b = step_conservative_form(state, weights, GODUNOV, dt)
         scale = 1.0 + np.max(np.abs(state.values))
         assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
+        for out in (a, b):  # both forms make the next state on the same grid
+            assert (out.dx, out.x0, out.boundary) == (state.dx, state.x0, state.boundary)
+            assert out.time == state.time + dt
 
 
 def test_wide_flux_is_consistent_on_constants():

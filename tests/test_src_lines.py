@@ -30,9 +30,14 @@ def test_src_lines_counts_every_line_and_the_code_lines(tmp_path):
     path = tmp_path / "snippet.py"
     path.write_text(SNIPPET)
     root = Path(__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, str(root / "scripts" / "src_lines.py"), str(tmp_path)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "wc -l: 16\ncode lines: 8\n"
+    totals = "wc -l: 16\ncode lines: 8\n"
+    # --each puts one row per file, named from the directory given, before the same totals
+    for flags, expected in [([], totals),
+                            (["--each"], f"{tmp_path.name}/snippet.py: 16 lines, 8 code lines\n"
+                                         + totals)]:
+        result = subprocess.run(
+            [sys.executable, str(root / "scripts" / "src_lines.py"), *flags, str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == expected
