@@ -5,10 +5,9 @@
 that hold a token other than a comment, a newline or an indent, leaving out
 docstring statements: a lone string literal opening a module, class or
 function body.  Run it from anywhere: with no arguments it reads the
-repository's ``src/``, otherwise the files and directories given.  ``--each``
-prints one row per file, its two sizes, before the totals.
+repository's ``src/``, otherwise the files and directories given.
 
-    python scripts/src_lines.py [--each] [PATH ...]
+    python scripts/src_lines.py [PATH ...]
 """
 
 import argparse
@@ -46,32 +45,25 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(source))
 
 
-def sizes(paths) -> dict[str, tuple[int, int]]:
-    """(``wc -l``, code lines) of each ``.py`` file under ``paths``, by its name
-    relative to the parent of the directory it was found in."""
-    names = {}  # a file reached through two paths counts once
-    for p in map(Path, paths):
-        for f in [p] if p.is_file() else p.rglob("*.py"):
-            names.setdefault(f, f.relative_to(p.parent) if p.is_dir() else f)
-    out = {}
-    for path in sorted(names):
+def sizes(paths) -> tuple[int, int]:
+    """(``wc -l``, code lines) summed over the ``.py`` files under ``paths``."""
+    files = sorted({f for p in map(Path, paths)
+                    for f in ([p] if p.is_file() else p.rglob("*.py"))})
+    total = code = 0
+    for path in files:
         source = path.read_text(encoding="utf-8")
-        out[str(names[path])] = source.count("\n"), code_lines(source)
-    return out
+        total += source.count("\n")
+        code += code_lines(source)
+    return total, code
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--each", action="store_true", help="print each file's sizes first")
     ap.add_argument("paths", nargs="*",
                     default=[str(Path(__file__).resolve().parents[1] / "src")])
-    args = ap.parse_args(argv)
-    each = sizes(args.paths)
-    if args.each:
-        for name, (total, code) in each.items():
-            print(f"{name}: {total} lines, {code} code lines")
-    print(f"wc -l: {sum(total for total, _ in each.values())}")
-    print(f"code lines: {sum(code for _, code in each.values())}")
+    total, code = sizes(ap.parse_args(argv).paths)
+    print(f"wc -l: {total}")
+    print(f"code lines: {code}")
 
 
 if __name__ == "__main__":

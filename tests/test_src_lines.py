@@ -27,16 +27,17 @@ lines"""
 
 
 def test_src_lines_counts_every_line_and_the_code_lines(tmp_path):
-    path = tmp_path / "snippet.py"
-    path.write_text(SNIPPET)
+    # two directories of the same name hold two distinct files that share a
+    # relative name, so both must be counted
+    dirs = [tmp_path / "a" / "src", tmp_path / "b" / "src"]
+    for d in dirs:
+        d.mkdir(parents=True)
+        (d / "snippet.py").write_text(SNIPPET)
     root = Path(__file__).resolve().parents[1]
-    totals = "wc -l: 16\ncode lines: 8\n"
-    # --each puts one row per file, named from the directory given, before the same totals
-    for flags, expected in [([], totals),
-                            (["--each"], f"{tmp_path.name}/snippet.py: 16 lines, 8 code lines\n"
-                                         + totals)]:
+    for paths, expected in [(dirs[:1], "wc -l: 16\ncode lines: 8\n"),
+                            (dirs, "wc -l: 32\ncode lines: 16\n")]:
         result = subprocess.run(
-            [sys.executable, str(root / "scripts" / "src_lines.py"), *flags, str(tmp_path)],
+            [sys.executable, str(root / "scripts" / "src_lines.py"), *map(str, paths)],
             capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
