@@ -20,9 +20,8 @@ import json
 
 import numpy as np
 
-from horizonflux import (BOUNDARY_MODES, GridState, Kernel, compute_weights, make_flux,
-                         make_local_flux, step)
-from horizonflux.diagnostics import AuditStream, _as_constants, _CellEntropy
+from horizonflux import (BOUNDARY_MODES, GridState, Kernel, check_entropy, compute_weights,
+                         make_flux, make_local_flux, step)
 
 FAMILIES = (("godunov", None), ("engquist_osher", None), ("lax_friedrichs", 1.0))
 MULTIPLES = (0.9, 1.35, 2.7, 5.4)
@@ -54,13 +53,9 @@ def runs(seed: int):
 
 def audit(trajectory, weights, flux, constants) -> list:
     """[violation, location, passed, counts] of ``check_entropy`` on the run."""
-    cs = None if constants is None else _as_constants(constants)
-    stream = AuditStream(lambda u0: [_CellEntropy(u0, weights, flux, cs)], weights.n_terms)
-    for state in trajectory:
-        stream(state)
-    [report] = stream.finish()
+    report = check_entropy(trajectory, weights, flux, constants)
     location = None if report.location is None else list(report.location)
-    return [report.violation, location, report.passed, stream.counts]
+    return [report.violation, location, report.passed, report.counts]
 
 
 def main(argv=None):

@@ -10,7 +10,7 @@ with (1 + data magnitude) so the verdicts stay meaningful across problem scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .solver import GridState, _cfl_number, _check_pair
 _BLOCK_VALUES = 8192
 
 __all__ = [
-    "AuditStream",
     "InvariantReport",
     "audit_stream",
     "audit_trajectory",
@@ -47,7 +46,9 @@ class InvariantReport:
     zero), ``location`` identifies where it occurred: (step,), (step, cell),
     or (step, cell, c) for entropy checks with a Kruzhkov constant.  A
     non-finite value fails a trajectory check: inf at its first (step, cell),
-    in either run for the two-run checks.
+    in either run for the two-run checks.  ``counts`` holds the entropy
+    audit's work counters (see :func:`audit_stream`), None on every other
+    check; it is left out of :meth:`as_dict` and of equality.
     """
 
     name: str
@@ -55,6 +56,7 @@ class InvariantReport:
     violation: float
     tolerance: float
     location: tuple | None = None
+    counts: dict | None = field(default=None, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -84,7 +86,7 @@ def _first_bad(finite: np.ndarray, first: int) -> tuple | None:
     return _worst(~finite, first)[1]
 
 
-def _report(name, violation, tolerance, location, bad=None) -> InvariantReport:
+def _report(name, violation, tolerance, location, bad=None, counts=None) -> InvariantReport:
     """The verdict; ``bad``, the first non-finite (step, cell), fails it outright."""
     if bad is not None:
         violation, location = np.inf, bad
@@ -95,6 +97,7 @@ def _report(name, violation, tolerance, location, bad=None) -> InvariantReport:
         violation=violation,
         tolerance=float(tolerance),
         location=location,
+        counts=None if counts is None else dict(counts),
     )
 
 
@@ -138,7 +141,7 @@ def _same_grid(a: GridState, b: GridState) -> None:
 class _Check:
     """A running reduction: the worst excess so far and where it happened."""
 
-    worst, where = 0.0, None
+    worst, where, counts = 0.0, None, None
 
     def _fold(self, first: int, excess: np.ndarray) -> None:
         """Keep the :func:`_worst` of ``excess`` if it beats the worst so far."""
@@ -199,8 +202,8 @@ class AuditStream:
     when the block is full every check reduces it at once, and its last row
     starts the next block.  Nothing else is kept but the checks' running
     reductions, so a run audits in O(B n) memory.  :meth:`finish` returns the
-    reports; the first non-finite (step, cell) seen fails every one of them.
-    ``counts`` holds the entropy audit's work counters.  Built by
+    reports; the first non-finite (step, cell) seen fails every one of them,
+    and the entropy report carries its audit's work counters.  Built by
     :func:`audit_stream`.
     """
 
@@ -244,18 +247,12 @@ class AuditStream:
         self._ext[0], self._times[0] = ext[-1], self._times[rows - 1]
         self._first, self._rows = self._first + rows - 1, 1
 
-    @property
-    def counts(self) -> dict:
-        """The entropy audit's work so far (see :func:`check_entropy`); empty without it."""
-        checks = self._checks or ()
-        return {k: v for check in checks for k, v in getattr(check, "counts", {}).items()}
-
     def finish(self) -> list[InvariantReport]:
         if self._checks is None:
             raise ValueError("the audit saw no state")
         if self._bad is None and self._rows > 1:
             self._flush()
-        return [_report(*check.result(), self._bad) for check in self._checks]
+        return [_report(*check.result(), self._bad, check.counts) for check in self._checks]
 
 
 def _fed(stream: AuditStream, trajectory: Sequence[GridState]) -> list[InvariantReport]:
@@ -453,10 +450,11 @@ def check_entropy(
     probe is one entry of one candidate list of (item, c): each item at its
     stencil min, then at its stencil max, then each triple.  Its residuals'
     maximum is folded into the running one, and its location is read from
-    the same list.  ``AuditStream.counts`` tallies this work.  In floating
-    point the reduction may miss the full matrix's maximum by round-off.
-    Ties go to the earliest step, then the lowest cell, then the smallest c
-    probed there; a later block must be strictly worse.
+    the same list.  The report's ``counts`` tally this work (see
+    :func:`audit_stream`).  In floating point the reduction may miss the full
+    matrix's maximum by round-off.  Ties go to the earliest step, then the
+    lowest cell, then the smallest c probed there; a later block must be
+    strictly worse.
     """
     cs = None if constants is None else _as_constants(constants)
     audit = AuditStream(lambda u0: [_CellEntropy(u0, weights, flux, cs)], weights.n_terms)
@@ -545,11 +543,12 @@ def audit_stream(weights: QuadratureWeights, flux: TwoPointFlux) -> AuditStream:
 
     Pass it as ``run(..., observer=audit)``, then ``audit.finish()`` returns the
     reports that ``audit_trajectory`` gives on the stored trajectory.  The
-    stream keeps one block of B + 1 extended rows; ``audit.counts`` then holds
-    the entropy audit's work: blocks run, side residuals (two per active item,
-    at its stencil min and max) and straddle residuals evaluated (only on
-    items not certified), the active items certified monotone, and the stencil
-    values its sums read (S_j on every active item, and each straddle q-sum).
+    stream keeps one block of B + 1 extended rows.  The last report, the
+    ``cell_entropy`` one, has ``counts``: the entropy audit's work, blocks
+    run, side residuals (two per active item, at its stencil min and max) and
+    straddle residuals evaluated (only on items not certified), the active
+    items certified monotone, and the stencil values its sums read (S_j on
+    every active item, and each straddle q-sum).
     """
     return AuditStream(lambda u0: _bundle(u0, weights, flux), weights.n_terms)
 

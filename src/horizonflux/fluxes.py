@@ -1,4 +1,4 @@
-"""Local fluxes, monotone two-point flux families, and the induced entropy flux.
+"""Local fluxes and the monotone two-point flux families over them.
 
 A two-point flux g(a, b) is consistent (g(u, u) = f(u)), nondecreasing in its
 first argument and nonincreasing in its second.  Every family is a split pair
@@ -12,7 +12,10 @@ monotone (cubic, linear_advection), where it is the upwind flux.
 
 A is nondecreasing and B nonincreasing (for Lax-Friedrichs when
 λ max|f'| <= 1), and both ops are nondecreasing in each argument, so every
-family is monotone.
+family is monotone.  The entropy audit takes the induced entropy flux
+q(a, b; c) = g(a ∨ c, b ∨ c) - g(a ∧ c, b ∧ c) only as sums of g, through
+:meth:`TwoPointFlux.stencil_sum`; the pointwise q is the test oracle
+``flux_oracles.entropy_flux``.
 """
 
 from __future__ import annotations
@@ -196,8 +199,8 @@ class TwoPointFlux:
         exactly 0 (B on data >= 0, A on data <= 0) correlates to +0.0
         everywhere, so its correlation is not taken.  Otherwise the sum is
         :func:`_shift_sum` of the halves, whose bits for a cell depend on its
-        stencil alone.  The entropy flux q(·, ·; c) is a difference of two such
-        sums, over ext ∨ c and over ext ∧ c (see :meth:`q`).
+        stencil alone.  A sum of the entropy flux q(·, ·; c) (see the module
+        docstring) is the difference of two such sums, over ext ∨ c and ext ∧ c.
         """
         pad = w.size
         n = ext.size - 2 * pad
@@ -210,18 +213,6 @@ class TwoPointFlux:
         right = 0.0 if zero_b else np.correlate(b[pad + 1 :] - b[pad:-1], tail, "valid")
         left = 0.0 if zero_a else np.correlate(a[1:m] - a[: m - 1], tail[::-1], "valid")
         return right + left  # a skipped half's +0.0 turns a -0.0 into +0.0, as the sum did
-
-    # -- entropy flux -------------------------------------------------------
-
-    def q(self, a, b, c):
-        """Nonlocal entropy flux q(a, b; c) = g(a v c, b v c) - g(a ^ c, b ^ c).
-
-        Consistent with the local entropy flux: q(u, u; c) equals
-        sgn(u - c) (f(u) - f(c)) with sgn(0) := 1.
-        """
-        hi = self.g(np.maximum(a, c), np.maximum(b, c))
-        lo = self.g(np.minimum(a, c), np.minimum(b, c))
-        return hi - lo
 
     # -- bounds and validity ------------------------------------------------
 

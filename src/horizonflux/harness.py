@@ -288,6 +288,7 @@ def refine_fixed_delta(
     """
     if _integer(n_levels, "n_levels") < 2:
         raise ValueError("fixed-delta study needs at least 2 levels")
+    Kernel(delta)  # the horizon rule, checked before any level is laid out
     return _refine(
         problem, flux_family, dx0, n_levels, mesh_ratio,
         regime="fixed_delta", measure_name="cauchy_l1_distance",

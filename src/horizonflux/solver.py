@@ -399,9 +399,8 @@ def run(
 
     total_steps = n_full + (1 if remainder > 0.0 else 0)
     for i in range(total_steps):
-        full = i < n_full
-        dt_i = dt if full else remainder
-        t_next = (i + 1) * dt if full else t_end
+        dt_i = dt if i < n_full else remainder
+        t_next = (i + 1) * dt if i + 1 < total_steps else t_end
         while ptr < len(targets) and targets[ptr] < t_next - eps:
             snapshots.append(state)
             ptr += 1

@@ -8,6 +8,8 @@ over k in a plain loop.  ``derivative`` gives f' of each local flux and
 ``partials`` the one-sided partial derivatives of each family, both in closed
 form.  ``lipschitz_box_bound`` bounds those partials over a box; it gives the
 former CFL bound dt/dx <= 1 / (L1 + L2), which tests still take dt from.
+``entropy_flux`` is the pointwise nonlocal entropy flux q(a, b; c), which the
+package takes only as sums of g.
 ``reference_entropy_matrix`` takes the full q-sum of the cell entropy
 residual at every (c, j), with no lattice identity.  ``entropy_oracle`` takes
 it over a dense set of constants that holds every stencil's min and max, and
@@ -135,6 +137,17 @@ def lipschitz_box_bound(flux, b1, b2):
         return l1, l2
     # the upwind halves: dg/da in [0, max(f', 0)], dg/db in [min(f', 0), 0]
     return float(max(0.0, dmax)), float(max(0.0, -dmin))
+
+
+def entropy_flux(flux, a, b, c):
+    """Nonlocal entropy flux q(a, b; c) = g(a v c, b v c) - g(a ^ c, b ^ c).
+
+    Consistent with the local entropy flux: q(u, u; c) equals
+    sgn(u - c) (f(u) - f(c)) with sgn(0) := 1.
+    """
+    hi = flux.g(np.maximum(a, c), np.maximum(b, c))
+    lo = flux.g(np.minimum(a, c), np.minimum(b, c))
+    return hi - lo
 
 
 def reference_entropy_matrix(state_n, state_np1, weights, flux, constants):

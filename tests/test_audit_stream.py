@@ -34,7 +34,7 @@ from horizonflux import (
     total_variation,
 )
 from horizonflux import diagnostics
-from horizonflux.diagnostics import AuditStream, _block_steps, _CellEntropy
+from horizonflux.diagnostics import _block_steps
 from horizonflux.harness import _build_flux, _run_level
 from horizonflux.solver import _cfl_number
 from flux_oracles import reference_entropy_matrix, stencil_boxes
@@ -76,12 +76,9 @@ def reference_audit(trajectory, weights, flux):
         scale = 1.0 + dx * float(np.sum(np.abs(u0)))
         reports.append(_verdict("conservation", worst, 1e-13 * scale, where))
     worst, where = 0.0, None
+    constants = kruzhkov_constants(trajectory[0])
     for n in range(len(trajectory) - 1):
-        one_step = AuditStream(lambda _: [_CellEntropy(trajectory[0], weights, flux)],
-                               weights.n_terms)
-        for state in trajectory[n : n + 2]:
-            one_step(state)
-        rep, = one_step.finish()
+        rep = check_entropy(trajectory[n : n + 2], weights, flux, constants)
         if rep.violation > worst:
             worst, where = rep.violation, (n + rep.location[0], *rep.location[1:])
     tol = 1e-10 * (1.0 + float(np.max(np.abs(u0))))
@@ -291,15 +288,13 @@ def test_entropy_work_counters(budget, blocks, constants, straddling, monkeypatc
         unsure = (lo < hi) & (_cfl_number(GODUNOV, weights, mesh_ratio * dx, lo, hi) > 1.0)
         brute = sum(int(np.sum((cs > lo[j]) & (cs < hi[j]))) for j in np.flatnonzero(unsure))
         assert brute == (0 if certified == 6 else 3 * straddling)
-        audit = AuditStream(lambda u0: [_CellEntropy(u0, weights, GODUNOV, constants)], 1)
-        for k in range(5):
-            audit(GridState(dx=dx, x0=0.0, values=values, boundary="constant_extension",
-                            time=k * mesh_ratio * dx))
-        audit.finish()
-        assert audit.counts == {"entropy_blocks": blocks, "side_residuals": 4 * 12,
-                                "straddle_residuals": 4 * brute,
-                                "certified_items": 4 * certified,
-                                "stencil_values": 4 * (10 + 5 * (brute // 3))}
+        states = [GridState(dx=dx, x0=0.0, values=values, boundary="constant_extension",
+                            time=k * mesh_ratio * dx) for k in range(5)]
+        report = check_entropy(states, weights, GODUNOV, constants)
+        assert report.counts == {"entropy_blocks": blocks, "side_residuals": 4 * 12,
+                                 "straddle_residuals": 4 * brute,
+                                 "certified_items": 4 * certified,
+                                 "stencil_values": 4 * (10 + 5 * (brute // 3))}
 
 
 def narrow_bump_run(n=2000, r=2, steps=101):
@@ -320,7 +315,8 @@ def streamed_audit(trajectory, weights):
     audit = audit_stream(weights, GODUNOV)
     for state in trajectory:
         audit(state)
-    return audit.finish(), audit.counts["entropy_blocks"]
+    reports = audit.finish()
+    return reports, reports[-1].counts["entropy_blocks"]
 
 
 @pytest.mark.parametrize("where", ["first_block", "last_block"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from horizonflux import (
     Kernel,
     RiemannData,
     SchemeConfig,
+    audit_stream,
     audit_trajectory,
     check_conservation,
     check_entropy,
@@ -325,7 +328,21 @@ def test_audit_trajectory_bundles_the_four_checks(boundary):
     if boundary == "periodic":
         want.append(check_conservation(traj))
     want.append(check_entropy(traj, weights, GODUNOV))
-    assert audit_trajectory(traj, weights, GODUNOV) == want
+    reports = audit_trajectory(traj, weights, GODUNOV)
+    assert reports == want
+    # the entropy report carries its audit's work counters, and no other report does
+    audit = audit_stream(weights, GODUNOV)
+    for state in traj:
+        audit(state)
+    entropy = reports[-1]
+    assert set(entropy.counts) == {"entropy_blocks", "side_residuals", "straddle_residuals",
+                                   "certified_items", "stencil_values"}
+    assert entropy.counts == audit.finish()[-1].counts == want[-1].counts
+    assert all(rep.counts is None for rep in reports[:-1])
+    # they are not part of the verdict: not serialized, compared or hashed
+    assert "counts" not in entropy.as_dict()
+    other = dataclasses.replace(entropy, counts={})
+    assert other == entropy and hash(other) == hash(entropy)
 
 
 EMPTY_AUDITS = {

@@ -204,8 +204,9 @@ def test_planted_violation_found_at_oracle_location(cell, constants, shift, path
         audit = audit_stream(weights, GODUNOV)
         for state in trajectory:
             audit(state)
-        assert audit.finish()[-1] == report
-        assert block_sums == [54 + 7] and audit.counts["stencil_values"] == 54 + 7
+        streamed = audit.finish()[-1]
+        assert streamed == report
+        assert block_sums == [54 + 7] and streamed.counts["stencil_values"] == 54 + 7
 
 
 @pytest.mark.parametrize("shift", [0.05, -0.05], ids=["above", "below"])

@@ -115,6 +115,10 @@ def test_joint_limit_shock_errors_decrease():
     assert len(report.eoc) == 3
     assert report.invariants_pass()
     assert report.passed()
+    for level in report.levels:  # an enforced run: every active entropy item is certified
+        counts = level.invariants[-1].counts
+        assert counts["straddle_residuals"] == 0
+        assert counts["side_residuals"] == 2 * counts["certified_items"] > 0
 
 
 def test_joint_limit_smooth_advection_first_order():

@@ -131,6 +131,12 @@ BAD_INPUTS = {
     "joint_limit_inf_coupling": (
         lambda: refine_joint_limit(SHOCK, "godunov", np.inf, 0.25, 2, 0.9),
         "coupling must be positive and finite, got inf"),
+    "fixed_delta_nan_delta": (
+        lambda: refine_fixed_delta(SHOCK, "godunov", np.nan, 1 / 64, 2, 0.9),
+        "horizon delta must be positive and finite, got nan"),
+    "fixed_delta_inf_delta": (
+        lambda: refine_fixed_delta(SHOCK, "godunov", np.inf, 1 / 64, 2, 0.9),
+        "horizon delta must be positive and finite, got inf"),
     # one output time compares only the t = 0 snapshots, so the study would pass on nothing
     "study_one_output_time": (
         lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 2, 0.9, n_output_times=1),

@@ -29,7 +29,7 @@ from horizonflux import (
 )
 from horizonflux import diagnostics
 from horizonflux.solver import _cfl_number
-from flux_oracles import entropy_bound, lipschitz_box_bound, reference_rate
+from flux_oracles import entropy_bound, entropy_flux, lipschitz_box_bound, reference_rate
 from testutil import (every_flux, random_state, random_step_profile, reconstruct,
                       weights_for_r)
 
@@ -384,12 +384,12 @@ def test_windowed_step_hands_the_halves_only_the_varying_span(r, monkeypatch):
 
 def _q_loop(flux, ext, w, c):
     """sum_k w_k [q(u_j, u_{j+k}; c) - q(u_{j-k}, u_j; c)] along the last axis of
-    ``ext`` by a loop over k on ``flux.q``."""
+    ``ext`` by a loop over k on ``entropy_flux``."""
     pad = w.size
     n = ext.shape[-1] - 2 * pad
     acc = 0.0
     for k in range(1, pad + 1):
-        qk = flux.q(ext[..., :-k], ext[..., k:], c)
+        qk = entropy_flux(flux, ext[..., :-k], ext[..., k:], c)
         acc = acc + (qk[..., pad : pad + n] - qk[..., pad - k : pad - k + n]) * w[k - 1]
     return acc
 
@@ -399,7 +399,7 @@ def _q_loop(flux, ext, w, c):
 def test_stencil_sum_matches_the_k_loops_of_g_and_q(r, boundary):
     """p = g is the step's rate on either path.  The entropy audit's gathered
     q-sums, the g-sum over v v c less the one over v ^ c, are a k-loop of
-    ``flux.q`` at every cell of every row in every copy of the rows, one copy
+    ``entropy_flux`` at every cell of every row in every copy of the rows, one copy
     per constant, so each gathered stencil but a row's last is cut at the next
     one's start.  The rows hold transonic Godunov data, one-signed data and a
     level row, and a flat stencil sums to exactly 0 on every path.  Sums are compared as dt * sum, the term that ``step`` and
@@ -551,7 +551,8 @@ def test_mesh_ratios_up_to_the_sharp_bound_run_certified(r):
                 run(config, problem.u0, **grid)
         audit = audit_stream(weights, GODUNOV)
         run(config, problem.u0, **grid, enforce_cfl=multiple < 1.0, observer=audit)
-        reports, counts = audit.finish(), audit.counts
+        reports = audit.finish()
+        counts = reports[-1].counts
         if multiple < 1.0:
             assert all(rep.passed for rep in reports), reports
             assert counts["straddle_residuals"] == 0
@@ -580,16 +581,21 @@ def test_run_zero_time_returns_initial_state():
     assert traj[0].time == 0.0
 
 
-def test_run_lands_exactly_on_final_time():
-    # T is not a multiple of dt, so the last step must shorten
-    cfg = _shock_config(0.05, 1 / 32, mesh_ratio=0.9, T=0.33)
+@pytest.mark.parametrize("mesh_ratio, dx, T, steps, shortened", [
+    (0.9, 1 / 32, 0.33, 12, True),  # T is not a multiple of dt, so the last step shortens
+    (1.0, 0.1, 0.3, 3, False),      # 3 dt = 0.30000000000000004 in floating point
+    (0.9, 1 / 9, 1.0, 10, False),   # 10 dt = 0.9999999999999999 in floating point
+])
+def test_run_lands_exactly_on_final_time(mesh_ratio, dx, T, steps, shortened):
+    cfg = _shock_config(0.05, dx, mesh_ratio=mesh_ratio, T=T)
     traj = []
-    run(cfg, RiemannData(1.0, 0.0), x0=-1.0, dx=1 / 32, n_cells=64,
+    run(cfg, RiemannData(1.0, 0.0), x0=-1.0, dx=dx, n_cells=round(2.0 / dx),
         boundary="constant_extension", observer=traj.append)
-    assert traj[-1].time == pytest.approx(0.33, abs=1e-14)
-    dts = np.diff([s.time for s in traj])
-    assert np.all(dts[:-1] == pytest.approx(0.9 / 32))
-    assert dts[-1] < 0.9 / 32
+    dt = mesh_ratio * dx
+    assert [s.time for s in traj[:-1]] == [k * dt for k in range(steps)]
+    assert traj[-1].time == T
+    last = traj[-1].time - traj[-2].time
+    assert last < dt if shortened else last == pytest.approx(dt, rel=1e-14)
 
 
 def test_run_snapshots_select_time_cells():
