@@ -4,9 +4,10 @@
 For each case of ``local_limit_study.CASES`` this writes ``study.cfg`` (dx0 =
 1/64, 4 joint-limit levels, coupling 2) and ``single.cfg`` (dx = 1/512,
 delta = 2 dx) into DIR/<problem>/, then runs ``horizonflux study``, ``check``
-and ``run`` from DIR.  Each config names its output directory relative to DIR,
-so the 15 outputs (study.json, study.csv, study_plot.dat, invariants.json and
-solution.csv per case) of two source trees compare with ``diff -r``:
+and ``run`` from DIR, and ``weights`` with that delta and dx.  Each config (and
+``weights --out``) names its output directory relative to DIR, so the 18
+outputs (study.json, study.csv, study_plot.dat, invariants.json, solution.csv
+and weights.csv per case) of two source trees compare with ``diff -r``:
 
     PYTHONPATH=src python scripts/cli_outputs.py DIR
 
@@ -48,10 +49,11 @@ def main() -> int:
     for problem, (family, mesh_ratio) in CASES.items():
         Path(problem).mkdir(exist_ok=True)
         study = write_config(Path(problem, "study.cfg"), problem, family, mesh_ratio, DX0)
-        single = write_config(Path(problem, "single.cfg"), problem, family, mesh_ratio,
-                              DX0 / 2 ** (LEVELS - 1))
+        dx = DX0 / 2 ** (LEVELS - 1)
+        single = write_config(Path(problem, "single.cfg"), problem, family, mesh_ratio, dx)
+        weights = ["weights", "--delta", repr(COUPLING * dx), "--dx", repr(dx), "--out", problem]
         for argv in (["study", "--config", study], ["check", "--config", single],
-                     ["run", "--config", single]):
+                     ["run", "--config", single], weights):
             code = cli.main(argv)
             status = status or code
     return status

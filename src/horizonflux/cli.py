@@ -10,8 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import RunConfig, config_to_text, parse_config
-from .harness import _run_level, refine_fixed_delta, refine_joint_limit
+from .config import RunConfig, _keyed, config_to_text, parse_config
+from .harness import _build_flux, _run_level, refine_fixed_delta, refine_joint_limit
 from .kernels import Kernel, compute_weights
 from .outputs import (
     weights_table,
@@ -94,12 +94,17 @@ def _config_echo(cfg: RunConfig) -> dict:
     return {"text": config_to_text(cfg)}
 
 
+def _run_grid(cfg: RunConfig, n_output_times: int, audit: bool):
+    """The config's run/check grid: ``harness._run_level`` on its problem and flux."""
+    problem = cfg.resolved_problem()
+    flux = _build_flux(problem, cfg.flux_family, cfg.lf_lambda)
+    return _run_level(problem, flux, cfg.profile, cfg.delta, cfg.dx, cfg.mesh_ratio,
+                      n_output_times, audit, cfg.enforce_cfl)
+
+
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    trajectory, *_ = _run_level(
-        cfg.resolved_problem(), cfg.build_flux(), cfg.profile, cfg.delta, cfg.dx,
-        cfg.mesh_ratio, cfg.output_times, False, cfg.enforce_cfl,
-    )
+    trajectory, *_ = _run_grid(cfg, cfg.output_times, False)
     out = Path(cfg.out_dir) / "solution.csv"
     write_solution_csv(trajectory, out)
     print(f"wrote {len(trajectory)} snapshots x {trajectory[0].n_cells} cells to {out}")
@@ -108,10 +113,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    _, _, reports = _run_level(
-        cfg.resolved_problem(), cfg.build_flux(), cfg.profile, cfg.delta, cfg.dx,
-        cfg.mesh_ratio, 0, True, cfg.enforce_cfl,
-    )
+    _, _, reports = _run_grid(cfg, 0, True)
     out = Path(cfg.out_dir) / "invariants.json"
     write_check_json(reports, out, config_echo=_config_echo(cfg))
     for rep in reports:
@@ -160,14 +162,9 @@ def _float_flag(args, flag: str) -> float:
 
 def _cmd_weights(args) -> int:
     delta, dx = _float_flag(args, "delta"), _float_flag(args, "dx")
-    try:
-        kernel = Kernel(delta=delta, profile=args.profile)
-    except ValueError as exc:
-        raise ValueError(f"--delta {args.delta} / --profile {args.profile}: {exc}") from None
-    try:
-        weights = compute_weights(kernel, dx)
-    except ValueError as exc:
-        raise ValueError(f"--delta {args.delta} / --dx {args.dx}: {exc}") from None
+    kernel = _keyed(f"--delta {args.delta} / --profile {args.profile}:", Kernel, delta,
+                    args.profile)
+    weights = _keyed(f"--delta {args.delta} / --dx {args.dx}:", compute_weights, kernel, dx)
     sys.stdout.write(weights_table(weights))
     if args.out is not None:
         path = Path(args.out) / "weights.csv"

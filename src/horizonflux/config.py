@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .harness import DEFAULT_OUTPUT_TIMES, _build_flux, _levels
 from .kernels import Kernel, compute_weights
@@ -29,54 +29,46 @@ __all__ = ["RunConfig", "config_to_text", "parse_config", "parse_config_text"]
 
 _REGIMES = ("fixed_delta", "joint_limit")
 
-# One row per RunConfig field, in its order (also the order of the text form):
-# (field, section, key, type tag, default or the REQUIRED marker).
-_REQUIRED = object()
-_FIELDS = (
-    ("profile", "kernel", "profile", "str", "uniform"),
-    ("delta", "kernel", "delta", "float", _REQUIRED),
-    ("flux_family", "flux", "family", "str", _REQUIRED),
-    ("lf_lambda", "flux", "lf_lambda", "float", None),
-    ("problem", "problem", "name", "str", _REQUIRED),
-    ("final_time", "problem", "T", "float", None),
-    ("dx", "grid", "dx", "float", _REQUIRED),
-    ("mesh_ratio", "time", "mesh_ratio", "float", _REQUIRED),
-    ("enforce_cfl", "time", "enforce_cfl", "bool", True),
-    ("regime", "study", "regime", "str", "joint_limit"),
-    ("levels", "study", "levels", "int", 4),
-    ("coupling", "study", "coupling", "float", 2.0),
-    ("output_times", "study", "output_times", "int", DEFAULT_OUTPUT_TIMES),
-    ("out_dir", "output", "dir", "str", "out"),
-)
-_SCHEMA = {(section, key) for _, section, key, _, _ in _FIELDS}
-_SECTIONS = sorted({section for section, _ in _SCHEMA})
+
+def _key(section: str, key: str, default=MISSING):
+    """A RunConfig field read from ``[section] key``, a required key without a default."""
+    return field(default=default, metadata={"section": section, "key": key})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """A fully validated configuration for the run/check/study commands."""
+    """A fully validated configuration for the run/check/study commands.  Each field
+    names its config key, its annotation is the key's type, and their order is that
+    of the text form; a missing ``[problem] T`` is the problem's final time."""
 
-    profile: str
-    delta: float
-    flux_family: str
-    lf_lambda: float | None
-    problem: str
-    final_time: float
-    dx: float
-    mesh_ratio: float
-    enforce_cfl: bool
-    regime: str
-    levels: int
-    coupling: float
-    output_times: int
-    out_dir: str
+    profile: str = _key("kernel", "profile", "uniform")
+    delta: float = _key("kernel", "delta")
+    flux_family: str = _key("flux", "family")
+    lf_lambda: float | None = _key("flux", "lf_lambda", None)
+    problem: str = _key("problem", "name")
+    final_time: float = _key("problem", "T", None)
+    dx: float = _key("grid", "dx")
+    mesh_ratio: float = _key("time", "mesh_ratio")
+    enforce_cfl: bool = _key("time", "enforce_cfl", True)
+    regime: str = _key("study", "regime", "joint_limit")
+    levels: int = _key("study", "levels", 4)
+    coupling: float = _key("study", "coupling", 2.0)
+    output_times: int = _key("study", "output_times", DEFAULT_OUTPUT_TIMES)
+    out_dir: str = _key("output", "dir", "out")
 
     def resolved_problem(self) -> Problem:
         """The named problem, run to the config's final time."""
         return replace(get_problem(self.problem), final_time=self.final_time)
 
-    def build_flux(self):
-        return _build_flux(get_problem(self.problem), self.flux_family, self.lf_lambda)
+
+# (field, section, key, type tag, default or MISSING) per RunConfig field, in its order;
+# the tag is the annotation's text before any " | None" (annotations are strings here)
+_FIELDS = tuple(
+    (f.name, f.metadata["section"], f.metadata["key"], f.type.partition(" ")[0], f.default)
+    for f in fields(RunConfig)
+)
+_SCHEMA = {(section, key) for _, section, key, _, _ in _FIELDS}
+_SECTIONS = sorted({section for section, _ in _SCHEMA})
 
 
 def _convert(section: str, key: str, kind: str, raw: str):
@@ -131,7 +123,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Run
     for name, section, key, kind, default in _FIELDS:
         if (section, key) in raw:
             values[name] = _convert(section, key, kind, raw[(section, key)])
-        elif default is _REQUIRED:
+        elif default is MISSING:
             raise ValueError(f"missing required config key [{section}] {key}")
         else:
             values[name] = default

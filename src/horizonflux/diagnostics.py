@@ -17,7 +17,7 @@ import numpy as np
 
 from .fluxes import TwoPointFlux
 from .kernels import QuadratureWeights
-from .solver import GridState, _cfl_number, _check_pair
+from .solver import _CFL_LIMIT, GridState, _cfl_number, _check_pair
 
 # The audit stream works over blocks of B = max(1, _BLOCK_VALUES // (n + 2R))
 # steps (n cells, R = n_terms): about 64 KiB of u^n values per block.
@@ -502,7 +502,7 @@ class _CellEntropy(_Check):
         key, row = key[inside], row[inside]
         ids = (first + 1 + row) * n + cell[inside]  # step * n + cell of each active item
         dt, u0, u1, lo, hi = dt[row], u0[key], u1[key], lo[key], hi[key]
-        sure = _cfl_number(flux, self.weights, dt, lo, hi) <= 1.0
+        sure = _cfl_number(flux, self.weights, dt, lo, hi) <= _CFL_LIMIT
         s, read_s = _stencil_sums(flux, flat[:span], key, w)  # exactly 0 on a flat stencil
         # the straddling (constant, item) triples, lo < cs[i] < hi on the uncertified
         # items alone, ordered by constant, then item

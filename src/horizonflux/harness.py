@@ -228,11 +228,12 @@ def _refine(
 
     ``measure`` maps the levels' snapshot lists to one measure per level.  The
     keyword defaults are those of both public studies, which forward their
-    options here; every level is audited.
+    options here; every level is audited.  ``workers`` must be an integer of at least
+    1 and ``n_output_times`` one of at least 2; a bool or 3.0 is not an integer.
     """
     if _integer(workers, "workers") < 1:
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
-    if not isinstance(n_output_times, (int, np.integer)) or n_output_times < 2:
+    if _integer(n_output_times, "n_output_times") < 2:
         raise ValueError(f"n_output_times must be at least 2, got {n_output_times}")
     flux = _build_flux(problem, flux_family, lf_lambda)
     ladder = _levels(problem, dx0, n_levels, delta_of, n_output_times)

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 BOUNDARY_MODES = ("periodic", "constant_extension")
+_CFL_LIMIT = 1.0 + 1e-12  # the one threshold on _cfl_number: validate_cfl's and the audit's
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
@@ -204,9 +205,10 @@ def cell_average_init(
 
 
 def _cfl_number(flux: TwoPointFlux, weights: QuadratureWeights, dt, lo, hi):
-    """dt sum_k W_k step_speed(lo, hi) per box [lo, hi]: where it is <= 1, a step of size
-    dt is monotone in each value of a stencil inside the box.  :func:`validate_cfl`
-    reads it on the data box, the entropy audit on each stencil box."""
+    """dt sum_k W_k step_speed(lo, hi) per box [lo, hi]: where it is <= ``_CFL_LIMIT``, a
+    step of size dt is monotone in each value of a stencil inside the box, up to a 1e-12
+    margin far below the entropy audit's 1e-10 tolerance.  :func:`validate_cfl` reads it
+    on the data box, the entropy audit on each stencil box."""
     return dt * weights.weights.sum() * flux.step_speed(lo, hi)
 
 
@@ -215,14 +217,17 @@ def validate_cfl(
     box_hi: float,
 ) -> None:
     """Reject a mesh ratio whose step is not certified monotone on the data box:
-    require :func:`_cfl_number` <= 1 (up to 1e-12) with dt = mesh_ratio * weights.dx,
-    that is dt/dx <= 1 / (dx sum_k W_k step_speed), and lf_lambda * max|f'| <= 1 for
-    Lax-Friedrichs.  By the maximum principle every later stencil box lies inside
-    the data box, so the entropy audit certifies every step of the run."""
-    if not box_lo <= box_hi:
-        raise ValueError(f"data box [{box_lo:g}, {box_hi:g}] needs box_lo <= box_hi")
+    require :func:`_cfl_number` <= ``_CFL_LIMIT`` with dt = mesh_ratio * weights.dx, that
+    is dt/dx <= 1 / (dx sum_k W_k step_speed), and lf_lambda * max|f'| <= 1 for
+    Lax-Friedrichs.  The mesh ratio must be positive and finite, the box finite.  By the
+    maximum principle every later stencil box lies inside the data box, so the entropy
+    audit, at the same threshold, certifies every step of the run."""
+    if not (math.isfinite(mesh_ratio) and mesh_ratio > 0.0):
+        raise ValueError(f"mesh_ratio must be positive and finite, got {mesh_ratio}")
+    if not -math.inf < box_lo <= box_hi < math.inf:
+        raise ValueError(f"data box [{box_lo:g}, {box_hi:g}] needs box_lo <= box_hi, both finite")
     number = _cfl_number(flux, weights, mesh_ratio * weights.dx, box_lo, box_hi)
-    if number <= 1.0 + 1e-12:
+    if number <= _CFL_LIMIT:
         return
     speed = flux.step_speed(box_lo, box_hi)
     if speed == math.inf:

@@ -21,7 +21,7 @@ pins ``check_entropy``'s report to it.
 import numpy as np
 
 from horizonflux import kruzhkov_constants
-from horizonflux.solver import _cfl_number
+from horizonflux.solver import _CFL_LIMIT, _cfl_number
 
 # The audit groups the q-sum's terms otherwise than the oracle matrix does; the
 # two agree within ENTROPY_ULPS eps * (1 + max|u|).
@@ -195,8 +195,8 @@ def entropy_oracle(trajectory, weights, flux, *constant_sets, dense=True):
     The set holds every stencil side m_j and M_j and each of ``constant_sets``;
     if ``dense``, also every u^n_j and u^{n+1}_j, 0, the default constants of u^0
     and 65 uniform points over their range.  On a cell where the step is
-    certified monotone (``_cfl_number`` <= 1 on [m_j, M_j]) the sup over every c
-    is |u^{n+1}_j - H(u^n)_j| (Crandall & Majda 1980), with H from
+    certified monotone (``_cfl_number`` <= ``_CFL_LIMIT`` on [m_j, M_j]) the sup
+    over every c is |u^{n+1}_j - H(u^n)_j| (Crandall & Majda 1980), with H from
     ``reference_rate``; the larger residual at the two sides and the set's
     maximum are both checked against it.
     """
@@ -206,7 +206,7 @@ def entropy_oracle(trajectory, weights, flux, *constant_sets, dense=True):
     for a, b in zip(trajectory, trajectory[1:]):
         dt = b.time - a.time
         lo, hi = stencil_boxes(a, weights.n_terms)
-        sure = _cfl_number(flux, weights, dt, lo, hi) <= 1.0
+        sure = _cfl_number(flux, weights, dt, lo, hi) <= _CFL_LIMIT
         extra = (a.values, b.values, [0.0], cs, np.linspace(cs[0], cs[-1], 65)) if dense else ()
         probes = np.unique(np.concatenate((lo, hi, *constant_sets, *extra)))
         matrix = reference_entropy_matrix(a, b, weights, flux, probes)

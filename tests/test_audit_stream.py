@@ -36,7 +36,7 @@ from horizonflux import (
 from horizonflux import diagnostics
 from horizonflux.diagnostics import _block_steps
 from horizonflux.harness import _build_flux, _run_level
-from horizonflux.solver import _cfl_number
+from horizonflux.solver import _CFL_LIMIT, _cfl_number
 from flux_oracles import reference_entropy_matrix, stencil_boxes
 from testutil import every_flux, weights_for_r
 
@@ -285,7 +285,7 @@ def test_entropy_work_counters(budget, blocks, constants, straddling, monkeypatc
     cs = np.unique(kruzhkov_constants(state) if constants is None else constants)
     lo, hi = stencil_boxes(state, 1)
     for mesh_ratio, certified in ((0.1, 6), (1.5, 3)):
-        unsure = (lo < hi) & (_cfl_number(GODUNOV, weights, mesh_ratio * dx, lo, hi) > 1.0)
+        unsure = (lo < hi) & (_cfl_number(GODUNOV, weights, mesh_ratio * dx, lo, hi) > _CFL_LIMIT)
         brute = sum(int(np.sum((cs > lo[j]) & (cs < hi[j]))) for j in np.flatnonzero(unsure))
         assert brute == (0 if certified == 6 else 3 * straddling)
         states = [GridState(dx=dx, x0=0.0, values=values, boundary="constant_extension",

@@ -57,8 +57,12 @@ def test_unknown_keys_and_sections_rejected():
 
 
 def test_missing_required_key_rejected():
-    with pytest.raises(ValueError, match=r"\[grid\] dx"):
-        parse_config_text(MINIMAL.replace("[grid]\ndx = 0.03125\n", ""))
+    for section, line in (("kernel", "delta = 0.05"), ("flux", "family = godunov"),
+                          ("problem", "name = burgers_shock"), ("grid", "dx = 0.03125"),
+                          ("time", "mesh_ratio = 0.9")):
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=rf"^missing required config key \[{section}\] {key}$"):
+            parse_config_text(MINIMAL.replace(line + "\n", ""))
 
 
 def test_unknown_flux_lists_valid_keys():
@@ -227,10 +231,47 @@ def test_overrides_apply_before_validation():
         parse_config_text(MINIMAL, {"grid.spacing": "1"})
 
 
+# all 14 keys, each optional one away from its default, in the order of the text form
+EVERY_KEY = """\
+[kernel]
+profile = triangular
+delta = 0.0625
+
+[flux]
+family = lax_friedrichs
+lf_lambda = 0.75
+
+[problem]
+name = advect_bump
+T = 0.25
+
+[grid]
+dx = 0.03125
+
+[time]
+mesh_ratio = 0.5
+enforce_cfl = false
+
+[study]
+regime = fixed_delta
+levels = 3
+coupling = 3
+output_times = 5
+
+[output]
+dir = results
+
+"""
+
+
 def test_config_round_trips_through_text():
     cfg = parse_config_text(MINIMAL, {"flux.family": "lax_friedrichs",
                                       "flux.lf_lambda": "0.7", "time.mesh_ratio": "0.4"})
     assert parse_config_text(config_to_text(cfg)) == cfg
+    every = parse_config_text(EVERY_KEY)
+    assert config_to_text(every) == EVERY_KEY
+    assert parse_config_text(config_to_text(every)) == every
+    assert EVERY_KEY.count(" = ") == 14
 
 
 # -- writers ------------------------------------------------------------------

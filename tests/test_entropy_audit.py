@@ -36,7 +36,7 @@ from horizonflux import (
     step,
 )
 from horizonflux import fluxes
-from horizonflux.solver import _cfl_number
+from horizonflux.solver import _CFL_LIMIT, _cfl_number
 from flux_oracles import (
     assert_entropy_matches_oracle,
     entropy_bound,
@@ -221,7 +221,7 @@ def test_planted_value_outside_a_certified_stencil_box_is_caught_exactly(shift):
     dt = after.time - before.time
     lo, hi = stencil_boxes(before, weights.n_terms)
     assert lo[cell] < hi[cell]
-    assert (_cfl_number(GODUNOV, weights, dt, lo, hi) <= 1.0)[cell]
+    assert (_cfl_number(GODUNOV, weights, dt, lo, hi) <= _CFL_LIMIT)[cell]
     after.values[cell] = hi[cell] + shift if shift > 0 else lo[cell] + shift
     report = check_entropy(trajectory, weights, GODUNOV)
     h = before.values - dt * reference_rate(before, weights, GODUNOV)
@@ -238,7 +238,8 @@ def test_audit_takes_the_q_sum_only_on_the_straddle_block(monkeypatch):
     straddling constants take the q-sum."""
     trajectory, weights = shock_run(n=256, r=8, steps=1, boundary="periodic", mesh_ratio=4.0)
     dt = trajectory[1].time
-    assert not np.all(_cfl_number(GODUNOV, weights, dt, *stencil_boxes(trajectory[0], 8)) <= 1)
+    boxes = stencil_boxes(trajectory[0], 8)
+    assert not np.all(_cfl_number(GODUNOV, weights, dt, *boxes) <= _CFL_LIMIT)
     constants = kruzhkov_constants(trajectory[0])
     largest = constants.size * (256 + 2 * weights.n_terms)
     inputs, elements = [], []
@@ -433,7 +434,7 @@ def _past_cfl_verdicts(seed, n, r, multiple, family, boundary):
     dense = np.unique(np.concatenate((
         state.values, [0.0], trajectory[1].values, np.linspace(lo - 0.1, hi + 0.1, 1025))))
     worst = reference_entropy_matrix(*trajectory, weights, flux, dense).max(axis=0)
-    sure = _cfl_number(flux, weights, dt, *stencil_boxes(state, r)) <= 1.0
+    sure = _cfl_number(flux, weights, dt, *stencil_boxes(state, r)) <= _CFL_LIMIT
     return report.passed, worst.max() <= report.tolerance, sure[worst > report.tolerance].any()
 
 
@@ -557,7 +558,7 @@ def test_the_monotonicity_certificate_is_sound(family, profile, boundary):
                 windows = np.lib.stride_tricks.sliding_window_view(data.extended(r), 2 * r + 1)
                 for multiple in (0.5, 0.98, 1.15):
                     dt = multiple / (total * speed)
-                    sure = _cfl_number(flux, weights, dt, m, big_m) <= 1.0
+                    sure = _cfl_number(flux, weights, dt, m, big_m) <= _CFL_LIMIT
                     label = (r, flux, data is spike, past_edge, multiple)
                     assert sure.all() == (multiple < 1.0 and past_edge == 1.0), label
                     box_lo, box_hi = m[sure, None], big_m[sure, None]

@@ -296,7 +296,7 @@ def test_study_script_writes_tables(tmp_path, script, args, stem):
     assert head == "# dx measure" and rows
 
 
-def test_cli_outputs_script_writes_the_fifteen_byte_stable_files(tmp_path):
+def test_cli_outputs_script_writes_the_byte_stable_files(tmp_path):
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "out"
     result = subprocess.run(
@@ -306,7 +306,7 @@ def test_cli_outputs_script_writes_the_fifteen_byte_stable_files(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     names = ("invariants.json", "single.cfg", "solution.csv", "study.cfg", "study.csv",
-             "study.json", "study_plot.dat")
+             "study.json", "study_plot.dat", "weights.csv")
     problems = ("advect_bump", "burgers_rarefaction", "burgers_shock")
     written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert written == [f"{problem}/{name}" for problem in problems for name in names]

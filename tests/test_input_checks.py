@@ -78,7 +78,19 @@ BAD_INPUTS = {
         "dt must be positive and finite, got inf"),
     "cfl_nan_mesh_ratio": (
         lambda: validate_cfl(GODUNOV, weights_for_r(1, 0.25), np.nan, 0.0, 1.0),
-        "mesh ratio nan violates"),
+        "mesh_ratio must be positive and finite, got nan"),
+    "cfl_negative_mesh_ratio": (
+        lambda: validate_cfl(GODUNOV, weights_for_r(1, 0.25), -1.0, 0.0, 1.0),
+        "mesh_ratio must be positive and finite, got -1.0"),
+    "cfl_zero_mesh_ratio": (
+        lambda: validate_cfl(GODUNOV, weights_for_r(1, 0.25), 0.0, 0.0, 1.0),
+        "mesh_ratio must be positive and finite, got 0.0"),
+    "cfl_inf_mesh_ratio": (
+        lambda: validate_cfl(GODUNOV, weights_for_r(1, 0.25), np.inf, 0.0, 1.0),
+        "mesh_ratio must be positive and finite, got inf"),
+    "cfl_infinite_box": (
+        lambda: validate_cfl(GODUNOV, weights_for_r(1, 0.25), 0.9, 0.0, np.inf),
+        r"data box \[0, inf\] needs box_lo <= box_hi, both finite"),
     "cfl_nan_box": (lambda: validate_cfl(GODUNOV, weights_for_r(1, 0.25), 0.9, np.nan, 1.0),
                     r"data box \[nan, 1\] needs box_lo <= box_hi"),
     "cfl_inverted_box": (
@@ -149,7 +161,16 @@ BAD_INPUTS = {
         "n_output_times must be at least 2, got -3"),
     "study_fractional_output_times": (
         lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 2, 0.9, n_output_times=2.5),
-        r"n_output_times must be at least 2, got 2.5"),
+        "n_output_times must be an integer, got 2.5"),
+    "study_float_output_times": (
+        lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 2, 0.9, n_output_times=3.0),
+        "n_output_times must be an integer, got 3.0"),
+    "study_str_output_times": (
+        lambda: refine_joint_limit(SHOCK, "godunov", 2.0, 1 / 16, 2, 0.9, n_output_times="4"),
+        "n_output_times must be an integer, got '4'"),
+    "study_bool_output_times": (
+        lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 2, 0.9, n_output_times=True),
+        "n_output_times must be an integer, got True"),
     "nested_unequal_spans": (
         lambda: nested_l1_distance(GridState(0.5, 0.0, np.zeros(3)), STATE, (0.0, 1.0)),
         "spans differ"),

@@ -532,10 +532,11 @@ def test_the_sharp_bound_admits_every_mesh_ratio_the_lipschitz_bound_did():
 def test_mesh_ratios_up_to_the_sharp_bound_run_certified(r):
     """burgers_shock, Godunov, delta = (r + 1/2) dx, dx = 1/256: on the data box
     [0, 1] the sharp bound is 1 / (dx sum_k W_k), 1.429 at r = 2 and 6.648 at
-    r = 25, against 1 for the former bound 1 / (L1 + L2).  At 0.98x the sharp
-    bound a run passes every streamed audit and every active item takes the
-    audit's exact path; at 1.15x ``run`` refuses it, naming the bound, and
-    with the check off the run fails every audit."""
+    r = 25, against 1 for the former bound 1 / (L1 + L2).  At 0.98x and at 1x
+    the sharp bound a run passes every streamed audit and every active item
+    takes the audit's exact path, since ``run`` and the audit certify at the
+    same threshold; at 1.15x ``run`` refuses it, naming the bound, and with the
+    check off the run fails every audit."""
     problem = get_problem("burgers_shock")
     dx = 1 / 256
     kernel = Kernel((r + 0.5) * dx)
@@ -544,16 +545,16 @@ def test_mesh_ratios_up_to_the_sharp_bound_run_certified(r):
     assert sharp == pytest.approx({2: 1.429, 25: 6.648}[r], abs=5e-4)
     a, b = problem.domain
     grid = dict(x0=a, dx=dx, n_cells=round((b - a) / dx), boundary=problem.boundary)
-    for multiple in (0.98, 1.15):
+    for multiple in (0.98, 1.0, 1.15):
         config = SchemeConfig(kernel, GODUNOV, multiple * sharp, problem.final_time)
         if multiple > 1.0:
             with pytest.raises(CflViolationError, match=f"require dt/dx <= {sharp:g}$"):
                 run(config, problem.u0, **grid)
         audit = audit_stream(weights, GODUNOV)
-        run(config, problem.u0, **grid, enforce_cfl=multiple < 1.0, observer=audit)
+        run(config, problem.u0, **grid, enforce_cfl=multiple <= 1.0, observer=audit)
         reports = audit.finish()
         counts = reports[-1].counts
-        if multiple < 1.0:
+        if multiple <= 1.0:
             assert all(rep.passed for rep in reports), reports
             assert counts["straddle_residuals"] == 0
             assert counts["side_residuals"] == 2 * counts["certified_items"] > 0
