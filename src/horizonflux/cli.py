@@ -50,16 +50,13 @@ def _add_override_flags(sub, *skip: str) -> None:
     for flag, dotted in _OVERRIDE_FLAGS.items():
         if flag not in skip:
             section, key = dotted.split(".")
-            sub.add_argument(f"--{flag}", help=f"override [{section}] {key}")
+            sub.add_argument(f"--{flag}", dest=dotted, metavar=flag.upper(),
+                             help=f"override [{section}] {key}")
 
 
 def _overrides(args) -> dict[str, str]:
-    out = {}
-    for flag, dotted in _OVERRIDE_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[dotted] = value
-    return out
+    """The override flags given, by their dotted config keys (their dests)."""
+    return {dest: value for dest, value in vars(args).items() if "." in dest and value is not None}
 
 
 def build_parser() -> _Parser:

@@ -21,7 +21,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .harness import DEFAULT_OUTPUT_TIMES, _build_flux, _levels
-from .kernels import Kernel, compute_weights
+from .kernels import Kernel, _integer, _positive, compute_weights
 from .reference import Problem, get_problem
 from .solver import _full_steps, validate_cfl
 
@@ -82,9 +82,8 @@ def _convert(section: str, key: str, kind: str, raw: str):
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return raw
     except (KeyError, ValueError):
-        raise ValueError(
-            f"config key [{section}] {key} expects a {kind}, got {raw!r}"
-        ) from None
+        expected = "an integer" if kind == "int" else f"a {kind}"
+        raise ValueError(f"config key [{section}] {key} expects {expected}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -136,11 +135,6 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
         return parse_config_text(handle.read(), overrides)
 
 
-def _positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def _keyed(prefix: str, build, *args):
     """``build(*args)``, with ``prefix`` (the config section or key) leading its
     ValueError, whose type (``CflViolationError`` too) it keeps."""
@@ -155,20 +149,18 @@ def _validate(v: dict[str, object]) -> RunConfig:
     _keyed("[kernel]", Kernel, v["delta"], v["profile"])
     flux = _keyed("[flux]", _build_flux, base, v["flux_family"], v["lf_lambda"])
     for name, label in (("dx", "[grid] dx"), ("mesh_ratio", "[time] mesh_ratio")):
-        _positive(label, v[name])
+        _positive(v[name], label)
 
     if v["final_time"] is None:
         v["final_time"] = base.final_time
     if not (math.isfinite(v["final_time"]) and v["final_time"] >= 0.0):
-        raise ValueError(f"[problem] T must be nonnegative, got {v['final_time']}")
+        raise ValueError(f"[problem] T must be nonnegative and finite, got {v['final_time']}")
 
     if v["regime"] not in _REGIMES:
         raise ValueError(f"unknown study regime {v['regime']!r}; valid: " + ", ".join(_REGIMES))
-    if v["levels"] < 2:
-        raise ValueError(f"[study] levels must be at least 2, got {v['levels']}")
-    _positive("[study] coupling", v["coupling"])
-    if v["output_times"] < 2:
-        raise ValueError(f"[study] output_times must be at least 2, got {v['output_times']}")
+    _integer(v["levels"], "[study] levels", 2)
+    _positive(v["coupling"], "[study] coupling")
+    _integer(v["output_times"], "[study] output_times", 2)
     # the run/check grid, then the study's levels, each named by the keys that size it
     _keyed("[grid] dx / [kernel] delta / [study] output_times:",
            _levels, base, v["dx"], 1, lambda _: v["delta"], v["output_times"])

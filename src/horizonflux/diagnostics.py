@@ -474,8 +474,7 @@ class _CellEntropy(_Check):
         _check_pair(u0, weights)
         self.weights, self.flux, self.n = weights, flux, u0.n_cells
         self.tol = 1e-10 * (1.0 + float(np.max(np.abs(u0.values))))
-        cs = np.sort(kruzhkov_constants(u0) if constants is None else constants)
-        self.cs = cs[np.append(True, cs[1:] > cs[:-1])]  # distinct
+        self.cs = np.unique(kruzhkov_constants(u0) if constants is None else constants)
         self.counts = dict.fromkeys(("entropy_blocks", "side_residuals", "straddle_residuals",
                                      "certified_items", "stencil_values"), 0)
 

@@ -27,6 +27,8 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .kernels import _positive
+
 __all__ = [
     "LocalFlux",
     "TwoPointFlux",
@@ -281,8 +283,7 @@ def make_flux(
             f"unknown flux family {family!r}; valid families: " + ", ".join(FLUX_FAMILIES)
         )
     if family == "lax_friedrichs":
-        if lf_lambda is None or not (math.isfinite(lf_lambda) and lf_lambda > 0.0):
-            raise ValueError(f"lf_lambda must be positive and finite, got {lf_lambda}")
+        _positive(lf_lambda, "lf_lambda")
     elif lf_lambda is not None:
         raise ValueError(f"lf_lambda only applies to lax_friedrichs, not {family!r}")
     if family == "upwind_linear" and local.name != "linear_advection":

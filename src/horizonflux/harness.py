@@ -25,9 +25,9 @@ import numpy as np
 
 from .diagnostics import InvariantReport, audit_stream
 from .fluxes import make_flux, make_local_flux
-from .kernels import Kernel, _fits, compute_weights
+from .kernels import Kernel, _fits, _integer, _positive, compute_weights
 from .reference import Problem, _checked_window, l1_error
-from .solver import GridState, SchemeConfig, _integer, run
+from .solver import GridState, SchemeConfig, run
 
 __all__ = [
     "LevelRecord",
@@ -99,15 +99,9 @@ class LevelRecord:
     def as_dict(self) -> dict:
         # wall_time deliberately omitted: serialized studies must be
         # byte-stable across reruns.
-        return {
-            "level": self.level,
-            "dx": self.dx,
-            "delta": self.delta,
-            "dt": self.dt,
-            "n_cells": self.n_cells,
-            "measure": self.measure,
-            "invariants": [rep.as_dict() for rep in self.invariants],
-        }
+        out = dict(vars(self), invariants=[rep.as_dict() for rep in self.invariants])
+        del out["wall_time"]
+        return out
 
 
 @dataclass
@@ -229,12 +223,11 @@ def _refine(
     ``measure`` maps the levels' snapshot lists to one measure per level.  The
     keyword defaults are those of both public studies, which forward their
     options here; every level is audited.  ``workers`` must be an integer of at least
-    1 and ``n_output_times`` one of at least 2; a bool or 3.0 is not an integer.
+    1 and ``n_output_times`` one of at least 2, each checked by :func:`kernels._integer`,
+    to which a bool or 3.0 is not an integer.
     """
-    if _integer(workers, "workers") < 1:
-        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
-    if _integer(n_output_times, "n_output_times") < 2:
-        raise ValueError(f"n_output_times must be at least 2, got {n_output_times}")
+    _integer(workers, "workers", 1)
+    _integer(n_output_times, "n_output_times", 2)
     flux = _build_flux(problem, flux_family, lf_lambda)
     ladder = _levels(problem, dx0, n_levels, delta_of, n_output_times)
     args = [
@@ -287,8 +280,7 @@ def refine_fixed_delta(
     n_output_times, workers); the final time and the measuring window are the
     problem's own.
     """
-    if _integer(n_levels, "n_levels") < 2:
-        raise ValueError("fixed-delta study needs at least 2 levels")
+    _integer(n_levels, "n_levels", 2)
     Kernel(delta)  # the horizon rule, checked before any level is laid out
     return _refine(
         problem, flux_family, dx0, n_levels, mesh_ratio,
@@ -312,12 +304,10 @@ def refine_joint_limit(
     L1 error against the problem's exact local entropy solution.  ``options``
     are those of :func:`refine_fixed_delta`.
     """
-    if _integer(n_levels, "n_levels") < 1:
-        raise ValueError("joint-limit study needs at least 1 level")
+    _integer(n_levels, "n_levels", 1)
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact local solution")
-    if not (math.isfinite(coupling) and coupling > 0.0):
-        raise ValueError(f"coupling must be positive and finite, got {coupling}")
+    _positive(coupling, "coupling")
     return _refine(
         problem, flux_family, dx0, n_levels, mesh_ratio,
         regime="joint_limit", measure_name="l1_error_vs_exact",

@@ -10,6 +10,7 @@ numeric quadrature of the kernel happens anywhere in the package.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -51,8 +52,7 @@ class Kernel:
     profile: str = "uniform"
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"horizon delta must be positive and finite, got {self.delta}")
+        _positive(self.delta, "horizon delta")
         if self.profile not in _PROFILES:
             raise ValueError(
                 f"unknown kernel profile {self.profile!r}; valid profiles: "
@@ -90,6 +90,26 @@ class QuadratureWeights:
         return abs(self.dx * float(np.dot(k, self.weights)) - 1.0)
 
 
+def _positive(value, name: str) -> None:
+    """Reject ``value`` unless it is a finite number > 0; None is not one."""
+    if value is None or not 0.0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``, or a ValueError; a bool is not a count."""
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count < least:
+                raise ValueError(f"{name} must be at least {least}, got {count}")
+            return count
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _fits(count: float, what: str) -> None:
     """Reject ``what``, ``count`` float64 values, before it is allocated when it
     needs more bytes than the process may hold: the smaller of the machine's
@@ -115,8 +135,7 @@ def compute_weights(kernel: Kernel, dx: float) -> QuadratureWeights:
     delta < dx the whole unit mass lands in W_1 = 1/dx, which degenerates the
     nonlocal update into the classical three-point scheme.
     """
-    if not (math.isfinite(dx) and dx > 0.0):
-        raise ValueError(f"dx must be positive and finite, got {dx}")
+    _positive(dx, "dx")
     ratio = kernel.delta / dx
     _fits(ratio + 1.0, f"r = floor(delta / dx) = floor({ratio:.6g}) needs r + 1 edges")
     r = int(math.floor(ratio))

@@ -22,14 +22,13 @@ independent runs.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .fluxes import TwoPointFlux
-from .kernels import Kernel, QuadratureWeights, compute_weights
+from .kernels import Kernel, QuadratureWeights, _integer, _positive, compute_weights
 
 __all__ = [
     "BOUNDARY_MODES",
@@ -75,8 +74,7 @@ class GridState:
                 f"unknown boundary mode {self.boundary!r}; valid: "
                 + ", ".join(BOUNDARY_MODES)
             )
-        if not (math.isfinite(self.dx) and self.dx > 0.0):
-            raise ValueError(f"dx must be positive and finite, got {self.dx}")
+        _positive(self.dx, "dx")
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}")
         self.values = np.asarray(self.values, dtype=float)
@@ -127,20 +125,9 @@ class SchemeConfig:
     final_time: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mesh_ratio) and self.mesh_ratio > 0.0):
-            raise ValueError(f"mesh_ratio must be positive, got {self.mesh_ratio}")
+        _positive(self.mesh_ratio, "mesh_ratio")
         if not (math.isfinite(self.final_time) and self.final_time >= 0.0):
-            raise ValueError(f"final_time must be nonnegative, got {self.final_time}")
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int, or a ValueError; a bool is not a count."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise ValueError(f"final_time must be nonnegative and finite, got {self.final_time}")
 
 
 def cell_average_init(
@@ -161,9 +148,7 @@ def cell_average_init(
     data in particular) is averaged exactly no matter how the jumps sit
     relative to cell edges.
     """
-    n_cells = _integer(n_cells, "n_cells")
-    if n_cells <= 0:
-        raise ValueError(f"n_cells must be positive, got {n_cells}")
+    n_cells = _integer(n_cells, "n_cells", 1)
     # the grid first, so dx, x0 and the boundary are checked before any averaging
     grid = GridState(dx=dx, x0=x0, values=np.empty(n_cells), boundary=boundary)
     fn = u0
@@ -219,11 +204,10 @@ def validate_cfl(
     """Reject a mesh ratio whose step is not certified monotone on the data box:
     require :func:`_cfl_number` <= ``_CFL_LIMIT`` with dt = mesh_ratio * weights.dx, that
     is dt/dx <= 1 / (dx sum_k W_k step_speed), and lf_lambda * max|f'| <= 1 for
-    Lax-Friedrichs.  The mesh ratio must be positive and finite, the box finite.  By the
-    maximum principle every later stencil box lies inside the data box, so the entropy
-    audit, at the same threshold, certifies every step of the run."""
-    if not (math.isfinite(mesh_ratio) and mesh_ratio > 0.0):
-        raise ValueError(f"mesh_ratio must be positive and finite, got {mesh_ratio}")
+    Lax-Friedrichs.  The mesh ratio must be positive and finite (:func:`kernels._positive`),
+    the box finite.  By the maximum principle every later stencil box lies inside the
+    data box, so the entropy audit, at the same threshold, certifies every step of the run."""
+    _positive(mesh_ratio, "mesh_ratio")
     if not -math.inf < box_lo <= box_hi < math.inf:
         raise ValueError(f"data box [{box_lo:g}, {box_hi:g}] needs box_lo <= box_hi, both finite")
     number = _cfl_number(flux, weights, mesh_ratio * weights.dx, box_lo, box_hi)
@@ -279,8 +263,7 @@ def step(
     :meth:`TwoPointFlux.stencil_sum`.
     """
     _check_pair(state, weights)
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _positive(dt, "dt")
     pad = weights.n_terms
     ext = state.extended(pad)
     # one byte per neighbour pair, 1 where they differ (a NaN differs from itself)
@@ -324,8 +307,7 @@ def step_conservative_form(
     state: GridState, weights: QuadratureWeights, flux: TwoPointFlux, dt: float
 ) -> GridState:
     """The same update as :func:`step`, computed through the wide edge flux."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _positive(dt, "dt")
     f_edges = wide_numerical_flux(state, weights, flux)
     lam = dt / state.dx
     return _advanced(state, state.values - lam * (f_edges[1:] - f_edges[:-1]), dt)

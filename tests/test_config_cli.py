@@ -152,7 +152,12 @@ RUN_KEYS = r"\[grid\] dx / \[kernel\] delta / \[study\] output_times: level 0: "
      r"\[flux\] upwind_linear requires the linear_advection local flux"),
     (TIME, TIME + "\nenforce_cfl = maybe",
      r"^config key \[time\] enforce_cfl expects a bool, got 'maybe'$"),
-    (PROBLEM, PROBLEM + "\nT = -1", r"\[problem\] T must be nonnegative, got -1.0"),
+    (PROBLEM, PROBLEM + "\nT = -1", r"\[problem\] T must be nonnegative and finite, got -1.0"),
+    (PROBLEM, PROBLEM + "\nT = inf", r"^\[problem\] T must be nonnegative and finite, got inf$"),
+    (TIME, TIME + "\n\n[study]\nlevels = 3.0",
+     r"^config key \[study\] levels expects an integer, got '3.0'$"),
+    (TIME, TIME + "\n\n[study]\noutput_times = 1e2",
+     r"^config key \[study\] output_times expects an integer, got '1e2'$"),
     (TIME, TIME + "\n\n[study]\nlevels = 1", r"\[study\] levels must be at least 2, got 1"),
     (TIME, TIME + "\n\n[study]\noutput_times = 1",
      r"\[study\] output_times must be at least 2, got 1"),
@@ -173,6 +178,7 @@ RUN_KEYS = r"\[grid\] dx / \[kernel\] delta / \[study\] output_times: level 0: "
         "output_times_past_memory", "T_past_the_float_range_of_steps", "T_past_2_53_steps",
         "negative_lf_lambda",
         "upwind_linear_on_burgers_without_cfl", "enforce_cfl_not_a_bool", "negative_T",
+        "infinite_T", "levels_not_an_integer", "output_times_not_an_integer",
         "one_level", "one_output_time", "lax_friedrichs_without_lf_lambda",
         "lf_lambda_on_godunov", "zero_dx", "negative_delta", "unknown_profile",
         "unknown_problem", "fixed_delta_finest_of_40_levels_past_memory",
@@ -482,6 +488,28 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, com
     assert exited.value.code == 1
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# each override flag's dest is its dotted config key; its metavar keeps the usage
+# text at --dx DX, not --dx GRID.DX
+USAGE = {
+    "run": ("usage: horizonflux run [-h] --config CONFIG [--dx DX] [--delta DELTA]\n"
+            "                       [--flux FLUX] [--T T] [--out OUT]\n"),
+    "study": ("usage: horizonflux study [-h] --config CONFIG [--workers WORKERS] [--dx DX]\n"
+              "                         [--delta DELTA] [--flux FLUX] [--T T]\n"
+              "                         [--levels LEVELS] [--out OUT]\n"),
+    "check": ("usage: horizonflux check [-h] --config CONFIG [--dx DX] [--delta DELTA]\n"
+              "                         [--flux FLUX] [--T T] [--out OUT]\n"),
+}
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_help_usage_shows_each_override_flag_by_its_name(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.partition("\n\n")[0] + "\n" == USAGE[command]
 
 
 def test_weights_requires_delta(capsys):

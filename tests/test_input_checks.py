@@ -45,13 +45,21 @@ BAD_INPUTS = {
                               "unknown boundary mode 'reflecting'"),
     "grid_zero_dx": (lambda: GridState(0.0, 0.0, np.zeros(4)), "dx must be positive"),
     "grid_negative_dx": (lambda: GridState(-0.25, 0.0, np.zeros(4)), "dx must be positive"),
+    "grid_none_dx": (lambda: GridState(None, 0.0, np.zeros(4)),
+                     "dx must be positive and finite, got None"),
     "grid_2d_values": (lambda: GridState(0.25, 0.0, np.zeros((2, 2))), "1-D array"),
     "grid_nan_x0": (lambda: GridState(0.25, np.nan, np.zeros(4)), "x0 must be finite"),
     "scheme_zero_mesh_ratio": (lambda: _scheme(mesh_ratio=0.0), "mesh_ratio must be positive"),
+    "scheme_inf_mesh_ratio": (lambda: _scheme(mesh_ratio=np.inf),
+                              "mesh_ratio must be positive and finite, got inf"),
+    "scheme_nan_mesh_ratio": (lambda: _scheme(mesh_ratio=np.nan),
+                              "mesh_ratio must be positive and finite, got nan"),
     "scheme_negative_final_time": (lambda: _scheme(final_time=-1.0),
                                    "final_time must be nonnegative"),
+    "scheme_inf_final_time": (lambda: _scheme(final_time=np.inf),
+                              "final_time must be nonnegative and finite, got inf"),
     "cell_average_no_cells": (lambda: cell_average_init(np.sin, dx=0.25, x0=0.0, n_cells=0),
-                              "n_cells must be positive"),
+                              "n_cells must be at least 1, got 0"),
     "cell_average_fractional_cells": (
         lambda: cell_average_init(np.sin, dx=0.25, x0=0.0, n_cells=2.5),
         "n_cells must be an integer"),
@@ -104,9 +112,9 @@ BAD_INPUTS = {
     "advection_nan_speed": (lambda: make_local_flux("linear_advection", speed=np.nan),
                             "advection speed must be finite"),
     "fixed_delta_one_level": (lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 0.25, 1, 0.9),
-                              "at least 2 levels"),
+                              "^n_levels must be at least 2, got 1$"),
     "joint_limit_no_level": (lambda: refine_joint_limit(SHOCK, "godunov", 2.0, 0.25, 0, 0.9),
-                             "at least 1 level"),
+                             "^n_levels must be at least 1, got 0$"),
     "fixed_delta_fractional_levels": (
         lambda: refine_fixed_delta(SHOCK, "godunov", 0.1, 1 / 16, 2.5, 0.9),
         "n_levels must be an integer, got 2.5"),
